@@ -3,17 +3,23 @@
 //! Measures flat-scan retrieval throughput on the E5 synthetic corpus
 //! three ways — the seed implementation (cosine with per-candidate norm
 //! recomputation + full sort), the rebuilt single-thread hot path
-//! (normalized kernel + heap top-k), and the sharded parallel scan at
-//! 1/2/4/8 threads — then emits `results/BENCH_rag_parallel.json` so the
-//! perf trajectory is tracked from PR to PR.
+//! (normalized eight-row kernel + heap top-k), and the sharded parallel
+//! scan at 1/2/4/8 threads. A second sweep grows the corpus (2.5k → 80k
+//! chunks in full mode) and times the sequential scan against the best
+//! sharded one at each size; the smallest size from which sharding wins by
+//! the gate margin at every larger size is the derived
+//! `RetrievalConfig::topk_crossover`. Everything lands in
+//! `results/BENCH_rag_parallel.json` so the perf trajectory is tracked
+//! from PR to PR.
 //!
 //! ```text
-//! cargo run -p dbgpt-bench --release --bin bench_rag_parallel            # full sweep, ≥5k chunks
+//! cargo run -p dbgpt-bench --release --bin bench_rag_parallel            # full sweep, 2.5k–80k chunks
 //! cargo run -p dbgpt-bench --release --bin bench_rag_parallel -- --smoke # tiny corpus, CI gate
 //! ```
 //!
-//! Before timing anything, the run asserts that every parallel
-//! configuration returns a hit list identical to the sequential scan.
+//! Before timing anything, the run asserts at every corpus size that every
+//! parallel configuration returns a hit list identical to the sequential
+//! scan.
 
 use std::fs;
 use std::time::Instant;
@@ -28,6 +34,67 @@ const K: usize = 10;
 
 /// Thread counts swept.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// Minimum multi-thread speedup over one thread that counts as a win:
+/// the gate margin, and the bar a corpus size must clear to sit above the
+/// derived crossover.
+const MIN_SPEEDUP: f64 = 1.15;
+
+/// Interleaved timing rounds per corpus size in the crossover sweep.
+const SWEEP_ROUNDS: usize = 5;
+
+/// Sharded config with `threads` workers and no crossover.
+fn sharded(threads: usize) -> RetrievalConfig {
+    RetrievalConfig {
+        threads,
+        topk_crossover: 0,
+        ..RetrievalConfig::default()
+    }
+}
+
+/// Assert every sharded configuration returns the sequential hit list,
+/// bit for bit.
+fn assert_parallel_matches_sequential(store: &VectorStore, queries: &[Embedding]) {
+    for q in queries {
+        let sequential = store.search_flat_with(q, K, &RetrievalConfig::SEQUENTIAL);
+        for &threads in &THREAD_SWEEP {
+            assert!(
+                store.search_flat_with(q, K, &sharded(threads)) == sequential,
+                "parallel hit lists diverged from sequential ({} chunks, {threads} threads)",
+                store.len()
+            );
+        }
+    }
+}
+
+/// Queries per second of `cfg` over `reps` passes of `queries`, after
+/// one warm-up pass.
+fn measure(store: &VectorStore, queries: &[Embedding], reps: usize, cfg: &RetrievalConfig) -> f64 {
+    for q in queries {
+        std::hint::black_box(store.search_flat_with(q, K, cfg));
+    }
+    let t = Instant::now();
+    for _ in 0..reps {
+        for q in queries {
+            std::hint::black_box(store.search_flat_with(q, K, cfg));
+        }
+    }
+    (reps * queries.len()) as f64 / t.elapsed().as_secs_f64()
+}
+
+/// The smallest swept size from which every larger swept size's best
+/// multi-thread speedup clears [`MIN_SPEEDUP`]; `None` when the largest
+/// size does not.
+fn derived_crossover(sizes: &[(usize, f64)]) -> Option<usize> {
+    let mut crossover = None;
+    for &(chunks, speedup) in sizes.iter().rev() {
+        if speedup < MIN_SPEEDUP {
+            break;
+        }
+        crossover = Some(chunks);
+    }
+    crossover
+}
 
 /// The seed retrieval path, reproduced verbatim for the before/after
 /// comparison: recompute both operand norms per candidate, collect every
@@ -55,6 +122,13 @@ fn main() {
     } else {
         (5000usize, 20usize, "full")
     };
+    // Corpus sizes of the crossover sweep; each one is a prefix of the
+    // largest corpus.
+    let sizes: &[usize] = if smoke {
+        &[300, 600, 1200]
+    } else {
+        &[2_500, 5_000, 7_500, 10_000, 15_000, 20_000, 40_000, 80_000]
+    };
     let out_path = out_override.unwrap_or_else(|| {
         if smoke {
             "results/BENCH_rag_parallel_smoke.json".to_string()
@@ -70,17 +144,22 @@ fn main() {
     println!("  corpus: {n_docs} docs, k = {K}, reps = {reps}, hardware threads = {hardware}");
 
     // One chunk per synthetic doc: the corpus size is the chunk count.
-    let docs = synthetic_corpus(n_docs, 5);
+    let max_docs = sizes.iter().copied().max().unwrap_or(n_docs).max(n_docs);
+    let docs = synthetic_corpus(max_docs, 5);
     let embedder = HashEmbedder::new();
     let raw: Vec<Embedding> = docs.iter().map(|d| embedder.embed(&d.text)).collect();
-    let mut store = VectorStore::new();
-    for v in &raw {
-        store.add(v.clone());
-    }
+    let store_of = |n: usize| {
+        let mut store = VectorStore::new();
+        for v in &raw[..n] {
+            store.add(v.clone());
+        }
+        store
+    };
+    let store = store_of(n_docs);
 
     // Query mix: specific-document queries plus one topical query,
     // embedded once up front so the sweep times the scan, not the encoder.
-    let mut queries: Vec<Embedding> = doc_queries(&docs, 40, 9)
+    let mut queries: Vec<Embedding> = doc_queries(&docs[..n_docs], 40, 9)
         .into_iter()
         .map(|(_, q)| embedder.embed(&q))
         .collect();
@@ -88,53 +167,24 @@ fn main() {
 
     // Correctness gate before any timing: every parallel configuration
     // must return the sequential hit list, bit for bit.
-    let mut parallel_matches_sequential = true;
-    for q in &queries {
-        let sequential = store.search_flat_with(q, K, &RetrievalConfig::SEQUENTIAL);
-        for &threads in &THREAD_SWEEP {
-            let cfg = RetrievalConfig {
-                threads,
-                topk_crossover: 0,
-                ..RetrievalConfig::default()
-            };
-            if store.search_flat_with(q, K, &cfg) != sequential {
-                parallel_matches_sequential = false;
-            }
-        }
-    }
-    assert!(
-        parallel_matches_sequential,
-        "parallel hit lists diverged from sequential"
-    );
+    assert_parallel_matches_sequential(&store, &queries);
 
     let total_queries = (reps * queries.len()) as f64;
 
     // Seed baseline.
+    let raw_docs = &raw[..n_docs];
     for q in &queries {
-        std::hint::black_box(seed_search_flat(&raw, q, K));
+        std::hint::black_box(seed_search_flat(raw_docs, q, K));
     }
     let t = Instant::now();
     for _ in 0..reps {
         for q in &queries {
-            std::hint::black_box(seed_search_flat(&raw, q, K));
+            std::hint::black_box(seed_search_flat(raw_docs, q, K));
         }
     }
     let seed_qps = total_queries / t.elapsed().as_secs_f64();
 
-    let measure = |cfg: &RetrievalConfig| -> f64 {
-        for q in &queries {
-            std::hint::black_box(store.search_flat_with(q, K, cfg));
-        }
-        let t = Instant::now();
-        for _ in 0..reps {
-            for q in &queries {
-                std::hint::black_box(store.search_flat_with(q, K, cfg));
-            }
-        }
-        total_queries / t.elapsed().as_secs_f64()
-    };
-
-    let single_qps = measure(&RetrievalConfig::SEQUENTIAL);
+    let single_qps = measure(&store, &queries, reps, &RetrievalConfig::SEQUENTIAL);
 
     println!("\n  {:<26} | {:>10} | {:>10}", "configuration", "qps", "µs/query");
     println!("  {}", "-".repeat(52));
@@ -147,12 +197,7 @@ fn main() {
     let mut one_thread_qps = single_qps;
     let mut sweep = Vec::new();
     for &threads in &THREAD_SWEEP {
-        let cfg = RetrievalConfig {
-            threads,
-            topk_crossover: 0,
-            ..RetrievalConfig::default()
-        };
-        let qps = measure(&cfg);
+        let qps = measure(&store, &queries, reps, &sharded(threads));
         if threads == 1 {
             one_thread_qps = qps;
         }
@@ -171,23 +216,81 @@ fn main() {
         }));
     }
 
-    // Multi-thread speedup gate. On a 1-hardware-thread host the sharded
-    // scan cannot beat sequential no matter what the code does (PR 1's
-    // sweep was flat for exactly this reason), so the gate downgrades to
-    // informative there — and in smoke mode, where the corpus sits below
-    // any realistic crossover. It is enforced only on a full run with
-    // real parallel hardware.
-    let best_multi = sweep
-        .iter()
-        .filter(|s| s["threads"].as_u64().unwrap_or(1) > 1)
-        .map(|s| s["speedup_vs_1t"].as_f64().unwrap_or(0.0))
-        .fold(0.0f64, f64::max);
+    // Crossover sweep: sequential vs the best sharded config per size.
+    // Reps shrink with the corpus so every size costs about the same; the
+    // configs are timed in interleaved rounds and each keeps its fastest
+    // round, so a burst of outside load cannot favour one of them.
+    println!(
+        "\n  {:>8} | {:>12} | {:>12} | {:>8} | {:>7}",
+        "chunks", "1 thread µs", "best µs", "threads", "speedup"
+    );
+    println!("  {}", "-".repeat(58));
+    let mut size_rows = Vec::new();
+    let mut size_speedups = Vec::new();
+    for &n in sizes {
+        let sized = store_of(n);
+        assert_parallel_matches_sequential(&sized, &queries);
+        let size_reps = (reps * n_docs / n / SWEEP_ROUNDS).max(1);
+        let mut fastest = [0.0f64; THREAD_SWEEP.len()];
+        for _ in 0..SWEEP_ROUNDS {
+            for (best, &threads) in fastest.iter_mut().zip(&THREAD_SWEEP) {
+                let cfg = if threads == 1 {
+                    RetrievalConfig::SEQUENTIAL
+                } else {
+                    sharded(threads)
+                };
+                *best = best.max(measure(&sized, &queries, size_reps, &cfg));
+            }
+        }
+        let seq = fastest[0];
+        let (best_threads, best_qps) = THREAD_SWEEP
+            .iter()
+            .copied()
+            .zip(fastest)
+            .skip(1)
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("the sweep has multi-thread configs");
+        let speedup = best_qps / seq;
+        println!(
+            "  {:>8} | {:>12.1} | {:>12.1} | {:>8} | {:>6.2}x",
+            n,
+            1e6 / seq,
+            1e6 / best_qps,
+            best_threads,
+            speedup
+        );
+        size_speedups.push((n, speedup));
+        size_rows.push(serde_json::json!({
+            "chunks": n,
+            "reps": size_reps,
+            "sequential_per_query_us": 1e6 / seq,
+            "best_threads": best_threads,
+            "best_per_query_us": 1e6 / best_qps,
+            "speedup_vs_1t": speedup,
+        }));
+    }
+    let crossover = derived_crossover(&size_speedups);
+    let default_crossover = RetrievalConfig::default().topk_crossover;
+    println!(
+        "\n  derived crossover: {} (default topk_crossover = {default_crossover})",
+        crossover.map_or("none in sweep".to_string(), |c| c.to_string())
+    );
+
+    // Multi-thread speedup gate, at the largest corpus of the crossover
+    // sweep (sharding only runs above the crossover, so that is where it
+    // has to pay). On a 1-hardware-thread host the sharded scan cannot
+    // beat sequential no matter what the code does, so the gate
+    // downgrades to informative there — and in smoke mode, where the
+    // corpus sits below any realistic crossover. It is enforced only on a
+    // full run with real parallel hardware.
+    let best_multi = size_speedups.last().map_or(0.0, |&(_, s)| s);
     let gate_enforced = hardware > 1 && !smoke;
     if gate_enforced {
         assert!(
-            best_multi >= 1.15,
+            best_multi >= MIN_SPEEDUP,
             "multi-thread sharded scan should beat 1 thread on {hardware}-thread \
-             hardware (best speedup {best_multi:.2}x)"
+             hardware at {} chunks (best speedup {best_multi:.2}x)",
+            sizes.last().copied().unwrap_or(0)
         );
     } else if hardware == 1 {
         println!(
@@ -201,13 +304,14 @@ fn main() {
         "mode": mode,
         "speedup_gate": {
             "enforced": gate_enforced,
+            "chunks": sizes.last().copied().unwrap_or(0),
             "best_multithread_speedup_vs_1t": best_multi,
             "reason": if hardware == 1 {
                 "informative: only 1 hardware thread available"
             } else if smoke {
                 "informative: smoke-size corpus"
             } else {
-                "enforced: >= 1.15x required from some multi-thread config"
+                "enforced: >= 1.15x required from some multi-thread config at the largest sweep size"
             },
         },
         "generated_by": "cargo run -p dbgpt-bench --release --bin bench_rag_parallel",
@@ -218,7 +322,7 @@ fn main() {
         "k": K,
         "queries": queries.len(),
         "reps": reps,
-        "parallel_matches_sequential": parallel_matches_sequential,
+        "parallel_matches_sequential": true,
         "seed_baseline": {
             "qps": seed_qps,
             "per_query_us": 1e6 / seed_qps,
@@ -229,6 +333,12 @@ fn main() {
             "speedup_vs_seed": single_qps / seed_qps,
         },
         "threads": sweep,
+        "crossover_sweep": {
+            "min_speedup": MIN_SPEEDUP,
+            "sizes": size_rows,
+            "derived_crossover": crossover,
+            "default_topk_crossover": default_crossover,
+        },
     });
     fs::create_dir_all("results").ok();
     fs::write(

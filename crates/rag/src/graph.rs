@@ -28,12 +28,20 @@ const STOP_WORDS: &[&str] = &[
 pub type GraphHit = (usize, f64);
 
 /// The co-occurrence graph index.
+///
+/// Entities are interned to dense `u32` ids on first sight, so the graph
+/// and the entity → chunk lists are plain vectors indexed by id, and a
+/// search accumulates into dense arrays instead of hash maps.
 #[derive(Debug, Clone, Default)]
 pub struct GraphIndex {
-    /// entity → chunk ids containing it.
-    entity_chunks: HashMap<String, HashSet<usize>>,
-    /// entity → co-occurring entities.
-    edges: HashMap<String, HashSet<String>>,
+    /// entity → dense id.
+    ids: HashMap<String, u32>,
+    /// id → entity.
+    names: Vec<String>,
+    /// id → chunk ids containing the entity, ascending.
+    entity_chunks: Vec<Vec<u32>>,
+    /// id → co-occurring entity ids, ascending.
+    edges: Vec<Vec<u32>>,
     chunk_count: usize,
 }
 
@@ -84,18 +92,45 @@ impl GraphIndex {
         out
     }
 
+    /// The id of `entity`, interning it if it is new.
+    fn intern(&mut self, entity: String) -> u32 {
+        if let Some(&id) = self.ids.get(&entity) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("entity count fits in u32");
+        self.ids.insert(entity.clone(), id);
+        self.names.push(entity);
+        self.entity_chunks.push(Vec::new());
+        self.edges.push(Vec::new());
+        id
+    }
+
+    /// Add `b` to `a`'s neighbour set (kept sorted).
+    fn link(&mut self, a: u32, b: u32) {
+        let set = &mut self.edges[a as usize];
+        if let Err(at) = set.binary_search(&b) {
+            set.insert(at, b);
+        }
+    }
+
     /// Index one chunk; its id is its insertion index.
     pub fn add(&mut self, text: &str) -> usize {
         let id = self.chunk_count;
         self.chunk_count += 1;
-        let ents = Self::entities(text);
-        for e in &ents {
-            self.entity_chunks.entry(e.clone()).or_default().insert(id);
+        let chunk = u32::try_from(id).expect("chunk count fits in u32");
+        let ents: Vec<u32> = Self::entities(text)
+            .into_iter()
+            .map(|e| self.intern(e))
+            .collect();
+        // `entities` deduplicates and chunk ids only grow, so each list
+        // stays ascending.
+        for &e in &ents {
+            self.entity_chunks[e as usize].push(chunk);
         }
-        for (i, a) in ents.iter().enumerate() {
-            for b in &ents[i + 1..] {
-                self.edges.entry(a.clone()).or_default().insert(b.clone());
-                self.edges.entry(b.clone()).or_default().insert(a.clone());
+        for (i, &a) in ents.iter().enumerate() {
+            for &b in &ents[i + 1..] {
+                self.link(a, b);
+                self.link(b, a);
             }
         }
         id
@@ -113,24 +148,25 @@ impl GraphIndex {
 
     /// Number of entity nodes.
     pub fn node_count(&self) -> usize {
-        self.entity_chunks.len()
+        self.names.len()
     }
 
     /// Number of (undirected) edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.values().map(HashSet::len).sum::<usize>() / 2
+        self.edges.iter().map(Vec::len).sum::<usize>() / 2
     }
 
     /// Direct neighbours of an entity.
     pub fn neighbours(&self, entity: &str) -> Vec<&str> {
-        self.edges
-            .get(&entity.to_lowercase())
-            .map(|s| {
-                let mut v: Vec<&str> = s.iter().map(String::as_str).collect();
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default()
+        let Some(&id) = self.ids.get(&entity.to_lowercase()) else {
+            return Vec::new();
+        };
+        let mut v: Vec<&str> = self.edges[id as usize]
+            .iter()
+            .map(|&n| self.names[n as usize].as_str())
+            .collect();
+        v.sort_unstable();
+        v
     }
 
     /// Graph search: score = direct entity hits + 0.5 × one-hop entity
@@ -140,30 +176,40 @@ impl GraphIndex {
         if q_entities.is_empty() || self.chunk_count == 0 {
             return Vec::new();
         }
-        // One-hop expansion.
-        let mut expanded: HashMap<String, f64> = HashMap::new();
-        for e in &q_entities {
-            expanded.insert(e.clone(), 1.0);
+        // One-hop expansion into a weight per entity id: query entities
+        // weigh 1.0, their neighbours 0.5. Unknown query entities match
+        // nothing but still count towards the normalisation.
+        let known: Vec<u32> = q_entities
+            .iter()
+            .filter_map(|e| self.ids.get(e).copied())
+            .collect();
+        let mut weight = vec![0.0f64; self.names.len()];
+        for &e in &known {
+            weight[e as usize] = 1.0;
         }
-        for e in &q_entities {
-            if let Some(ns) = self.edges.get(e) {
-                for n in ns {
-                    expanded.entry(n.clone()).or_insert(NEIGHBOUR_WEIGHT);
+        for &e in &known {
+            for &n in &self.edges[e as usize] {
+                if weight[n as usize] == 0.0 {
+                    weight[n as usize] = NEIGHBOUR_WEIGHT;
                 }
             }
         }
-        let mut scores: HashMap<usize, f64> = HashMap::new();
-        for (entity, weight) in &expanded {
-            if let Some(chunks) = self.entity_chunks.get(entity) {
+        // Every addend is 1.0 or 0.5, so each sum is exact and the order
+        // of additions cannot change a score.
+        let mut scores = vec![0.0f64; self.chunk_count];
+        for (chunks, &w) in self.entity_chunks.iter().zip(&weight) {
+            if w > 0.0 {
                 for &c in chunks {
-                    *scores.entry(c).or_insert(0.0) += weight;
+                    scores[c as usize] += w;
                 }
             }
         }
         let norm = q_entities.len() as f64;
         let mut top = TopK::new(k);
-        for (c, s) in scores {
-            top.push(c, s / norm);
+        for (c, &s) in scores.iter().enumerate() {
+            if s > 0.0 {
+                top.push(c, s / norm);
+            }
         }
         top.into_sorted_vec()
     }

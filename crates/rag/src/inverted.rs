@@ -16,8 +16,9 @@ const B: f64 = 0.75;
 /// A scored hit: `(chunk id, bm25 score)`.
 pub type KeywordHit = (usize, f64);
 
-/// Posting: document id → term frequency.
-type Postings = HashMap<usize, u32>;
+/// Postings of one term: `(document id, term frequency)`, ascending by
+/// document id (documents are appended in id order).
+type Postings = Vec<(u32, u32)>;
 
 /// An inverted index over dense `usize` document ids.
 #[derive(Debug, Clone, Default)]
@@ -63,8 +64,13 @@ impl InvertedIndex {
         let terms = Self::terms(text);
         self.doc_len.push(terms.len());
         self.total_len += terms.len();
+        let doc = u32::try_from(id).expect("document count fits in u32");
         for t in terms {
-            *self.postings.entry(t).or_default().entry(id).or_insert(0) += 1;
+            let postings = self.postings.entry(t).or_default();
+            match postings.last_mut() {
+                Some((d, tf)) if *d == doc => *tf += 1,
+                _ => postings.push((doc, 1)),
+            }
         }
         id
     }
@@ -100,7 +106,9 @@ impl InvertedIndex {
             return Vec::new();
         }
         let avg_len = self.total_len as f64 / n as f64;
-        let mut scores: HashMap<usize, f64> = HashMap::new();
+        // Dense accumulator: each document's score receives its additions
+        // in query-term order, a repeated query term adding again.
+        let mut scores = vec![0.0f64; n];
         for term in Self::terms(query) {
             let Some(postings) = self.postings.get(&term) else {
                 continue;
@@ -108,18 +116,18 @@ impl InvertedIndex {
             let df = postings.len() as f64;
             // BM25 idf with the +1 inside the log (never negative).
             let idf = (((n as f64 - df + 0.5) / (df + 0.5)) + 1.0).ln();
-            for (&doc, &tf) in postings {
+            for &(doc, tf) in postings {
                 let tf = tf as f64;
-                let dl = self.doc_len[doc] as f64;
+                let dl = self.doc_len[doc as usize] as f64;
                 let denom = tf + K1 * (1.0 - B + B * dl / avg_len.max(1e-9));
-                *scores.entry(doc).or_insert(0.0) += idf * tf * (K1 + 1.0) / denom;
+                scores[doc as usize] += idf * tf * (K1 + 1.0) / denom;
             }
         }
-        // Bounded heap selection: O(matches · log k), order-independent,
-        // NaN-safe (total order), identical tie-breaking to every other
-        // index (score desc, id asc).
+        // Bounded heap selection: O(n log k), NaN-safe (total order),
+        // identical tie-breaking to every other index (score desc, id
+        // asc).
         let mut top = TopK::new(k);
-        for (doc, score) in scores {
+        for (doc, &score) in scores.iter().enumerate() {
             if score > 0.0 {
                 top.push(doc, score);
             }

@@ -47,12 +47,19 @@ const DEFAULT_ANN_EF_SEARCH: usize = 100;
 const DEFAULT_ANN_RESCORE: usize = 64;
 /// Default chunk count at which the knowledge base auto-builds HNSW.
 const DEFAULT_ANN_AUTO_BUILD: usize = 4096;
+/// Default store size from which flat scans shard across threads: the
+/// smallest corpus at which `bench_rag_parallel`'s crossover sweep saw
+/// the sharded eight-row-kernel scan beat one thread by ≥1.15× at that
+/// size and every larger one (2-vCPU host; see
+/// `results/BENCH_rag_parallel.json`). Smaller scans finish before
+/// spawning workers pays off.
+const DEFAULT_TOPK_CROSSOVER: usize = 10_000;
 
 impl Default for RetrievalConfig {
     fn default() -> Self {
         RetrievalConfig {
             threads: 0,
-            topk_crossover: 2048,
+            topk_crossover: DEFAULT_TOPK_CROSSOVER,
             ann_ef_search: DEFAULT_ANN_EF_SEARCH,
             ann_rescore: DEFAULT_ANN_RESCORE,
             ann_auto_build: DEFAULT_ANN_AUTO_BUILD,

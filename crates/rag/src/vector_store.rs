@@ -8,7 +8,7 @@
 //!
 //! # The retrieval hot path
 //!
-//! Three compounding optimizations keep the scan as fast as the hardware
+//! Four compounding optimizations keep the scan as fast as the hardware
 //! allows:
 //!
 //! 1. **Normalized-vector kernel** — vectors are unit-normalized once at
@@ -16,9 +16,15 @@
 //!    [`VectorStore::stored_norm`]), so per-candidate scoring is a bare
 //!    [`dot`] product: no square roots, no divisions, and k-means partition
 //!    building stops paying the redundant-norm cost `KMEANS_ITERS`× over.
-//! 2. **Heap top-k** — candidates feed a bounded [`TopK`] accumulator,
+//! 2. **Eight rows per pass** — the scan scores eight stored vectors
+//!    per walk over the query ([`dot8`]), one accumulator per row, so
+//!    the eight dependency chains of additions overlap instead of one row
+//!    waiting on its own running sum. Each row still adds its products in
+//!    dimension order from the identity `Iterator::sum` starts at, so
+//!    every score is bit-identical to [`dot`].
+//! 3. **Heap top-k** — candidates feed a bounded [`TopK`] accumulator,
 //!    O(n log k) instead of the old collect-all-then-sort O(n log n).
-//! 3. **Sharded parallel scan** — above a configurable crossover the
+//! 4. **Sharded parallel scan** — above a configurable crossover the
 //!    candidate range is partitioned across scoped worker threads, each
 //!    with a local [`TopK`] merged at the end. Because the ranking order
 //!    is a strict total order, the parallel result is *bit-identical* to
@@ -101,6 +107,52 @@ struct AnnIndex {
 #[inline]
 fn dot_rows(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Rows scored per [`dot8`] call.
+const LANES: usize = 8;
+
+/// Dimensions multiplied per step of [`dot8`].
+const BLOCK: usize = 4;
+
+/// Dot products of `q` with eight rows in one walk over the dimension.
+///
+/// Each row keeps its own accumulator, starts from the identity
+/// `Iterator::sum` uses and adds `q[d] * row[d]` in dimension order, so
+/// every result is bitwise equal to [`dot`] on that row. Products are
+/// formed [`BLOCK`] contiguous dimensions at a time per row, then added
+/// across the eight rows, which lets the additions of different rows run
+/// side by side. A row whose length differs from the query's is scored by
+/// [`dot_rows`] instead, which truncates the same way `dot` does.
+#[inline]
+fn dot8(q: &[f32], rows: [&[f32]; LANES]) -> [f32; LANES] {
+    if rows.iter().any(|r| r.len() != q.len()) {
+        return rows.map(|r| dot_rows(q, r));
+    }
+    let mut acc = [std::iter::empty::<f32>().sum::<f32>(); LANES];
+    let mut blocks = q.chunks_exact(BLOCK);
+    let mut d = 0;
+    for qb in &mut blocks {
+        let mut products = [[0.0f32; LANES]; BLOCK];
+        for (r, row) in rows.iter().enumerate() {
+            let rb = &row[d..d + BLOCK];
+            for j in 0..BLOCK {
+                products[j][r] = qb[j] * rb[j];
+            }
+        }
+        for p in &products {
+            for (a, x) in acc.iter_mut().zip(p) {
+                *a += x;
+            }
+        }
+        d += BLOCK;
+    }
+    for (j, &x) in blocks.remainder().iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&rows) {
+            *a += x * row[d + j];
+        }
+    }
+    acc
 }
 
 /// Hint the cache that `p` (and the line after it) is about to be read.
@@ -207,41 +259,36 @@ impl VectorStore {
         self.scan_all(&q, k, config).into_sorted_vec()
     }
 
+    /// Push the score of every vector named by `ids` into `top`, eight
+    /// rows per [`dot8`] call (the tail goes through [`dot`]).
+    fn score_into(&self, q: &Embedding, mut ids: impl Iterator<Item = usize>, top: &mut TopK<f32>) {
+        loop {
+            let mut batch = [0usize; LANES];
+            let mut n = 0;
+            for (slot, id) in batch.iter_mut().zip(ids.by_ref()) {
+                *slot = id;
+                n += 1;
+            }
+            if n < LANES {
+                for &id in &batch[..n] {
+                    top.push(id, dot(q, &self.vectors[id]));
+                }
+                return;
+            }
+            let scores = dot8(&q.0, batch.map(|id| self.vectors[id].0.as_slice()));
+            for (id, score) in batch.into_iter().zip(scores) {
+                top.push(id, score);
+            }
+        }
+    }
+
     /// Score every stored vector against the (already unit-normalized)
     /// query, sharding across workers when the config allows it.
     fn scan_all(&self, q: &Embedding, k: usize, config: &RetrievalConfig) -> TopK<f32> {
         let n = self.vectors.len();
-        let workers = config.effective_threads(n);
-        if workers <= 1 {
-            let mut top = TopK::new(k);
-            for (i, v) in self.vectors.iter().enumerate() {
-                top.push(i, dot(q, v));
-            }
-            return top;
-        }
-        let chunk = n.div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .vectors
-                .chunks(chunk)
-                .enumerate()
-                .map(|(shard, slice)| {
-                    s.spawn(move || {
-                        let mut top = TopK::new(k);
-                        let base = shard * chunk;
-                        for (j, v) in slice.iter().enumerate() {
-                            top.push(base + j, dot(q, v));
-                        }
-                        top
-                    })
-                })
-                .collect();
-            let mut merged = TopK::new(k);
-            for h in handles {
-                merged.merge(h.join().expect("scan worker panicked"));
-            }
-            merged
-        })
+        let chunk = n.div_ceil(config.effective_threads(n)).max(1);
+        let shards = (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n));
+        self.scan_shards(shards.collect(), q, k)
     }
 
     /// Score an explicit candidate id list (the IVF probe set), sharding
@@ -253,30 +300,39 @@ impl VectorStore {
         k: usize,
         config: &RetrievalConfig,
     ) -> TopK<f32> {
-        let n = ids.len();
-        let workers = config.effective_threads(n);
-        if workers <= 1 {
-            let mut top = TopK::new(k);
-            for &id in ids {
-                top.push(id, dot(q, &self.vectors[id]));
+        let chunk = ids
+            .len()
+            .div_ceil(config.effective_threads(ids.len()))
+            .max(1);
+        let shards = ids.chunks(chunk).map(|c| c.iter().copied());
+        self.scan_shards(shards.collect(), q, k)
+    }
+
+    /// Score each shard of ids into its own [`TopK`] and merge them: a
+    /// single shard runs on the calling thread, more get one scoped
+    /// worker each.
+    fn scan_shards<S>(&self, shards: Vec<S>, q: &Embedding, k: usize) -> TopK<f32>
+    where
+        S: Iterator<Item = usize> + Send,
+    {
+        let mut merged = TopK::new(k);
+        if shards.len() <= 1 {
+            for shard in shards {
+                self.score_into(q, shard, &mut merged);
             }
-            return top;
+            return merged;
         }
-        let chunk = n.div_ceil(workers);
         std::thread::scope(|s| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|slice| {
+            let handles: Vec<_> = shards
+                .into_iter()
+                .map(|shard| {
                     s.spawn(move || {
                         let mut top = TopK::new(k);
-                        for &id in slice {
-                            top.push(id, dot(q, &self.vectors[id]));
-                        }
+                        self.score_into(q, shard, &mut top);
                         top
                     })
                 })
                 .collect();
-            let mut merged = TopK::new(k);
             for h in handles {
                 merged.merge(h.join().expect("scan worker panicked"));
             }

@@ -616,6 +616,20 @@ mod tests {
     }
 
     #[test]
+    fn thousand_deep_parentheses_return_an_error() {
+        // Used to overflow the parser's stack and abort the process.
+        let sql = format!("SELECT {}1{}", "(".repeat(1000), ")".repeat(1000));
+        assert!(matches!(
+            Engine::new().execute(&sql),
+            Err(SqlError::Parse(_))
+        ));
+        // Nesting inside the limit still plans and executes.
+        let sql = format!("SELECT {}1{}", "(".repeat(100), ")".repeat(100));
+        let r = Engine::new().execute(&sql).unwrap();
+        assert_eq!(r.rows[0][0].to_string(), "1");
+    }
+
+    #[test]
     fn end_to_end_select() {
         let mut e = engine();
         let r = e.execute("SELECT name FROM t WHERE id >= 2 ORDER BY id DESC").unwrap();

@@ -147,10 +147,20 @@ pub struct SelectStmt {
     pub union: Option<(Box<SelectStmt>, bool)>,
 }
 
+/// Deepest nesting the parser descends into: parenthesised
+/// expressions, `-`/`+`/`NOT` chains and `UNION` arms each add a level.
+/// Recursive descent runs on the native stack, so without a bound a few
+/// KB of `(` would overflow it and abort the process.
+const MAX_NESTING: usize = 128;
+
 /// Parse one statement (a trailing `;` is allowed).
 pub fn parse(sql: &str) -> Result<Statement, SqlError> {
     let toks = lex(sql)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let stmt = p.statement()?;
     p.eat_sym(Sym::Semi);
     if !p.at_end() {
@@ -165,9 +175,27 @@ pub fn parse(sql: &str) -> Result<Statement, SqlError> {
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Current nesting level (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Run `f` one nesting level deeper, refusing past [`MAX_NESTING`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
+    ) -> Result<T, SqlError> {
+        if self.depth >= MAX_NESTING {
+            return Err(SqlError::Parse(format!(
+                "statement nests deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.toks.len()
     }
@@ -580,7 +608,7 @@ impl Parser {
         // planner lifts them off the final arm accordingly.
         let union = if self.eat_kw("UNION") {
             let all = self.eat_kw("ALL");
-            let next = self.select()?;
+            let next = self.nested(Self::select)?;
             Some((Box::new(next), all))
         } else {
             None
@@ -603,7 +631,7 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, SqlError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, SqlError> {
@@ -626,7 +654,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr, SqlError> {
         if self.eat_kw("NOT") {
-            let inner = self.not_expr()?;
+            let inner = self.nested(Self::not_expr)?;
             return Ok(Expr::Unary {
                 op: UnOp::Not,
                 expr: Box::new(inner),
@@ -740,7 +768,7 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Expr, SqlError> {
         if self.eat_sym(Sym::Minus) {
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             // Fold literal negation immediately (keeps plans tidy).
             return Ok(match inner {
                 Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
@@ -752,7 +780,7 @@ impl Parser {
             });
         }
         if self.eat_sym(Sym::Plus) {
-            return self.unary();
+            return self.nested(Self::unary);
         }
         self.primary()
     }
@@ -1059,5 +1087,36 @@ mod tests {
         }
         let e = parse("SELECT SUM(DISTINCT a) FROM t").unwrap_err();
         assert!(e.to_string().contains("DISTINCT"));
+    }
+
+    fn parens(n: usize) -> String {
+        format!("SELECT {}1{}", "(".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        // The projection expression is level 1; each `(` adds one.
+        assert!(parse(&parens(MAX_NESTING - 1)).is_ok());
+        assert!(matches!(
+            parse(&parens(MAX_NESTING)),
+            Err(SqlError::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let deep = [
+            parens(1000),
+            format!("SELECT {}1", "- ".repeat(5000)),
+            format!("SELECT {}1", "+ ".repeat(5000)),
+            format!("SELECT 1 FROM t WHERE {}a = 1", "NOT ".repeat(5000)),
+            format!("SELECT 1{}", " UNION SELECT 1".repeat(5000)),
+            format!("SELECT f({}1{})", "g(".repeat(1000), ")".repeat(1000)),
+        ];
+        for sql in &deep {
+            let err = parse(sql).unwrap_err();
+            assert!(matches!(err, SqlError::Parse(_)), "{err}");
+            assert!(err.to_string().contains("nests deeper"), "{err}");
+        }
     }
 }
