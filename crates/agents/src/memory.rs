@@ -6,11 +6,13 @@
 //! reliability of the generated content" (§2.3).
 //!
 //! [`HistoryArchive`] is that storage system: an append-only JSONL file per
-//! archive (optional — in-memory only when no path is given), with an
-//! in-memory index for queries by conversation and by agent, and a
-//! `replay` that reloads everything from disk — which is what makes agent
-//! output *auditable*: every plan, task and result can be traced after the
-//! fact.
+//! archive (optional — in-memory only when no path is given) holding the
+//! full history, and an in-memory view of the newest
+//! [`RETAINED_CONVERSATIONS`] conversations for queries by conversation
+//! and by agent. The view keeps each message as the JSONL line the file
+//! holds, so memory stays bounded however long a server runs. `replay`
+//! reloads the view from disk — which is what makes agent output
+//! *auditable*: every plan, task and result can be traced after the fact.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -21,25 +23,66 @@ use parking_lot::Mutex;
 use crate::error::AgentError;
 use crate::message::AgentMessage;
 
+/// How many conversations (the newest) the in-memory view keeps.
+pub const RETAINED_CONVERSATIONS: usize = 64;
+
 /// The archive (see module docs).
 pub struct HistoryArchive {
-    messages: Mutex<Vec<AgentMessage>>,
+    recent: Mutex<Recent>,
     file: Option<Mutex<File>>,
     path: Option<PathBuf>,
+}
+
+/// The newest conversations' messages as JSONL lines, in arrival order.
+#[derive(Default)]
+struct Recent {
+    /// Retained conversation ids, oldest first.
+    conversations: Vec<String>,
+    /// `(conversation, JSONL line)` per message.
+    lines: Vec<(String, String)>,
+}
+
+impl Recent {
+    /// Append a message; a new conversation past the bound evicts the
+    /// oldest one with all its messages.
+    fn push(&mut self, conversation: &str, line: String) {
+        if !self.conversations.iter().any(|c| c == conversation) {
+            if self.conversations.len() == RETAINED_CONVERSATIONS {
+                let evicted = self.conversations.remove(0);
+                self.lines.retain(|(c, _)| *c != evicted);
+            }
+            self.conversations.push(conversation.to_string());
+        }
+        self.lines.push((conversation.to_string(), line));
+    }
+
+    /// The newest conversations of a JSONL file (unparseable lines skipped).
+    fn load(path: &Path) -> Result<Recent, AgentError> {
+        let f = File::open(path).map_err(|e| AgentError::Archive(e.to_string()))?;
+        let mut recent = Recent::default();
+        for line in BufReader::new(f).lines() {
+            let line = line.map_err(|e| AgentError::Archive(e.to_string()))?;
+            if let Some(m) = AgentMessage::from_jsonl(&line) {
+                recent.push(&m.conversation, line);
+            }
+        }
+        Ok(recent)
+    }
 }
 
 impl HistoryArchive {
     /// In-memory archive (tests, ephemeral sessions).
     pub fn in_memory() -> Self {
         HistoryArchive {
-            messages: Mutex::new(Vec::new()),
+            recent: Mutex::new(Recent::default()),
             file: None,
             path: None,
         }
     }
 
-    /// Durable archive appending to `path` (created if missing; existing
-    /// content is loaded so the archive continues across sessions).
+    /// Durable archive appending to `path` (created if missing; the newest
+    /// conversations of existing content are loaded so the archive
+    /// continues across sessions).
     pub fn at_path(path: impl AsRef<Path>) -> Result<Self, AgentError> {
         let path = path.as_ref().to_path_buf();
         if let Some(dir) = path.parent() {
@@ -48,23 +91,18 @@ impl HistoryArchive {
                     .map_err(|e| AgentError::Archive(format!("create dir: {e}")))?;
             }
         }
-        let mut existing = Vec::new();
-        if path.exists() {
-            let f = File::open(&path).map_err(|e| AgentError::Archive(e.to_string()))?;
-            for line in BufReader::new(f).lines() {
-                let line = line.map_err(|e| AgentError::Archive(e.to_string()))?;
-                if let Some(m) = AgentMessage::from_jsonl(&line) {
-                    existing.push(m);
-                }
-            }
-        }
+        let recent = if path.exists() {
+            Recent::load(&path)?
+        } else {
+            Recent::default()
+        };
         let file = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&path)
             .map_err(|e| AgentError::Archive(e.to_string()))?;
         Ok(HistoryArchive {
-            messages: Mutex::new(existing),
+            recent: Mutex::new(recent),
             file: Some(Mutex::new(file)),
             path: Some(path),
         })
@@ -78,77 +116,59 @@ impl HistoryArchive {
     /// Append one message (written through to disk when durable).
     ///
     /// Disk append and in-memory push happen inside one critical section
-    /// (the messages lock): releasing the file lock before taking the
-    /// messages lock would let a racing writer interleave, so a `replay`
-    /// could observe a different order on disk than in memory.
+    /// (the view's lock): releasing the file lock before taking the view's
+    /// lock would let a racing writer interleave, so a `replay` could
+    /// observe a different order on disk than in memory.
     pub fn record(&self, msg: AgentMessage) -> Result<(), AgentError> {
-        let mut messages = self.messages.lock();
+        let line = msg.to_jsonl();
+        let mut recent = self.recent.lock();
         if let Some(f) = &self.file {
             let mut f = f.lock();
-            writeln!(f, "{}", msg.to_jsonl()).map_err(|e| AgentError::Archive(e.to_string()))?;
+            writeln!(f, "{line}").map_err(|e| AgentError::Archive(e.to_string()))?;
         }
-        messages.push(msg);
+        recent.push(&msg.conversation, line);
         Ok(())
     }
 
-    /// Total archived messages.
+    /// Messages in the in-memory view.
     pub fn len(&self) -> usize {
-        self.messages.lock().len()
+        self.recent.lock().lines.len()
     }
 
-    /// Is the archive empty?
+    /// Is the in-memory view empty?
     pub fn is_empty(&self) -> bool {
-        self.messages.lock().is_empty()
+        self.recent.lock().lines.is_empty()
     }
 
-    /// All messages of one conversation, in order.
+    /// All messages of one retained conversation, in order.
     pub fn conversation(&self, id: &str) -> Vec<AgentMessage> {
-        self.messages
-            .lock()
-            .iter()
-            .filter(|m| m.conversation == id)
-            .cloned()
-            .collect()
+        let recent = self.recent.lock();
+        let lines = recent.lines.iter().filter(|(c, _)| c == id);
+        lines.filter_map(|(_, line)| AgentMessage::from_jsonl(line)).collect()
     }
 
-    /// Every message sent or received by an agent.
+    /// Every retained message sent or received by an agent.
     pub fn by_agent(&self, agent: &str) -> Vec<AgentMessage> {
-        self.messages
-            .lock()
-            .iter()
-            .filter(|m| m.from == agent || m.to == agent)
-            .cloned()
-            .collect()
+        let recent = self.recent.lock();
+        let all = recent.lines.iter().filter_map(|(_, line)| AgentMessage::from_jsonl(line));
+        all.filter(|m| m.from == agent || m.to == agent).collect()
     }
 
-    /// Distinct conversation ids, in first-seen order.
+    /// Retained conversation ids, in first-seen order.
     pub fn conversations(&self) -> Vec<String> {
-        let msgs = self.messages.lock();
-        let mut seen = Vec::new();
-        for m in msgs.iter() {
-            if !seen.contains(&m.conversation) {
-                seen.push(m.conversation.clone());
-            }
-        }
-        seen
+        self.recent.lock().conversations.clone()
     }
 
-    /// Reload from disk, replacing in-memory state (durable archives only).
+    /// Reload the in-memory view from disk: the newest
+    /// [`RETAINED_CONVERSATIONS`] conversations (durable archives only).
     /// Returns the number of messages loaded.
     pub fn replay(&self) -> Result<usize, AgentError> {
         let Some(path) = &self.path else {
             return Ok(self.len());
         };
-        let f = File::open(path).map_err(|e| AgentError::Archive(e.to_string()))?;
-        let mut loaded = Vec::new();
-        for line in BufReader::new(f).lines() {
-            let line = line.map_err(|e| AgentError::Archive(e.to_string()))?;
-            if let Some(m) = AgentMessage::from_jsonl(&line) {
-                loaded.push(m);
-            }
-        }
-        let n = loaded.len();
-        *self.messages.lock() = loaded;
+        let loaded = Recent::load(path)?;
+        let n = loaded.lines.len();
+        *self.recent.lock() = loaded;
         Ok(n)
     }
 }

@@ -26,6 +26,7 @@ use dbgpt_agents::{
     Agent, AgentContext, AgentError, AgentReply, LlmClient, Orchestrator, TaskRequest,
 };
 use dbgpt_llm::skills::planner::PlanStep;
+use dbgpt_obs::Span;
 use dbgpt_sqlengine::{Database, DataType};
 use dbgpt_vis::{ascii, chart::ChartType, spec_from_result, svg, ChartSpec};
 
@@ -175,9 +176,7 @@ impl Agent for ChartAgent {
         })?;
         let result = self
             .ctx
-            .engine
-            .write()
-            .execute(&query.sql)
+            .run_sql(&query.sql, &Span::noop())
             .map_err(|e| AgentError::Llm(format!("chart query failed: {e}")))?;
         let spec = spec_from_result(&result, chart_type, &query.title)
             .map_err(|e| AgentError::Llm(format!("chart build failed: {e}")))?;

@@ -79,7 +79,7 @@ impl Chat2Data {
             return Err(AppError::BadInput("database has no tables".into()));
         }
         let sql = self.ctx.t2s.generate_sql_traced(&ddl, question, span)?;
-        let result = self.ctx.engine.write().execute_traced(&sql, span)?;
+        let result = self.ctx.run_sql(&sql, span)?;
         let (answer, data) = summarize_result(&result);
         Ok(Chat2DataReply { answer, sql, data })
     }

@@ -7,6 +7,7 @@
 
 use serde::Serialize;
 
+use dbgpt_obs::Span;
 use dbgpt_text2sql::sql_to_text;
 
 use crate::context::AppContext;
@@ -93,7 +94,7 @@ impl Chat2Db {
             self.ctx.t2s.generate_sql(&ddl, input)?
         };
         let explanation = sql_to_text(&sql)?;
-        let result = self.ctx.engine.write().execute(&sql)?;
+        let result = self.ctx.run_sql(&sql, &Span::noop())?;
         let rows = if result.rows.is_empty() && result.schema.is_empty() {
             result.rows_affected
         } else {

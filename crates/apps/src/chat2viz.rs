@@ -8,6 +8,7 @@
 
 use serde::Serialize;
 
+use dbgpt_obs::Span;
 use dbgpt_vis::{ascii, chart::ChartType, spec_from_result, svg, ChartSpec};
 
 use crate::context::AppContext;
@@ -78,7 +79,7 @@ impl Chat2Viz {
             return Err(AppError::BadInput("database has no tables".into()));
         }
         let sql = self.ctx.t2s.generate_sql(&ddl, &question)?;
-        let result = self.ctx.engine.write().execute(&sql)?;
+        let result = self.ctx.run_sql(&sql, &Span::noop())?;
         let spec = spec_from_result(&result, chart_type, input)?;
         Ok(Chat2VizReply {
             svg: svg::render(&spec),

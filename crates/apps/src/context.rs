@@ -11,9 +11,10 @@ use parking_lot::RwLock;
 
 use dbgpt_agents::LlmClient;
 use dbgpt_llm::catalog::builtin_model;
-use dbgpt_obs::Obs;
+use dbgpt_obs::{Obs, Span};
 use dbgpt_rag::KnowledgeBase;
-use dbgpt_sqlengine::Engine;
+use dbgpt_sqlengine::engine::Prepared;
+use dbgpt_sqlengine::{Engine, QueryResult, SqlError};
 use dbgpt_text2sql::Text2SqlModel;
 
 /// Shared resources for the application layer.
@@ -64,6 +65,19 @@ impl AppContext {
     pub fn with_t2s(mut self, t2s: Text2SqlModel) -> Self {
         self.t2s = t2s;
         self
+    }
+
+    /// Run one SQL statement against the shared engine: the one entry
+    /// point apps use. A SELECT scans its tables under the read lock and
+    /// finishes (joins, aggregates, sorts, projections) after releasing
+    /// it, so concurrent readers never wait on each other's operators and
+    /// a writer waits only for scans. DDL and DML take the write lock.
+    pub fn run_sql(&self, sql: &str, span: &Span) -> Result<QueryResult, SqlError> {
+        let prepared = self.engine.read().prepare(sql, span)?;
+        match prepared {
+            Prepared::Read(select) => select.finish(),
+            Prepared::Write(write) => self.engine.write().run_write(write),
+        }
     }
 
     /// Execute setup SQL (DDL + seeds) against the shared engine.

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::json;
 
 use dbgpt_agents::{Agent, AgentContext, AgentError, AgentReply, TaskRequest};
+use dbgpt_obs::Span;
 use dbgpt_vis::{chart::ChartType, ChartSpec, DataPoint};
 
 use crate::analysis::resolve_dimension;
@@ -162,7 +163,7 @@ impl Forecaster {
         .ok_or_else(|| {
             AppError::BadInput("no table with a time-like column to forecast from".into())
         })?;
-        let result = self.ctx.engine.write().execute(&query.sql)?;
+        let result = self.ctx.run_sql(&query.sql, &Span::noop())?;
         if result.rows.is_empty() {
             return Err(AppError::BadInput("no historical data to forecast from".into()));
         }

@@ -176,7 +176,7 @@ impl Operator for GenSqlOp {
 
 /// Runs the SQL and renders the Chat2Data-style answer.
 struct ExecOp {
-    engine: Arc<RwLock<Engine>>,
+    ctx: AppContext,
 }
 
 impl ExecOp {
@@ -184,9 +184,8 @@ impl ExecOp {
         let input = inputs.first().cloned().unwrap_or(Value::Null);
         let sql = field(&input, "sql", "execute")?.to_string();
         let result = self
-            .engine
-            .write()
-            .execute_traced(&sql, span)
+            .ctx
+            .run_sql(&sql, span)
             .map_err(|e| exec_err("execute", e))?;
         let (answer, data) = summarize_result(&result);
         let mut out = input.clone();
@@ -284,7 +283,7 @@ impl Chat2DataPipeline {
                     engine: ctx.engine.clone(),
                 }),
             )
-            .node("execute", Arc::new(ExecOp { engine: ctx.engine.clone() }))
+            .node("execute", Arc::new(ExecOp { ctx: ctx.clone() }))
             .node("narrate", Arc::new(NarrateOp { llm: ctx.llm.clone() }))
             .edge("intent", "retrieve")
             .edge("retrieve", "gen_sql")

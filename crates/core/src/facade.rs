@@ -132,7 +132,8 @@ impl DbGpt {
 
     /// Load SQL (DDL/DML) into the database.
     pub fn execute_sql(&self, sql: &str) -> Result<String, dbgpt_apps::AppError> {
-        let result = self.ctx.engine.write().execute(sql)?;
+        // An untraced statement: the default span records nothing.
+        let result = self.ctx.run_sql(sql, &Default::default())?;
         Ok(result.to_table())
     }
 

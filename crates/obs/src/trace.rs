@@ -562,6 +562,13 @@ impl Span {
     }
 }
 
+impl Default for Span {
+    /// The no-op span ([`Span::noop`]).
+    fn default() -> Span {
+        Span::noop()
+    }
+}
+
 impl std::fmt::Debug for Span {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Span")

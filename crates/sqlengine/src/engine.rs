@@ -6,14 +6,14 @@ use dbgpt_obs::Span;
 
 use crate::catalog::Database;
 use crate::error::SqlError;
-use crate::exec::vectorized::{execute_plan_columnar_with_stats, ExecStats};
-use crate::exec::{execute_plan, ExecConfig, ExecMode};
+use crate::exec::vectorized::{self, ExecStats};
+use crate::exec::{executor, ExecConfig, ExecMode};
 use crate::parser::{parse, Statement};
 use crate::plan::logical::{LogicalPlan, Planner};
 use crate::plan::optimizer::Optimizer;
-use crate::row::Row;
+use crate::row::{Row, RowBatch};
 use crate::schema::{Column, Schema, SchemaRef};
-use crate::storage::{StorageConfig, TableHeap};
+use crate::storage::{PoolCounters, StorageConfig, TableHeap};
 use crate::value::Value;
 
 /// The result of executing one statement.
@@ -154,34 +154,24 @@ impl Engine {
     }
 
     /// Make sure every table a plan scans has fresh read-path caches:
-    /// paged tables rebuild stale B+-trees (the immutable executor cannot),
-    /// and — in columnar mode — in-memory tables refresh their columnar
-    /// mirror so the vectorized executor does not rebuild it per query.
+    /// paged tables rebuild stale B+-trees, and — in columnar mode —
+    /// in-memory tables refresh their columnar mirror so the vectorized
+    /// executor does not rebuild it per query. Scans through
+    /// [`Engine::prepare`] skip this step and fall back to full scans of
+    /// stale tables.
     fn refresh_scan_caches(&mut self, plan: &LogicalPlan) {
-        let mut tables = Vec::new();
-        collect_scan_tables(plan, &mut tables);
         let columnar = self.exec.mode == ExecMode::Columnar;
-        for name in tables {
-            if let Ok(t) = self.db.table_mut(&name) {
+        for scan in plan.scans() {
+            let LogicalPlan::Scan { table, .. } = scan else {
+                continue;
+            };
+            if let Ok(t) = self.db.table_mut(table) {
                 if t.is_paged() {
                     t.refresh_indexes();
                 } else if columnar {
                     t.refresh_columnar();
                 }
             }
-        }
-    }
-
-    /// Execute an optimized SELECT plan with the configured executor.
-    fn run_plan(
-        &mut self,
-        plan: &LogicalPlan,
-        stats: &mut ExecStats,
-    ) -> Result<crate::row::RowBatch, SqlError> {
-        self.refresh_scan_caches(plan);
-        match self.exec.mode {
-            ExecMode::Row => execute_plan(plan, &self.db),
-            ExecMode::Columnar => execute_plan_columnar_with_stats(plan, &self.db, stats),
         }
     }
 
@@ -197,127 +187,115 @@ impl Engine {
 
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, SqlError> {
-        let stmt = parse(sql)?;
-        self.run_statement(stmt)
+        self.execute_traced(sql, &Span::noop())
     }
 
     /// [`Engine::execute`] with `sql.parse` / `sql.plan` / `sql.exec`
     /// stage spans joined to `parent`'s trace, row counts as attributes.
-    /// With a non-recording parent this is exactly [`Engine::execute`].
+    /// Refreshes the scanned tables' caches, then runs the statement the
+    /// way [`Engine::prepare`] and [`ScannedSelect::finish`] /
+    /// [`Engine::run_write`] do.
     pub fn execute_traced(&mut self, sql: &str, parent: &Span) -> Result<QueryResult, SqlError> {
-        if !parent.is_recording() {
-            return self.execute(sql);
+        match self.plan(sql, parent)? {
+            Planned::Select { plan, span } => {
+                self.refresh_scan_caches(&plan);
+                self.scan(plan, span).finish()
+            }
+            Planned::Write(write) => self.run_write(write),
         }
-        let obs = parent.handle();
+    }
+
+    /// Parse and plan `sql`, then, for a SELECT, read its table scans.
+    ///
+    /// Needs only shared access: a server holds its read lock for this
+    /// call, releases it, and calls [`ScannedSelect::finish`] for joins,
+    /// aggregates, sorts and projections. Every scan of the statement
+    /// happens in this one call, so the result reflects a single state of
+    /// the catalog. Any other statement comes back as
+    /// [`Prepared::Write`] for [`Engine::run_write`]. The `sql.execute`
+    /// span opens under `parent` here and ends when the statement does.
+    pub fn prepare(&self, sql: &str, parent: &Span) -> Result<Prepared, SqlError> {
+        Ok(match self.plan(sql, parent)? {
+            Planned::Select { plan, span } => Prepared::Read(self.scan(plan, span)),
+            Planned::Write(write) => Prepared::Write(write),
+        })
+    }
+
+    /// Open the statement's `sql.execute` span, parse, and plan a SELECT.
+    fn plan(&self, sql: &str, parent: &Span) -> Result<Planned, SqlError> {
         let span = parent.child("sql.execute", parent.tick());
-        obs.counter("sql.statements", 1);
+        span.handle().counter("sql.statements", 1);
         let parse_span = span.child("sql.parse", span.tick());
         let parsed = parse(sql);
         parse_span.end(span.tick());
         let stmt = match parsed {
             Ok(stmt) => stmt,
             Err(e) => {
-                obs.counter("sql.errors", 1);
+                span.handle().counter("sql.errors", 1);
                 span.attr("outcome", "parse_error");
                 span.end(span.tick());
                 return Err(e);
             }
         };
-        let result = match stmt {
-            // SELECT splits into plan + exec stages; everything else is
-            // one exec stage around the statement runner.
-            Statement::Select(sel) => {
-                let plan_span = span.child("sql.plan", span.tick());
-                let plan = Planner::new(&self.db)
-                    .plan_select(&sel)
-                    .and_then(|p| self.optimizer.optimize(p));
-                plan_span.end(span.tick());
-                plan.and_then(|plan| {
-                    let exec_span = span.child("sql.exec", span.tick());
-                    let pool_before = self.db.pager().map(|p| p.counters());
-                    let mut stats = ExecStats::default();
-                    let batch = self.run_plan(&plan, &mut stats);
-                    if let Ok(b) = &batch {
-                        exec_span.attr("rows", b.rows.len());
-                    }
-                    if self.exec.mode == ExecMode::Columnar {
-                        exec_span.attr("chunks", stats.chunks);
-                        exec_span.attr("rows_scanned", stats.rows_scanned);
-                        obs.counter("sql.chunks_scanned", stats.chunks);
-                        obs.counter("sql.rows_scanned", stats.rows_scanned);
-                    }
-                    self.record_pool_deltas(&exec_span, &obs, pool_before);
-                    exec_span.end(span.tick());
-                    batch.map(|batch| QueryResult {
-                        schema: batch.schema,
-                        rows: batch.rows,
-                        rows_affected: 0,
-                    })
-                })
-            }
-            other => {
-                let exec_span = span.child("sql.exec", span.tick());
-                let pool_before = self.db.pager().map(|p| p.counters());
-                let r = self.run_statement(other);
-                if let Ok(q) = &r {
-                    exec_span.attr("rows_affected", q.rows_affected);
-                }
-                self.record_pool_deltas(&exec_span, &obs, pool_before);
-                exec_span.end(span.tick());
-                r
-            }
+        let Statement::Select(sel) = stmt else {
+            return Ok(Planned::Write(PendingWrite { stmt, span }));
         };
-        match &result {
-            Ok(q) => {
-                span.attr("rows", q.rows.len());
-                span.attr("rows_affected", q.rows_affected);
-                obs.counter("sql.rows_out", q.rows.len() as u64);
+        let plan_span = span.child("sql.plan", span.tick());
+        let plan = Planner::new(&self.db)
+            .plan_select(&sel)
+            .and_then(|p| self.optimizer.optimize(p));
+        plan_span.end(span.tick());
+        match plan {
+            Ok(plan) => Ok(Planned::Select { plan, span }),
+            Err(e) => {
+                end_statement(&span, Err(&e));
+                Err(e)
             }
-            Err(_) => {
-                obs.counter("sql.errors", 1);
-                span.attr("outcome", "error");
-            }
-        }
-        span.end(span.tick());
-        result
-    }
-
-    /// Record buffer-pool counter deltas (hits/misses/evictions/dirty
-    /// writebacks) on a `sql.exec` span and the global metrics. No-op for
-    /// in-memory storage, where `before` is `None`.
-    fn record_pool_deltas(
-        &self,
-        exec_span: &Span,
-        obs: &dbgpt_obs::Obs,
-        before: Option<crate::storage::PoolCounters>,
-    ) {
-        let (before, pager) = match (before, self.db.pager()) {
-            (Some(b), Some(p)) => (b, p),
-            _ => return,
-        };
-        let after = pager.counters();
-        let deltas = [
-            ("pool_hits", "sql.pool.hits", after.hits - before.hits),
-            ("pool_misses", "sql.pool.misses", after.misses - before.misses),
-            (
-                "pool_evictions",
-                "sql.pool.evictions",
-                after.evictions - before.evictions,
-            ),
-            (
-                "pool_writebacks",
-                "sql.pool.writebacks",
-                after.writebacks - before.writebacks,
-            ),
-        ];
-        for (attr, counter, delta) in deltas {
-            exec_span.attr(attr, delta);
-            obs.counter(counter, delta);
         }
     }
 
-    /// Run one already-parsed statement (the shared tail of
-    /// [`Engine::execute`] and [`Engine::execute_traced`]).
+    /// Open `sql.exec` and run phase 1 of the configured executor. A scan
+    /// error is kept and surfaces from [`ScannedSelect::finish`].
+    fn scan(&self, plan: LogicalPlan, span: Span) -> ScannedSelect {
+        let exec_span = span.child("sql.exec", span.tick());
+        let pool_before = self.db.pager().map(|p| p.counters());
+        let (scans, stats) = match self.exec.mode {
+            ExecMode::Row => (executor::scan_plan(&plan, &self.db).map(Scans::Row), None),
+            ExecMode::Columnar => {
+                let mut stats = ExecStats::default();
+                let scans = vectorized::scan_plan(&plan, &self.db, &mut stats);
+                (scans.map(Scans::Columnar), Some(stats))
+            }
+        };
+        let pool = pool_before.zip(self.db.pager().map(|p| p.counters()));
+        ScannedSelect {
+            plan,
+            scans,
+            stats,
+            pool,
+            span,
+            exec_span,
+        }
+    }
+
+    /// Run a DDL/DML statement from [`Engine::prepare`]; needs exclusive
+    /// access.
+    pub fn run_write(&mut self, write: PendingWrite) -> Result<QueryResult, SqlError> {
+        let PendingWrite { stmt, span } = write;
+        let exec_span = span.child("sql.exec", span.tick());
+        let pool_before = self.db.pager().map(|p| p.counters());
+        let r = self.run_statement(stmt);
+        if let Ok(q) = &r {
+            exec_span.attr("rows_affected", q.rows_affected);
+        }
+        let pool = pool_before.zip(self.db.pager().map(|p| p.counters()));
+        record_pool_deltas(&exec_span, pool);
+        exec_span.end(span.tick());
+        end_statement(&span, r.as_ref());
+        r
+    }
+
+    /// Run one parsed DDL/DML statement.
     fn run_statement(&mut self, stmt: Statement) -> Result<QueryResult, SqlError> {
         match stmt {
             Statement::CreateTable {
@@ -542,17 +520,7 @@ impl Engine {
                 }
                 Ok(QueryResult::affected(removed))
             }
-            Statement::Select(sel) => {
-                let plan = Planner::new(&self.db).plan_select(&sel)?;
-                let plan = self.optimizer.optimize(plan)?;
-                let mut stats = ExecStats::default();
-                let batch = self.run_plan(&plan, &mut stats)?;
-                Ok(QueryResult {
-                    schema: batch.schema,
-                    rows: batch.rows,
-                    rows_affected: 0,
-                })
-            }
+            Statement::Select(_) => unreachable!("SELECT runs through ScannedSelect"),
         }
     }
 
@@ -576,28 +544,138 @@ impl Engine {
     }
 }
 
-/// Names of the tables a plan's scans touch.
-fn collect_scan_tables(plan: &LogicalPlan, out: &mut Vec<String>) {
-    match plan {
-        LogicalPlan::Scan { table, .. } => out.push(table.clone()),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Strip { input, .. }
-        | LogicalPlan::Distinct { input }
-        | LogicalPlan::Limit { input, .. } => collect_scan_tables(input, out),
-        LogicalPlan::Join { left, right, .. } => {
-            collect_scan_tables(left, out);
-            collect_scan_tables(right, out);
+/// A parsed statement from [`Engine::prepare`].
+#[derive(Debug)]
+pub enum Prepared {
+    /// A SELECT whose table scans are materialised.
+    Read(ScannedSelect),
+    /// Any other statement, for [`Engine::run_write`].
+    Write(PendingWrite),
+}
+
+/// A DDL/DML statement waiting for exclusive access, with its open
+/// `sql.execute` span.
+#[derive(Debug)]
+pub struct PendingWrite {
+    stmt: Statement,
+    span: Span,
+}
+
+/// What [`Engine::plan`] hands on.
+enum Planned {
+    Select { plan: LogicalPlan, span: Span },
+    Write(PendingWrite),
+}
+
+/// Phase-1 output of either executor.
+enum Scans {
+    Row(Vec<RowBatch>),
+    Columnar(Vec<vectorized::ColBatch>),
+}
+
+/// A SELECT whose scans have run: owned rows plus the plan's operators.
+/// [`ScannedSelect::finish`] needs no access to the catalog.
+pub struct ScannedSelect {
+    plan: LogicalPlan,
+    scans: Result<Scans, SqlError>,
+    /// Columnar scan counters (`None` under the row executor).
+    stats: Option<ExecStats>,
+    /// Buffer-pool counters around the scans (paged storage only).
+    pool: Option<(PoolCounters, PoolCounters)>,
+    span: Span,
+    exec_span: Span,
+}
+
+impl ScannedSelect {
+    /// Phase 2: run joins, aggregates, sorts and projections on the
+    /// scanned rows, then end the statement's spans.
+    pub fn finish(self) -> Result<QueryResult, SqlError> {
+        let ScannedSelect {
+            plan,
+            scans,
+            stats,
+            pool,
+            span,
+            exec_span,
+        } = self;
+        let batch = scans.and_then(|scans| match scans {
+            Scans::Row(b) => executor::finish_plan(&plan, b),
+            Scans::Columnar(b) => vectorized::finish_plan(&plan, b),
+        });
+        if let Ok(b) = &batch {
+            exec_span.attr("rows", b.rows.len());
         }
-        LogicalPlan::Union { inputs, .. } => {
-            for i in inputs {
-                collect_scan_tables(i, out);
-            }
+        if let Some(stats) = stats {
+            let obs = exec_span.handle();
+            exec_span.attr("chunks", stats.chunks);
+            exec_span.attr("rows_scanned", stats.rows_scanned);
+            obs.counter("sql.chunks_scanned", stats.chunks);
+            obs.counter("sql.rows_scanned", stats.rows_scanned);
         }
-        LogicalPlan::Values { .. } => {}
+        record_pool_deltas(&exec_span, pool);
+        exec_span.end(span.tick());
+        let result = batch.map(|batch| QueryResult {
+            schema: batch.schema,
+            rows: batch.rows,
+            rows_affected: 0,
+        });
+        end_statement(&span, result.as_ref());
+        result
     }
+}
+
+impl std::fmt::Debug for ScannedSelect {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScannedSelect")
+            .field("plan", &self.plan)
+            .field("scanned", &self.scans.is_ok())
+            .finish()
+    }
+}
+
+/// Record buffer-pool counter deltas (hits/misses/evictions/dirty
+/// writebacks) on a `sql.exec` span and the global metrics. No-op for
+/// in-memory storage, where `pool` is `None`.
+fn record_pool_deltas(exec_span: &Span, pool: Option<(PoolCounters, PoolCounters)>) {
+    let Some((before, after)) = pool else {
+        return;
+    };
+    let obs = exec_span.handle();
+    let deltas = [
+        ("pool_hits", "sql.pool.hits", after.hits - before.hits),
+        ("pool_misses", "sql.pool.misses", after.misses - before.misses),
+        (
+            "pool_evictions",
+            "sql.pool.evictions",
+            after.evictions - before.evictions,
+        ),
+        (
+            "pool_writebacks",
+            "sql.pool.writebacks",
+            after.writebacks - before.writebacks,
+        ),
+    ];
+    for (attr, counter, delta) in deltas {
+        exec_span.attr(attr, delta);
+        obs.counter(counter, delta);
+    }
+}
+
+/// End a statement's `sql.execute` span with its outcome.
+fn end_statement(span: &Span, result: Result<&QueryResult, &SqlError>) {
+    let obs = span.handle();
+    match result {
+        Ok(q) => {
+            span.attr("rows", q.rows.len());
+            span.attr("rows_affected", q.rows_affected);
+            obs.counter("sql.rows_out", q.rows.len() as u64);
+        }
+        Err(_) => {
+            obs.counter("sql.errors", 1);
+            span.attr("outcome", "error");
+        }
+    }
+    span.end(span.tick());
 }
 
 #[cfg(test)]

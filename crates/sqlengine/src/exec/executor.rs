@@ -4,6 +4,10 @@
 //! fine for an in-memory engine). Joins pick a physical strategy at run
 //! time: equi-join conjuncts in the `ON` clause trigger a **hash join**,
 //! anything else falls back to a nested-loop join.
+//!
+//! Execution runs in two phases: [`scan_plan`] reads every table scan
+//! from the catalog, then [`finish_plan`] runs the operators over the
+//! owned batches without touching the catalog.
 
 use std::collections::HashMap;
 
@@ -18,84 +22,113 @@ use crate::value::{DataType, GroupKey, Value};
 
 use super::aggregate::Accumulator;
 
-/// Execute a logical plan to completion.
+/// Execute a logical plan to completion: [`scan_plan`], then
+/// [`finish_plan`] over the scanned rows.
 pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            schema,
-            projection,
-            filter,
-            ..
-        } => {
-            let t = db.table(table)?;
-            let mut rows = Vec::new();
-            let mut emit = |row: &Row| -> Result<(), SqlError> {
-                let projected = match projection {
-                    Some(idx) => Row::new(idx.iter().map(|&i| row[i].clone()).collect()),
-                    None => row.clone(),
-                };
-                if let Some(f) = filter {
-                    if !f.eval(&projected, schema)?.is_truthy() {
-                        return Ok(());
-                    }
-                }
-                rows.push(projected);
-                Ok(())
-            };
-            if t.is_paged() {
-                let pager = t.pager().expect("paged table");
-                let heap = t.heap().expect("paged table");
-                // Index path: equality or range conjuncts on a B+-tree
-                // column narrow the scan to ascending row ordinals.
-                let candidates = match filter {
-                    Some(f) => paged_index_candidates(t, schema, projection, f)?,
-                    None => None,
-                };
-                match candidates {
-                    Some(ords) => {
-                        let fetched = heap.fetch_many(&mut pager.pool(), &ords)?;
-                        for vals in fetched {
-                            emit(&Row::new(vals))?;
-                        }
-                    }
-                    None => {
-                        // Stream page by page: resident memory stays
-                        // bounded by the pool, not the table.
-                        for i in 0..heap.page_count() {
-                            for vals in heap.read_page(&mut pager.pool(), i)? {
-                                emit(&Row::new(vals))?;
-                            }
-                        }
-                    }
-                }
-                return Ok(RowBatch::new(schema.clone(), rows));
+    finish_plan(plan, scan_plan(plan, db)?)
+}
+
+/// Phase 1: read every `Scan` node of `plan` from the catalog, in
+/// [`LogicalPlan::scans`] order. This is the only phase that touches `db`.
+pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<RowBatch>, SqlError> {
+    plan.scans().into_iter().map(|scan| scan_table(scan, db)).collect()
+}
+
+/// Phase 2: run the plan's operators over batches from [`scan_plan`]. No
+/// catalog access, so a caller may run it after releasing its lock.
+pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<RowBatch>) -> Result<RowBatch, SqlError> {
+    run(plan, &mut scans.into_iter())
+}
+
+/// Project and filter one table scan, narrowed by a fresh index when one
+/// applies.
+fn scan_table(scan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
+    let LogicalPlan::Scan {
+        table,
+        schema,
+        projection,
+        filter,
+        ..
+    } = scan
+    else {
+        unreachable!("scan_table takes Scan nodes");
+    };
+    let t = db.table(table)?;
+    let mut rows = Vec::new();
+    let mut emit = |row: &Row| -> Result<(), SqlError> {
+        let projected = match projection {
+            Some(idx) => Row::new(idx.iter().map(|&i| row[i].clone()).collect()),
+            None => row.clone(),
+        };
+        if let Some(f) = filter {
+            if !f.eval(&projected, schema)?.is_truthy() {
+                return Ok(());
             }
-            // Index path: an equality conjunct on an indexed column narrows
-            // the scan to the index's posting list.
-            let candidates = filter
-                .as_ref()
-                .and_then(|f| index_candidates(t, schema, projection, f));
-            match candidates {
-                Some(ids) => {
-                    for id in ids {
-                        emit(&t.rows[id])?;
-                    }
-                }
-                None => {
-                    for row in &t.rows {
-                        emit(row)?;
-                    }
-                }
-            }
-            Ok(RowBatch::new(schema.clone(), rows))
         }
+        rows.push(projected);
+        Ok(())
+    };
+    if t.is_paged() {
+        let pager = t.pager().expect("paged table");
+        let heap = t.heap().expect("paged table");
+        // Index path: equality or range conjuncts on a B+-tree
+        // column narrow the scan to ascending row ordinals.
+        let candidates = match filter {
+            Some(f) => paged_index_candidates(t, schema, projection, f)?,
+            None => None,
+        };
+        match candidates {
+            Some(ords) => {
+                let fetched = heap.fetch_many(&mut pager.pool(), &ords)?;
+                for vals in fetched {
+                    emit(&Row::new(vals))?;
+                }
+            }
+            None => {
+                // Stream page by page: resident memory stays
+                // bounded by the pool, not the table.
+                for i in 0..heap.page_count() {
+                    for vals in heap.read_page(&mut pager.pool(), i)? {
+                        emit(&Row::new(vals))?;
+                    }
+                }
+            }
+        }
+        return Ok(RowBatch::new(schema.clone(), rows));
+    }
+    // Index path: an equality conjunct on an indexed column narrows
+    // the scan to the index's posting list.
+    let candidates = filter
+        .as_ref()
+        .and_then(|f| index_candidates(t, schema, projection, f));
+    match candidates {
+        Some(ids) => {
+            for id in ids {
+                emit(&t.rows[id])?;
+            }
+        }
+        None => {
+            for row in &t.rows {
+                emit(row)?;
+            }
+        }
+    }
+    Ok(RowBatch::new(schema.clone(), rows))
+}
+
+/// The operator tree over pre-scanned batches, consumed in scan order.
+fn run(
+    plan: &LogicalPlan,
+    scans: &mut std::vec::IntoIter<RowBatch>,
+) -> Result<RowBatch, SqlError> {
+    match plan {
+        LogicalPlan::Scan { .. } => Ok(scans.next().expect("one batch per scan")),
 
         LogicalPlan::Union { inputs, dedupe } => {
             let schema = plan.schema();
             let mut rows = Vec::new();
             for input in inputs {
-                let batch = execute_plan(input, db)?;
+                let batch = run(input, scans)?;
                 if batch.schema.len() != schema.len() {
                     return Err(SqlError::Execution(format!(
                         "UNION arm arity mismatch: {} vs {}",
@@ -123,7 +156,7 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
         )),
 
         LogicalPlan::Filter { input, predicate } => {
-            let batch = execute_plan(input, db)?;
+            let batch = run(input, scans)?;
             let mut rows = Vec::with_capacity(batch.rows.len());
             for row in batch.rows {
                 if predicate.eval(&row, &batch.schema)?.is_truthy() {
@@ -134,7 +167,7 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
         }
 
         LogicalPlan::Project { input, exprs } => {
-            let batch = execute_plan(input, db)?;
+            let batch = run(input, scans)?;
             let out_schema = plan.schema();
             let mut rows = Vec::with_capacity(batch.rows.len());
             for row in &batch.rows {
@@ -152,14 +185,14 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
             right,
             kind,
             on,
-        } => execute_join(left, right, *kind, on, db),
+        } => execute_join(left, right, *kind, on, scans),
 
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             aggregates,
         } => {
-            let batch = execute_plan(input, db)?;
+            let batch = run(input, scans)?;
             let out_schema = plan.schema();
             // Group rows by key; keep first-seen order for determinism.
             let mut order: Vec<Vec<GroupKey>> = Vec::new();
@@ -210,7 +243,7 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
         }
 
         LogicalPlan::Sort { input, keys } => {
-            let mut batch = execute_plan(input, db)?;
+            let mut batch = run(input, scans)?;
             batch.rows.sort_by(|a, b| {
                 for (idx, desc) in keys {
                     let ord = a[*idx].total_cmp(&b[*idx]);
@@ -225,7 +258,7 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
         }
 
         LogicalPlan::Strip { input, keep } => {
-            let batch = execute_plan(input, db)?;
+            let batch = run(input, scans)?;
             let out_schema = plan.schema();
             let rows = batch
                 .rows
@@ -240,7 +273,7 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
         }
 
         LogicalPlan::Distinct { input } => {
-            let batch = execute_plan(input, db)?;
+            let batch = run(input, scans)?;
             let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
             let mut rows = Vec::new();
             for row in batch.rows {
@@ -253,7 +286,7 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
         }
 
         LogicalPlan::Limit { input, n } => {
-            let mut batch = execute_plan(input, db)?;
+            let mut batch = run(input, scans)?;
             batch.rows.truncate(*n);
             Ok(batch)
         }
@@ -605,10 +638,10 @@ fn execute_join(
     right: &LogicalPlan,
     kind: JoinKind,
     on: &Expr,
-    db: &Database,
+    scans: &mut std::vec::IntoIter<RowBatch>,
 ) -> Result<RowBatch, SqlError> {
-    let lbatch = execute_plan(left, db)?;
-    let rbatch = execute_plan(right, db)?;
+    let lbatch = run(left, scans)?;
+    let rbatch = run(right, scans)?;
     let out_schema = SchemaRef::new(lbatch.schema.join(&rbatch.schema));
     let keys = extract_equi_keys(on, &lbatch.schema, &rbatch.schema);
 

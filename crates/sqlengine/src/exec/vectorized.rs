@@ -6,7 +6,8 @@
 //! via [`Expr::eval_batch`] producing **selection vectors** (row ids that
 //! survive a filter), and aggregation folds typed columns through
 //! [`Accumulator::update_col`]. Joins and sorts re-batch through column
-//! gathers.
+//! gathers. As in the row executor, [`scan_plan`] reads the catalog and
+//! [`finish_plan`] runs the operators on the scanned chunks.
 //!
 //! ## Equivalence contract
 //!
@@ -35,8 +36,8 @@ use crate::value::{GroupKey, Value};
 use super::aggregate::Accumulator;
 use super::executor::extract_equi_keys;
 
-/// Counters describing one plan execution, exported to the `sql.exec`
-/// span by [`crate::engine::Engine::execute_traced`].
+/// Scan counters of one plan execution, exported to the `sql.exec` span
+/// (see [`crate::engine::Engine::prepare`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Chunks read by table scans.
@@ -47,7 +48,7 @@ pub struct ExecStats {
 
 /// A schema plus column-major row chunks: the columnar counterpart of
 /// [`RowBatch`] flowing between operators.
-struct ColBatch {
+pub(crate) struct ColBatch {
     schema: SchemaRef,
     chunks: Vec<Chunk>,
 }
@@ -119,102 +120,132 @@ pub fn execute_plan_columnar_with_stats(
     db: &Database,
     stats: &mut ExecStats,
 ) -> Result<RowBatch, SqlError> {
-    Ok(exec(plan, db, stats)?.into_row_batch())
+    finish_plan(plan, scan_plan(plan, db, stats)?)
 }
 
-fn exec(
+/// Phase 1: read every `Scan` node of `plan` from the catalog, in
+/// [`LogicalPlan::scans`] order. This is the only phase that touches `db`.
+pub(crate) fn scan_plan(
     plan: &LogicalPlan,
     db: &Database,
     stats: &mut ExecStats,
+) -> Result<Vec<ColBatch>, SqlError> {
+    plan.scans()
+        .into_iter()
+        .map(|scan| scan_table(scan, db, stats))
+        .collect()
+}
+
+/// Phase 2: run the plan's operators over batches from [`scan_plan`]. No
+/// catalog access, so a caller may run it after releasing its lock.
+pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<ColBatch>) -> Result<RowBatch, SqlError> {
+    Ok(exec(plan, &mut scans.into_iter())?.into_row_batch())
+}
+
+/// Project and filter one table scan, chunk by chunk.
+fn scan_table(
+    scan: &LogicalPlan,
+    db: &Database,
+    stats: &mut ExecStats,
 ) -> Result<ColBatch, SqlError> {
-    match plan {
-        LogicalPlan::Scan {
-            table,
-            schema,
-            projection,
-            filter,
-            ..
-        } => {
-            let t = db.table(table)?;
-            // One scan chunk: project, filter, keep survivors. Shared by
-            // the mirror path and the paged streaming path below.
-            let mut chunks = Vec::new();
-            let scan_chunk = |chunk: &Chunk,
-                                  stats: &mut ExecStats,
-                                  chunks: &mut Vec<Chunk>|
-             -> Result<(), SqlError> {
-                stats.chunks += 1;
-                stats.rows_scanned += chunk.len as u64;
-                // Match the row executor: project first, filter on the
-                // projected row shape.
-                let projected = match projection {
-                    Some(idx) => chunk.project(idx),
-                    None => chunk.clone(),
-                };
-                let kept = match filter {
-                    Some(f) => {
-                        let mask = f.eval_batch(&projected, schema, None)?;
-                        let sel = truthy_selection(&mask);
-                        match sel {
-                            Some(sel) => projected.gather(&sel),
-                            None => projected,
-                        }
-                    }
+    let LogicalPlan::Scan {
+        table,
+        schema,
+        projection,
+        filter,
+        ..
+    } = scan
+    else {
+        unreachable!("scan_table takes Scan nodes");
+    };
+    let t = db.table(table)?;
+    // One scan chunk: project, filter, keep survivors. Shared by
+    // the mirror path and the paged streaming path below.
+    let mut chunks = Vec::new();
+    let scan_chunk = |chunk: &Chunk,
+                      stats: &mut ExecStats,
+                      chunks: &mut Vec<Chunk>|
+     -> Result<(), SqlError> {
+        stats.chunks += 1;
+        stats.rows_scanned += chunk.len as u64;
+        // Match the row executor: project first, filter on the
+        // projected row shape.
+        let projected = match projection {
+            Some(idx) => chunk.project(idx),
+            None => chunk.clone(),
+        };
+        let kept = match filter {
+            Some(f) => {
+                let mask = f.eval_batch(&projected, schema, None)?;
+                let sel = truthy_selection(&mask);
+                match sel {
+                    Some(sel) => projected.gather(&sel),
                     None => projected,
-                };
-                if !kept.is_empty() {
-                    chunks.push(kept);
                 }
-                Ok(())
-            };
-            if t.is_paged() {
-                // Paged tables have no columnar mirror; stream heap pages
-                // through the buffer pool, re-batching rows into
-                // CHUNK_ROWS-row chunks so chunk boundaries match the
-                // in-memory mirror's.
-                let pager = t.pager().expect("paged table");
-                let heap = t.heap().expect("paged table");
-                let width = t.schema.len();
-                let mut buf: Vec<Row> = Vec::with_capacity(CHUNK_ROWS);
-                for i in 0..heap.page_count() {
-                    for vals in heap.read_page(&mut pager.pool(), i)? {
-                        buf.push(Row::new(vals));
-                        if buf.len() == CHUNK_ROWS {
-                            let ct = ColumnTable::from_rows(&buf, width);
-                            for chunk in ct.chunks() {
-                                scan_chunk(chunk, stats, &mut chunks)?;
-                            }
-                            buf.clear();
-                        }
-                    }
-                }
-                if !buf.is_empty() {
+            }
+            None => projected,
+        };
+        if !kept.is_empty() {
+            chunks.push(kept);
+        }
+        Ok(())
+    };
+    if t.is_paged() {
+        // Paged tables have no columnar mirror; stream heap pages
+        // through the buffer pool, re-batching rows into
+        // CHUNK_ROWS-row chunks so chunk boundaries match the
+        // in-memory mirror's.
+        let pager = t.pager().expect("paged table");
+        let heap = t.heap().expect("paged table");
+        let width = t.schema.len();
+        let mut buf: Vec<Row> = Vec::with_capacity(CHUNK_ROWS);
+        for i in 0..heap.page_count() {
+            for vals in heap.read_page(&mut pager.pool(), i)? {
+                buf.push(Row::new(vals));
+                if buf.len() == CHUNK_ROWS {
                     let ct = ColumnTable::from_rows(&buf, width);
                     for chunk in ct.chunks() {
                         scan_chunk(chunk, stats, &mut chunks)?;
                     }
+                    buf.clear();
                 }
-                return Ok(ColBatch {
-                    schema: schema.clone(),
-                    chunks,
-                });
             }
-            let fallback;
-            let ct: &ColumnTable = match t.columnar() {
-                Some(ct) => ct,
-                None => {
-                    fallback = ColumnTable::from_rows(&t.rows, t.schema.len());
-                    &fallback
-                }
-            };
+        }
+        if !buf.is_empty() {
+            let ct = ColumnTable::from_rows(&buf, width);
             for chunk in ct.chunks() {
                 scan_chunk(chunk, stats, &mut chunks)?;
             }
-            Ok(ColBatch {
-                schema: schema.clone(),
-                chunks,
-            })
         }
+        return Ok(ColBatch {
+            schema: schema.clone(),
+            chunks,
+        });
+    }
+    let fallback;
+    let ct: &ColumnTable = match t.columnar() {
+        Some(ct) => ct,
+        None => {
+            fallback = ColumnTable::from_rows(&t.rows, t.schema.len());
+            &fallback
+        }
+    };
+    for chunk in ct.chunks() {
+        scan_chunk(chunk, stats, &mut chunks)?;
+    }
+    Ok(ColBatch {
+        schema: schema.clone(),
+        chunks,
+    })
+}
+
+/// The operator tree over pre-scanned batches, consumed in scan order.
+fn exec(
+    plan: &LogicalPlan,
+    scans: &mut std::vec::IntoIter<ColBatch>,
+) -> Result<ColBatch, SqlError> {
+    match plan {
+        LogicalPlan::Scan { .. } => Ok(scans.next().expect("one batch per scan")),
 
         LogicalPlan::Values { schema, rows } => Ok(ColBatch {
             schema: schema.clone(),
@@ -226,7 +257,7 @@ fn exec(
         }),
 
         LogicalPlan::Filter { input, predicate } => {
-            let batch = exec(input, db, stats)?;
+            let batch = exec(input, scans)?;
             let mut chunks = Vec::with_capacity(batch.chunks.len());
             for chunk in &batch.chunks {
                 let mask = predicate.eval_batch(chunk, &batch.schema, None)?;
@@ -245,7 +276,7 @@ fn exec(
         }
 
         LogicalPlan::Project { input, exprs } => {
-            let batch = exec(input, db, stats)?;
+            let batch = exec(input, scans)?;
             let out_schema = plan.schema();
             let mut chunks = Vec::with_capacity(batch.chunks.len());
             for chunk in &batch.chunks {
@@ -266,14 +297,14 @@ fn exec(
             right,
             kind,
             on,
-        } => exec_join(left, right, *kind, on, db, stats),
+        } => exec_join(left, right, *kind, on, scans),
 
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             aggregates,
         } => {
-            let batch = exec(input, db, stats)?;
+            let batch = exec(input, scans)?;
             let out_schema = plan.schema();
             let mut order: Vec<Vec<GroupKey>> = Vec::new();
             let mut groups: HashMap<Vec<GroupKey>, (Row, Vec<Accumulator>)> =
@@ -332,7 +363,7 @@ fn exec(
         }
 
         LogicalPlan::Sort { input, keys } => {
-            let batch = exec(input, db, stats)?;
+            let batch = exec(input, scans)?;
             let chunk = batch.concat();
             let mut idx: Vec<u32> = (0..chunk.len as u32).collect();
             idx.sort_by(|&a, &b| {
@@ -355,7 +386,7 @@ fn exec(
         }
 
         LogicalPlan::Strip { input, keep } => {
-            let batch = exec(input, db, stats)?;
+            let batch = exec(input, scans)?;
             let out_schema = plan.schema();
             let cols: Vec<usize> = (0..*keep).collect();
             let chunks = batch.chunks.iter().map(|c| c.project(&cols)).collect();
@@ -366,7 +397,7 @@ fn exec(
         }
 
         LogicalPlan::Distinct { input } => {
-            let batch = exec(input, db, stats)?;
+            let batch = exec(input, scans)?;
             let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
             let chunks = dedupe_chunks(&batch.chunks, &mut seen);
             Ok(ColBatch {
@@ -376,7 +407,7 @@ fn exec(
         }
 
         LogicalPlan::Limit { input, n } => {
-            let batch = exec(input, db, stats)?;
+            let batch = exec(input, scans)?;
             let mut chunks = Vec::new();
             let mut remaining = *n;
             for chunk in &batch.chunks {
@@ -402,7 +433,7 @@ fn exec(
             let schema = plan.schema();
             let mut chunks = Vec::new();
             for input in inputs {
-                let batch = exec(input, db, stats)?;
+                let batch = exec(input, scans)?;
                 if batch.schema.len() != schema.len() {
                     return Err(SqlError::Execution(format!(
                         "UNION arm arity mismatch: {} vs {}",
@@ -484,11 +515,10 @@ fn exec_join(
     right: &LogicalPlan,
     kind: JoinKind,
     on: &Expr,
-    db: &Database,
-    stats: &mut ExecStats,
+    scans: &mut std::vec::IntoIter<ColBatch>,
 ) -> Result<ColBatch, SqlError> {
-    let lbatch = exec(left, db, stats)?;
-    let rbatch = exec(right, db, stats)?;
+    let lbatch = exec(left, scans)?;
+    let rbatch = exec(right, scans)?;
     let out_schema = SchemaRef::new(lbatch.schema.join(&rbatch.schema));
     let keys = extract_equi_keys(on, &lbatch.schema, &rbatch.schema);
 

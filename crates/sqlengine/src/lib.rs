@@ -34,6 +34,18 @@
 //!   scan/filter/aggregate throughput (see `results/BENCH_sql_columnar
 //!   .json`).
 //!
+//! ## Concurrency: two-phase SELECT
+//!
+//! [`Engine::prepare`] needs only `&Engine`: it parses, plans and reads
+//! every table scan of a SELECT into owned batches (phase 1), returning an
+//! [`engine::ScannedSelect`] whose `finish` runs joins, aggregates, sorts
+//! and projections without the catalog (phase 2). A server holding the
+//! engine in a read-write lock scans under the shared lock and finishes
+//! after releasing it; DDL and DML ([`engine::Prepared::Write`]) take the
+//! exclusive lock for [`Engine::run_write`]. [`Engine::execute`] runs the
+//! same two phases back to back, after refreshing the scanned tables'
+//! index and columnar caches.
+//!
 //! ## Supported SQL
 //!
 //! - DDL: `CREATE TABLE`, `DROP TABLE`

@@ -200,6 +200,36 @@ impl LogicalPlan {
         }
     }
 
+    /// The plan's `Scan` nodes in pre-order (left input before right, union
+    /// arms in order): the order in which both executors consume them.
+    pub fn scans(&self) -> Vec<&LogicalPlan> {
+        fn walk<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a LogicalPlan>) {
+            match plan {
+                LogicalPlan::Scan { .. } => out.push(plan),
+                LogicalPlan::Filter { input, .. }
+                | LogicalPlan::Project { input, .. }
+                | LogicalPlan::Aggregate { input, .. }
+                | LogicalPlan::Sort { input, .. }
+                | LogicalPlan::Strip { input, .. }
+                | LogicalPlan::Distinct { input }
+                | LogicalPlan::Limit { input, .. } => walk(input, out),
+                LogicalPlan::Join { left, right, .. } => {
+                    walk(left, out);
+                    walk(right, out);
+                }
+                LogicalPlan::Union { inputs, .. } => {
+                    for i in inputs {
+                        walk(i, out);
+                    }
+                }
+                LogicalPlan::Values { .. } => {}
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Pretty-print the plan tree (for EXPLAIN-style output and tests).
     pub fn display_indent(&self) -> String {
         fn walk(plan: &LogicalPlan, depth: usize, out: &mut String) {

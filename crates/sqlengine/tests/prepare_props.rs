@@ -1,0 +1,176 @@
+//! Two-phase SELECT: `Engine::prepare` scans under shared access and
+//! `ScannedSelect::finish` runs the operators on owned rows.
+//!
+//! - Differential: over the seeded corpus in `tests/common/`, under both
+//!   executors, `prepare` + `finish` through `&Engine` returns what
+//!   `execute` returns, per cell, with DML interleaved. The prepared
+//!   engine never refreshes its caches: under the columnar executor its
+//!   scans convert row storage per query, while `execute` reads the
+//!   refreshed columnar mirror.
+//! - Isolation: a prepared SELECT reflects the catalog at `prepare` time,
+//!   whatever runs between `prepare` and `finish`.
+//! - Tracing: the prepared path records the same span tree as
+//!   `execute_traced`.
+
+mod common;
+
+use common::{compare, dml, query, seed_stmts, Rng};
+use dbgpt_obs::{Obs, ObsConfig, Span};
+use dbgpt_sqlengine::engine::Prepared;
+use dbgpt_sqlengine::{Engine, ExecConfig, QueryResult, SqlError, StorageConfig};
+
+/// Run a SELECT through `&Engine`: prepare, then finish.
+fn prepared(engine: &Engine, sql: &str, span: &Span) -> Result<QueryResult, SqlError> {
+    match engine.prepare(sql, span)? {
+        Prepared::Read(select) => select.finish(),
+        Prepared::Write(_) => panic!("not a read: {sql}"),
+    }
+}
+
+fn differential(make: impl Fn() -> Engine, label: &str) {
+    for seed in [7, 42, 1234] {
+        let mut rng = Rng::new(seed);
+        // > CHUNK_ROWS rows in t1 so scans span several chunks.
+        let stmts = seed_stmts(&mut rng, 1500, 300);
+        let mut two_phase = make();
+        let mut reference = make();
+        for s in &stmts {
+            two_phase.execute(s).unwrap();
+            reference.execute(s).unwrap();
+        }
+        let ctx = format!("{label} seed {seed}");
+        let mut next_id = 1_000_000;
+        for step in 0..220 {
+            if step % 9 == 8 {
+                let sql = dml(&mut rng, &mut next_id);
+                let x = two_phase.execute(&sql);
+                let y = reference.execute(&sql);
+                compare(&sql, &x, &y, &ctx);
+                continue;
+            }
+            let sql = query(&mut rng);
+            let x = prepared(&two_phase, &sql, &Span::noop());
+            let y = reference.execute(&sql);
+            compare(&sql, &x, &y, &ctx);
+            if let (Ok(x), Ok(y)) = (&x, &y) {
+                assert_eq!(
+                    x.schema.columns(),
+                    y.schema.columns(),
+                    "schema ({ctx}): {sql}"
+                );
+            }
+        }
+        for sql in [
+            "SELECT id, grp, v, f, b FROM t1",
+            "SELECT id, t1_id, w, tag FROM t2",
+        ] {
+            let x = prepared(&two_phase, sql, &Span::noop());
+            compare(sql, &x, &reference.execute(sql), &ctx);
+        }
+    }
+}
+
+#[test]
+fn prepare_finish_matches_execute_row_executor() {
+    differential(Engine::new, "row");
+}
+
+#[test]
+fn prepare_finish_matches_execute_columnar_executor() {
+    differential(|| Engine::with_exec(ExecConfig::columnar()), "columnar");
+}
+
+#[test]
+fn prepare_finish_matches_execute_on_paged_storage() {
+    differential(
+        || Engine::with_exec_and_storage(ExecConfig::columnar(), StorageConfig::paged(16, 4096)),
+        "paged columnar",
+    );
+}
+
+fn isolation_engine(exec: ExecConfig) -> Engine {
+    let mut e = Engine::with_exec(exec);
+    e.execute("CREATE TABLE a (k INT, v INT)").unwrap();
+    e.execute("CREATE TABLE b (k INT, label TEXT)").unwrap();
+    e.execute("INSERT INTO a VALUES (1, 10), (1, 11), (2, 20)")
+        .unwrap();
+    e.execute("INSERT INTO b VALUES (1, 'one'), (2, 'two')")
+        .unwrap();
+    e
+}
+
+#[test]
+fn prepared_select_sees_the_catalog_as_of_prepare() {
+    let sql = "SELECT b.label, COUNT(*), SUM(a.v) FROM a JOIN b ON a.k = b.k \
+               GROUP BY b.label ORDER BY b.label";
+    for exec in [ExecConfig::row(), ExecConfig::columnar()] {
+        let mut e = isolation_engine(exec);
+        let before = e.execute(sql).unwrap();
+        let Prepared::Read(select) = e.prepare(sql, &Span::noop()).unwrap() else {
+            panic!("SELECT prepares as a read");
+        };
+        // The prepared SELECT borrows nothing from the engine, so writes to
+        // both scanned tables can run before it finishes.
+        e.execute("INSERT INTO a VALUES (2, 21), (3, 30)").unwrap();
+        e.execute("INSERT INTO b VALUES (3, 'three')").unwrap();
+        e.execute("UPDATE a SET v = 0").unwrap();
+        let after_writes = select.finish().unwrap();
+        assert_eq!(after_writes.rows, before.rows, "{exec:?}");
+        assert_ne!(e.execute(sql).unwrap().rows, before.rows, "{exec:?}");
+    }
+}
+
+#[test]
+fn writes_prepare_without_running() {
+    let mut e = isolation_engine(ExecConfig::row());
+    let Prepared::Write(write) = e
+        .prepare("INSERT INTO a VALUES (9, 90)", &Span::noop())
+        .unwrap()
+    else {
+        panic!("INSERT prepares as a write");
+    };
+    let count = |e: &mut Engine| e.execute("SELECT COUNT(*) FROM a").unwrap().rows[0][0].clone();
+    assert_eq!(count(&mut e).to_string(), "3");
+    assert_eq!(e.run_write(write).unwrap().rows_affected, 1);
+    assert_eq!(count(&mut e).to_string(), "4");
+    // Parse and plan errors surface from `prepare`, scan errors from
+    // `finish`.
+    assert!(matches!(
+        e.prepare("SELEC 1", &Span::noop()),
+        Err(SqlError::Parse(_))
+    ));
+    assert!(e.prepare("SELECT k FROM missing", &Span::noop()).is_err());
+    assert!(prepared(&e, "SELECT k FROM a WHERE v > 'x' + 1", &Span::noop()).is_err());
+}
+
+#[test]
+fn prepared_path_records_the_execute_span_tree() {
+    let statements = [
+        "SELECT b.label, SUM(a.v) FROM a JOIN b ON a.k = b.k GROUP BY b.label",
+        "INSERT INTO a VALUES (4, 40)",
+        "SELECT k FROM a WHERE v > 'x' + 1",
+        "SELEC 1",
+        "SELECT k FROM missing",
+    ];
+    for exec in [ExecConfig::row(), ExecConfig::columnar()] {
+        let trace = |two_phase: bool| {
+            let mut e = isolation_engine(exec);
+            let obs = Obs::new(ObsConfig::enabled(11));
+            let root = obs.span("request", obs.tick());
+            for sql in statements {
+                let _ = if two_phase {
+                    match e.prepare(sql, &root) {
+                        Ok(Prepared::Read(select)) => select.finish(),
+                        Ok(Prepared::Write(write)) => e.run_write(write),
+                        Err(err) => Err(err),
+                    }
+                } else {
+                    e.execute_traced(sql, &root)
+                };
+            }
+            root.end(obs.tick());
+            (obs.trace_json(), obs.metrics_json())
+        };
+        assert_eq!(trace(true), trace(false), "{exec:?}");
+    }
+}
