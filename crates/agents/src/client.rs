@@ -52,25 +52,18 @@ impl LlmClient {
 
     /// Complete a prompt.
     pub fn complete(&self, prompt: &str, params: &GenerationParams) -> Result<Completion, AgentError> {
-        match self {
-            LlmClient::Direct(m) => Ok(m.generate(prompt, params)?),
-            LlmClient::Smmf { server, model } => Ok(server.chat(model, prompt, params)?),
-        }
+        self.complete_under(prompt, params, &Span::noop())
     }
 
-    /// Traced [`LlmClient::complete`]: the SMMF route joins its `smmf.chat`
-    /// span (and everything under it) to `parent`; direct access records a
-    /// flat `llm.generate` child. Byte-identical to the untraced path when
-    /// `parent` is not recording.
+    /// [`LlmClient::complete`] under a caller span: the SMMF route joins
+    /// its `smmf.chat` span (and everything under it) to `parent`; direct
+    /// access records a flat `llm.generate` child of `parent`.
     pub fn complete_under(
         &self,
         prompt: &str,
         params: &GenerationParams,
         parent: &Span,
     ) -> Result<Completion, AgentError> {
-        if !parent.is_recording() {
-            return self.complete(prompt, params);
-        }
         match self {
             LlmClient::Direct(m) => {
                 let span = parent.child("llm.generate", parent.tick());

@@ -101,27 +101,10 @@ impl Orchestrator {
         &self.archive
     }
 
-    /// Execute a goal end to end.
+    /// Execute a goal end to end, recording an `agents.goal` span on this
+    /// orchestrator's handle.
     pub fn execute_goal(&mut self, goal: &str) -> Result<TaskReport, AgentError> {
-        self.execute_goal_under(goal, &Span::noop())
-    }
-
-    /// Execute a goal, joining the `agents.goal` span to `parent` when it
-    /// is recording (else rooting it on this orchestrator's own handle).
-    /// Byte-identical to [`Orchestrator::execute_goal`] when neither
-    /// records.
-    pub fn execute_goal_under(
-        &mut self,
-        goal: &str,
-        parent: &Span,
-    ) -> Result<TaskReport, AgentError> {
-        let span = if parent.is_recording() {
-            parent.child("agents.goal", parent.tick())
-        } else if self.obs.is_enabled() {
-            self.obs.span("agents.goal", self.obs.tick())
-        } else {
-            Span::noop()
-        };
+        let span = self.obs.span("agents.goal", self.obs.tick());
         let res = self.execute_goal_inner(goal, &span);
         match &res {
             Ok(r) => {

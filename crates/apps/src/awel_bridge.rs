@@ -20,6 +20,7 @@ use serde_json::{json, Value};
 use dbgpt_agents::{AgentContext, AgentReply, LlmClient, SharedAgent, TaskRequest};
 use dbgpt_awel::{ops, AwelError, Dag, DagBuilder, OpOutput, Operator, SharedOperator};
 use dbgpt_llm::skills::planner::PlanStep;
+use dbgpt_obs::Span;
 
 use crate::context::AppContext;
 
@@ -45,7 +46,7 @@ pub fn agent_operator(
         fn op_name(&self) -> &str {
             "agent"
         }
-        fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
+        fn run(&self, inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
             let ctx = AgentContext {
                 llm: self.llm.clone(),
                 archive: Arc::new(dbgpt_agents::HistoryArchive::in_memory()),
@@ -236,7 +237,7 @@ mod tests {
             },
             0,
         );
-        let out = op.run(&[json!(3), json!(4)]).unwrap();
+        let out = op.run(&[json!(3), json!(4)], &Span::noop()).unwrap();
         match out {
             OpOutput::Value(v) => assert_eq!(v["content"], json!(14)),
             other => panic!("{other:?}"),

@@ -41,17 +41,10 @@ impl Chat2Data {
     }
 
     /// Handle one question under a caller span: records an `app.chat2data`
-    /// span (child of `parent` when it is recording, else rooted on the
-    /// context's own handle) with the Text-to-SQL and SQL-engine stages as
-    /// children. Byte-identical to [`Chat2Data::ask`] when nothing records.
+    /// span (see [`dbgpt_obs::Obs::enter`]) with the Text-to-SQL and
+    /// SQL-engine stages as children.
     pub fn ask_under(&self, question: &str, parent: &Span) -> Result<Chat2DataReply, AppError> {
-        let span = if parent.is_recording() {
-            parent.child("app.chat2data", parent.tick())
-        } else if self.ctx.obs.is_enabled() {
-            self.ctx.obs.span("app.chat2data", self.ctx.obs.tick())
-        } else {
-            return self.ask_inner(question, &Span::noop());
-        };
+        let span = self.ctx.obs.enter(parent, "app.chat2data");
         let obs = span.handle();
         obs.counter("app.chat2data.requests", 1);
         let res = self.ask_inner(question, &span);
@@ -78,7 +71,7 @@ impl Chat2Data {
         if ddl.is_empty() {
             return Err(AppError::BadInput("database has no tables".into()));
         }
-        let sql = self.ctx.t2s.generate_sql_traced(&ddl, question, span)?;
+        let sql = self.ctx.t2s.generate_sql_under(&ddl, question, span)?;
         let result = self.ctx.run_sql(&sql, span)?;
         let (answer, data) = summarize_result(&result);
         Ok(Chat2DataReply { answer, sql, data })

@@ -4,7 +4,6 @@
 //! column semantics) is loaded into the engine with inferred types; every
 //! subsequent question is ordinary Chat2Data against that table.
 
-use dbgpt_obs::Span;
 use serde::Serialize;
 
 use dbgpt_sqlengine::csv::load_csv;
@@ -39,26 +38,13 @@ impl Chat2Excel {
     }
 
     /// Load a sheet (CSV text) as `table`, replacing any previous sheet of
-    /// that name.
+    /// that name. Records an `app.chat2excel.load` span with table/row
+    /// attributes on the context's handle.
     pub fn load_sheet(&self, table: &str, csv_text: &str) -> Result<SheetInfo, AppError> {
-        self.load_sheet_under(table, csv_text, &Span::noop())
-    }
-
-    /// [`Chat2Excel::load_sheet`] under a caller span: records an
-    /// `app.chat2excel.load` span with table/row attributes.
-    pub fn load_sheet_under(
-        &self,
-        table: &str,
-        csv_text: &str,
-        parent: &Span,
-    ) -> Result<SheetInfo, AppError> {
-        let span = if parent.is_recording() {
-            parent.child("app.chat2excel.load", parent.tick())
-        } else if self.ctx.obs.is_enabled() {
-            self.ctx.obs.span("app.chat2excel.load", self.ctx.obs.tick())
-        } else {
-            return self.load_sheet_inner(table, csv_text);
-        };
+        let span = self
+            .ctx
+            .obs
+            .span("app.chat2excel.load", self.ctx.obs.tick());
         span.attr("table", table);
         let res = self.load_sheet_inner(table, csv_text);
         match &res {
@@ -95,12 +81,6 @@ impl Chat2Excel {
     /// Ask a question over loaded sheets.
     pub fn ask(&self, question: &str) -> Result<Chat2DataReply, AppError> {
         self.qa.ask(question)
-    }
-
-    /// [`Chat2Excel::ask`] under a caller span (delegates to the inner
-    /// Chat2Data app's traced path).
-    pub fn ask_under(&self, question: &str, parent: &Span) -> Result<Chat2DataReply, AppError> {
-        self.qa.ask_under(question, parent)
     }
 }
 

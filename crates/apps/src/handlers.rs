@@ -33,6 +33,7 @@ impl AppHandler for Chat2DbHandler {
         input: &str,
         _params: &Value,
         _session: &Session,
+        _span: &Span,
     ) -> Result<(Value, Option<String>), ServerError> {
         let r = self.0.ask(input).map_err(|e| ServerError::Handler(e.to_string()))?;
         let rendered = r.table.clone();
@@ -51,19 +52,6 @@ impl AppHandler for Chat2DataHandler {
         "chat2data"
     }
     fn handle(
-        &self,
-        input: &str,
-        _params: &Value,
-        _session: &Session,
-    ) -> Result<(Value, Option<String>), ServerError> {
-        let r = self.0.ask(input).map_err(|e| ServerError::Handler(e.to_string()))?;
-        let rendered = r.answer.clone();
-        Ok((
-            serde_json::to_value(r).expect("reply serializes"),
-            Some(rendered),
-        ))
-    }
-    fn handle_traced(
         &self,
         input: &str,
         _params: &Value,
@@ -94,6 +82,7 @@ impl AppHandler for Chat2VizHandler {
         input: &str,
         _params: &Value,
         _session: &Session,
+        _span: &Span,
     ) -> Result<(Value, Option<String>), ServerError> {
         let r = self.0.ask(input).map_err(|e| ServerError::Handler(e.to_string()))?;
         let svg = r.svg.clone();
@@ -112,19 +101,6 @@ impl AppHandler for KbqaHandler {
         "kbqa"
     }
     fn handle(
-        &self,
-        input: &str,
-        _params: &Value,
-        _session: &Session,
-    ) -> Result<(Value, Option<String>), ServerError> {
-        let r = self.0.ask(input).map_err(|e| ServerError::Handler(e.to_string()))?;
-        let rendered = r.answer.clone();
-        Ok((
-            serde_json::to_value(r).expect("reply serializes"),
-            Some(rendered),
-        ))
-    }
-    fn handle_traced(
         &self,
         input: &str,
         _params: &Value,
@@ -155,6 +131,7 @@ impl AppHandler for AnalysisHandler {
         input: &str,
         _params: &Value,
         _session: &Session,
+        _span: &Span,
     ) -> Result<(Value, Option<String>), ServerError> {
         let report = self
             .0
@@ -181,6 +158,7 @@ impl AppHandler for ForecastHandler {
         input: &str,
         _params: &Value,
         _session: &Session,
+        _span: &Span,
     ) -> Result<(Value, Option<String>), ServerError> {
         let r = self.0.ask(input).map_err(|e| ServerError::Handler(e.to_string()))?;
         let rendered = r.narrative.clone();

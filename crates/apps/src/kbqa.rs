@@ -69,17 +69,11 @@ impl KnowledgeQa {
         self.ask_under(question, &Span::noop())
     }
 
-    /// Answer under a caller span: records an `app.kbqa` span with the RAG
-    /// retrieval and model completion joined as children. Byte-identical
-    /// to [`KnowledgeQa::ask`] when nothing records.
+    /// Answer under a caller span: records an `app.kbqa` span (see
+    /// [`dbgpt_obs::Obs::enter`]) with the RAG retrieval and model
+    /// completion joined as children.
     pub fn ask_under(&self, question: &str, parent: &Span) -> Result<KbqaReply, AppError> {
-        let span = if parent.is_recording() {
-            parent.child("app.kbqa", parent.tick())
-        } else if self.ctx.obs.is_enabled() {
-            self.ctx.obs.span("app.kbqa", self.ctx.obs.tick())
-        } else {
-            return self.ask_inner(question, &Span::noop());
-        };
+        let span = self.ctx.obs.enter(parent, "app.kbqa");
         let obs = span.handle();
         obs.counter("app.kbqa.requests", 1);
         let res = self.ask_inner(question, &span);

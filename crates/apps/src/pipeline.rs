@@ -3,10 +3,10 @@
 //! Where [`crate::chat2data`] calls the stages directly, this module
 //! expresses the same request as a five-node DAG — intent → retrieve →
 //! gen_sql → execute → narrate — scheduled by [`dbgpt_awel::Scheduler`].
-//! Each node is a custom [`Operator`] that overrides
-//! [`Operator::run_traced`] to call the traced entry point of its
-//! subsystem, so one enabled run produces a single trace tree spanning the
-//! apps, AWEL, RAG, Text-to-SQL, SQL-engine and model-serving crates:
+//! Each node is a custom [`Operator`] whose `run` passes the scheduler's
+//! per-node span to the `*_under` entry point of its subsystem, so one
+//! enabled run produces a single trace tree spanning the apps, AWEL, RAG,
+//! Text-to-SQL, SQL-engine and model-serving crates:
 //!
 //! ```text
 //! app.chat2data.pipeline
@@ -18,8 +18,8 @@
 //!    └─ awel.op (narrate)    └─ llm.generate / smmf.chat …
 //! ```
 //!
-//! With observability disabled every operator takes its plain
-//! [`Operator::run`] path, byte-identical to the untraced stack.
+//! With observability disabled every span is a no-op and the same code
+//! runs.
 
 use std::sync::Arc;
 
@@ -72,8 +72,11 @@ fn field<'v>(input: &'v Value, key: &str, node: &str) -> Result<&'v str, AwelErr
 /// Root node: validates the question and tags its detected intent.
 struct IntentOp;
 
-impl IntentOp {
-    fn go(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
+impl Operator for IntentOp {
+    fn op_name(&self) -> &str {
+        "intent"
+    }
+    fn run(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
         let question = inputs
             .first()
             .and_then(Value::as_str)
@@ -93,26 +96,17 @@ impl IntentOp {
     }
 }
 
-impl Operator for IntentOp {
-    fn op_name(&self) -> &str {
-        "intent"
-    }
-    fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
-        self.go(inputs, &Span::noop())
-    }
-    fn run_traced(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
-        self.go(inputs, span)
-    }
-}
-
 /// Retrieves top-k knowledge chunks as background context for narration.
 struct RetrieveOp {
     kb: Arc<RwLock<KnowledgeBase>>,
     k: usize,
 }
 
-impl RetrieveOp {
-    fn go(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
+impl Operator for RetrieveOp {
+    fn op_name(&self) -> &str {
+        "retrieve"
+    }
+    fn run(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
         let input = inputs.first().cloned().unwrap_or(Value::Null);
         let question = field(&input, "question", "retrieve")?;
         let hits =
@@ -126,26 +120,17 @@ impl RetrieveOp {
     }
 }
 
-impl Operator for RetrieveOp {
-    fn op_name(&self) -> &str {
-        "retrieve"
-    }
-    fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
-        self.go(inputs, &Span::noop())
-    }
-    fn run_traced(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
-        self.go(inputs, span)
-    }
-}
-
 /// Text-to-SQL over the live schema.
 struct GenSqlOp {
     t2s: Text2SqlModel,
     engine: Arc<RwLock<Engine>>,
 }
 
-impl GenSqlOp {
-    fn go(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
+impl Operator for GenSqlOp {
+    fn op_name(&self) -> &str {
+        "gen_sql"
+    }
+    fn run(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
         let input = inputs.first().cloned().unwrap_or(Value::Null);
         let question = field(&input, "question", "gen_sql")?;
         let ddl = self.engine.read().database().schema_ddl();
@@ -154,23 +139,11 @@ impl GenSqlOp {
         }
         let sql = self
             .t2s
-            .generate_sql_traced(&ddl, question, span)
+            .generate_sql_under(&ddl, question, span)
             .map_err(|e| exec_err("gen_sql", e))?;
         let mut out = input.clone();
         out["sql"] = json!(sql);
         Ok(OpOutput::Value(out))
-    }
-}
-
-impl Operator for GenSqlOp {
-    fn op_name(&self) -> &str {
-        "gen_sql"
-    }
-    fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
-        self.go(inputs, &Span::noop())
-    }
-    fn run_traced(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
-        self.go(inputs, span)
     }
 }
 
@@ -179,8 +152,11 @@ struct ExecOp {
     ctx: AppContext,
 }
 
-impl ExecOp {
-    fn go(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
+impl Operator for ExecOp {
+    fn op_name(&self) -> &str {
+        "execute"
+    }
+    fn run(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
         let input = inputs.first().cloned().unwrap_or(Value::Null);
         let sql = field(&input, "sql", "execute")?.to_string();
         let result = self
@@ -195,25 +171,16 @@ impl ExecOp {
     }
 }
 
-impl Operator for ExecOp {
-    fn op_name(&self) -> &str {
-        "execute"
-    }
-    fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
-        self.go(inputs, &Span::noop())
-    }
-    fn run_traced(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
-        self.go(inputs, span)
-    }
-}
-
 /// Asks the model to narrate the answer (with retrieved context inlined).
 struct NarrateOp {
     llm: LlmClient,
 }
 
-impl NarrateOp {
-    fn go(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
+impl Operator for NarrateOp {
+    fn op_name(&self) -> &str {
+        "narrate"
+    }
+    fn run(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
         let input = inputs.first().cloned().unwrap_or(Value::Null);
         let question = field(&input, "question", "narrate")?;
         let answer = field(&input, "answer", "narrate")?;
@@ -240,18 +207,6 @@ impl NarrateOp {
         let mut out = input.clone();
         out["narrative"] = json!(completion.text);
         Ok(OpOutput::Value(out))
-    }
-}
-
-impl Operator for NarrateOp {
-    fn op_name(&self) -> &str {
-        "narrate"
-    }
-    fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
-        self.go(inputs, &Span::noop())
-    }
-    fn run_traced(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError> {
-        self.go(inputs, span)
     }
 }
 
@@ -300,25 +255,15 @@ impl Chat2DataPipeline {
         &self.dag
     }
 
-    /// Run one question through the workflow.
+    /// Run one question through the workflow: records an
+    /// `app.chat2data.pipeline` span on the context's handle whose
+    /// `awel.dag` child carries per-operator spans, each joining the
+    /// stage's own subsystem spans.
     pub fn run(&self, question: &str) -> Result<PipelineReply, AppError> {
-        self.run_under(question, &Span::noop())
-    }
-
-    /// Run under a caller span: records an `app.chat2data.pipeline` span
-    /// whose `awel.dag` child carries per-operator spans, each joining the
-    /// stage's own subsystem spans. Byte-identical to
-    /// [`Chat2DataPipeline::run`] when nothing records.
-    pub fn run_under(&self, question: &str, parent: &Span) -> Result<PipelineReply, AppError> {
-        let span = if parent.is_recording() {
-            parent.child("app.chat2data.pipeline", parent.tick())
-        } else if self.ctx.obs.is_enabled() {
-            self.ctx
-                .obs
-                .span("app.chat2data.pipeline", self.ctx.obs.tick())
-        } else {
-            return self.run_inner(question, &Span::noop());
-        };
+        let span = self
+            .ctx
+            .obs
+            .span("app.chat2data.pipeline", self.ctx.obs.tick());
         let obs = span.handle();
         obs.counter("app.pipeline.requests", 1);
         let res = self.run_inner(question, &span);

@@ -4,10 +4,10 @@
 //! the application, AWEL, agent and SQL-engine paths instrumented by the
 //! end-to-end tracing work. Three guarantees:
 //!
-//! 1. **Off is free.** With `Obs::disabled()` (what every legacy
-//!    constructor passes) the traced entry points take their untraced
-//!    fast paths and produce byte-for-byte the same results; nothing is
-//!    recorded.
+//! 1. **Off is free.** Every instrumented operation has one body that
+//!    takes a parent span; the plain-named methods pass `Span::noop()`.
+//!    With `Obs::disabled()` (what every legacy constructor passes) all
+//!    spans are no-ops, the same code runs, and nothing is recorded.
 //! 2. **On never perturbs.** Enabling observability changes no app
 //!    semantics — replies, errors and row data are identical to a
 //!    disabled run.
@@ -22,7 +22,7 @@ use dbgpt_apps::handlers::build_server;
 use dbgpt_apps::{AppContext, Chat2Data, Chat2DataPipeline, KnowledgeQa};
 use dbgpt_awel::{ops, DagBuilder, ExecutionMode, Scheduler};
 use dbgpt_llm::catalog::builtin_model;
-use dbgpt_obs::{Obs, ObsConfig, Profile, Span};
+use dbgpt_obs::{Obs, ObsConfig, Profile};
 use dbgpt_server::Request;
 use dbgpt_sqlengine::Engine;
 use serde_json::json;
@@ -117,7 +117,7 @@ fn orchestrator_traced_and_legacy_runs_agree() {
 }
 
 #[test]
-fn execute_traced_with_noop_span_is_execute() {
+fn execute_under_a_recording_span_is_execute() {
     let mk = || {
         let mut e = Engine::new();
         e.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
@@ -125,18 +125,29 @@ fn execute_traced_with_noop_span_is_execute() {
         e
     };
     let (mut plain, mut traced) = (mk(), mk());
-    for sql in [
+    let obs = Obs::new(ObsConfig::enabled(13));
+    let root = obs.span("request", obs.tick());
+    let sqls = [
         "SELECT COUNT(*) FROM t",
         "SELECT a, b FROM t WHERE a > 1",
         "INSERT INTO t VALUES (3, 'z')",
         "SELECT nope FROM missing", // error path
-    ] {
+    ];
+    for sql in sqls {
         assert_eq!(
             format!("{:?}", plain.execute(sql)),
-            format!("{:?}", traced.execute_traced(sql, &Span::noop())),
+            format!("{:?}", traced.execute_under(sql, &root)),
             "{sql}"
         );
     }
+    root.end(root.tick());
+    assert_eq!(obs.counter_value("sql.statements"), sqls.len() as u64);
+    let statements = obs
+        .finished_spans()
+        .iter()
+        .filter(|s| s.name == "sql.execute" && s.parent == root.id())
+        .count();
+    assert_eq!(statements, sqls.len(), "one sql.execute span per statement");
 }
 
 #[test]

@@ -37,17 +37,11 @@ pub trait Operator: Send + Sync {
 
     /// Execute with the upstream outputs (empty for root nodes, which
     /// receive the trigger input instead — the scheduler passes it as the
-    /// single element of `inputs`).
-    fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError>;
-
-    /// Execute with the scheduler's per-node span. Operators that call
-    /// into other instrumented subsystems (SMMF, the SQL engine, RAG)
-    /// override this to join their spans to the workflow trace; the
-    /// default ignores the span and delegates to [`Operator::run`], so
-    /// plain operators behave identically traced or not.
-    fn run_traced(&self, inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
-        self.run(inputs)
-    }
+    /// single element of `inputs`) under the scheduler's per-node span.
+    /// Operators that call into other instrumented subsystems (SMMF, the
+    /// SQL engine, RAG) pass `span` on to join their spans to the workflow
+    /// trace; plain operators ignore it.
+    fn run(&self, inputs: &[Value], span: &Span) -> Result<OpOutput, AwelError>;
 }
 
 /// Shared operator handle.
@@ -71,7 +65,7 @@ pub mod ops {
             fn op_name(&self) -> &str {
                 "map"
             }
-            fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
+            fn run(&self, inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
                 let input = inputs.first().cloned().unwrap_or(Value::Null);
                 Ok(OpOutput::Value((self.0)(&input)))
             }
@@ -92,7 +86,7 @@ pub mod ops {
             fn op_name(&self) -> &str {
                 "try_map"
             }
-            fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
+            fn run(&self, inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
                 let input = inputs.first().cloned().unwrap_or(Value::Null);
                 match (self.0)(&input) {
                     Ok(v) => Ok(OpOutput::Value(v)),
@@ -119,7 +113,7 @@ pub mod ops {
             fn op_name(&self) -> &str {
                 "map_all"
             }
-            fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
+            fn run(&self, inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
                 Ok(OpOutput::Value((self.0)(inputs)))
             }
         }
@@ -133,7 +127,7 @@ pub mod ops {
             fn op_name(&self) -> &str {
                 "constant"
             }
-            fn run(&self, _inputs: &[Value]) -> Result<OpOutput, AwelError> {
+            fn run(&self, _inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
                 Ok(OpOutput::Value(self.0.clone()))
             }
         }
@@ -165,7 +159,7 @@ pub mod ops {
             fn op_name(&self) -> &str {
                 "branch"
             }
-            fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
+            fn run(&self, inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
                 let input = inputs.first().cloned().unwrap_or(Value::Null);
                 let branch = if (self.0)(&input) { "true" } else { "false" };
                 Ok(OpOutput::Route {
@@ -191,7 +185,7 @@ pub mod ops {
             fn op_name(&self) -> &str {
                 "route"
             }
-            fn run(&self, inputs: &[Value]) -> Result<OpOutput, AwelError> {
+            fn run(&self, inputs: &[Value], _span: &Span) -> Result<OpOutput, AwelError> {
                 let input = inputs.first().cloned().unwrap_or(Value::Null);
                 Ok(OpOutput::Route {
                     branch: (self.0)(&input),
@@ -211,10 +205,10 @@ mod tests {
     #[test]
     fn map_transforms_first_input() {
         let op = ops::map(|v| json!(v.as_i64().unwrap_or(0) + 1));
-        let out = op.run(&[json!(41)]).unwrap();
+        let out = op.run(&[json!(41)], &Span::noop()).unwrap();
         assert_eq!(out, OpOutput::Value(json!(42)));
         // Missing input → Null in.
-        let out = op.run(&[]).unwrap();
+        let out = op.run(&[], &Span::noop()).unwrap();
         assert_eq!(out, OpOutput::Value(json!(1)));
     }
 
@@ -223,42 +217,50 @@ mod tests {
         let op = ops::try_map(|v| {
             v.as_i64().map(|i| json!(i)).ok_or_else(|| "not a number".to_string())
         });
-        assert!(op.run(&[json!(1)]).is_ok());
-        let err = op.run(&[json!("x")]).unwrap_err();
+        assert!(op.run(&[json!(1)], &Span::noop()).is_ok());
+        let err = op.run(&[json!("x")], &Span::noop()).unwrap_err();
         assert!(matches!(err, AwelError::Execution { .. }));
     }
 
     #[test]
     fn join_collects_all_inputs() {
         let op = ops::join();
-        let out = op.run(&[json!(1), json!("two"), json!(null)]).unwrap();
+        let out = op
+            .run(&[json!(1), json!("two"), json!(null)], &Span::noop())
+            .unwrap();
         assert_eq!(out, OpOutput::Value(json!([1, "two", null])));
     }
 
     #[test]
     fn constant_ignores_inputs() {
         let op = ops::constant(json!({"k": 1}));
-        assert_eq!(op.run(&[json!(9)]).unwrap(), OpOutput::Value(json!({"k": 1})));
+        assert_eq!(
+            op.run(&[json!(9)], &Span::noop()).unwrap(),
+            OpOutput::Value(json!({"k": 1}))
+        );
     }
 
     #[test]
     fn identity_passes_through() {
         let op = ops::identity();
-        assert_eq!(op.run(&[json!([1, 2])]).unwrap(), OpOutput::Value(json!([1, 2])));
+        assert_eq!(
+            op.run(&[json!([1, 2])], &Span::noop()).unwrap(),
+            OpOutput::Value(json!([1, 2]))
+        );
     }
 
     #[test]
     fn branch_routes_by_predicate() {
         let op = ops::branch(|v| v.as_i64().unwrap_or(0) > 10);
         assert_eq!(
-            op.run(&[json!(20)]).unwrap(),
+            op.run(&[json!(20)], &Span::noop()).unwrap(),
             OpOutput::Route {
                 branch: "true".into(),
                 value: json!(20)
             }
         );
         assert_eq!(
-            op.run(&[json!(5)]).unwrap(),
+            op.run(&[json!(5)], &Span::noop()).unwrap(),
             OpOutput::Route {
                 branch: "false".into(),
                 value: json!(5)
@@ -270,7 +272,7 @@ mod tests {
     fn route_selects_arbitrary_labels() {
         let op = ops::route(|v| v["kind"].as_str().unwrap_or("other").to_string());
         assert_eq!(
-            op.run(&[json!({"kind": "sql"})]).unwrap(),
+            op.run(&[json!({"kind": "sql"})], &Span::noop()).unwrap(),
             OpOutput::Route {
                 branch: "sql".into(),
                 value: json!({"kind": "sql"})
@@ -283,10 +285,10 @@ mod tests {
         let op = ops::map(|v| v.clone());
         let op2 = op.clone();
         std::thread::spawn(move || {
-            op2.run(&[json!(1)]).unwrap();
+            op2.run(&[json!(1)], &Span::noop()).unwrap();
         })
         .join()
         .unwrap();
-        op.run(&[json!(2)]).unwrap();
+        op.run(&[json!(2)], &Span::noop()).unwrap();
     }
 }

@@ -76,6 +76,7 @@ impl std::fmt::Debug for OperatorRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbgpt_obs::Span;
     use serde_json::json;
 
     #[test]
@@ -94,7 +95,7 @@ mod tests {
         r.register("inc", ops::map(|v| json!(v.as_i64().unwrap() + 1)));
         let op = r.get("inc").unwrap();
         assert_eq!(
-            op.run(&[json!(1)]).unwrap(),
+            op.run(&[json!(1)], &Span::noop()).unwrap(),
             crate::operator::OpOutput::Value(json!(2))
         );
     }
@@ -112,7 +113,7 @@ mod tests {
         r.register("x", ops::constant(json!(2)));
         assert_eq!(r.len(), 1);
         assert_eq!(
-            r.get("x").unwrap().run(&[]).unwrap(),
+            r.get("x").unwrap().run(&[], &Span::noop()).unwrap(),
             crate::operator::OpOutput::Value(json!(2))
         );
     }

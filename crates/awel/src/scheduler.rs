@@ -102,12 +102,13 @@ impl Scheduler {
         self.run_under(dag, trigger, mode, &Span::noop())
     }
 
-    /// Run once, joining the `awel.dag` span to `parent` when that parent
-    /// is recording (else rooting it on this scheduler's own handle).
-    /// Spans use logical ticks from the owning tracer; in [`ExecutionMode::Async`]
-    /// the coordinator thread assigns per-op start/end ticks in node order,
-    /// so the dump stays deterministic (operators that trace *internally*
-    /// should run in batch mode for cross-run byte identity).
+    /// Run once under a caller span: records an `awel.dag` span (see
+    /// [`dbgpt_obs::Obs::enter`]) with an `awel.op` child per executed
+    /// node. Spans use logical ticks from the owning tracer; in
+    /// [`ExecutionMode::Async`] the coordinator thread assigns per-op
+    /// start/end ticks in node order, so the dump stays deterministic
+    /// (operators that trace *internally* should run in batch mode for
+    /// cross-run byte identity).
     pub fn run_under(
         &self,
         dag: &Dag,
@@ -115,16 +116,7 @@ impl Scheduler {
         mode: ExecutionMode,
         parent: &Span,
     ) -> Result<RunResult, AwelError> {
-        let span = if parent.is_recording() {
-            parent.child("awel.dag", parent.tick())
-        } else if self.obs.is_enabled() {
-            self.obs.span("awel.dag", self.obs.tick())
-        } else {
-            return match mode {
-                ExecutionMode::Batch => self.run_sequential(dag, trigger, &Span::noop()),
-                ExecutionMode::Async => self.run_parallel(dag, trigger, &Span::noop()),
-            };
-        };
+        let span = self.obs.enter(parent, "awel.dag");
         let obs = span.handle();
         span.attr("dag", dag.name());
         span.attr(
@@ -134,7 +126,7 @@ impl Scheduler {
                 ExecutionMode::Async => "async",
             },
         );
-        span.attr("nodes", dag.node_count().to_string());
+        span.attr("nodes", dag.node_count());
         obs.counter("awel.runs", 1);
         let res = match mode {
             ExecutionMode::Batch => self.run_sequential(dag, trigger, &span),
@@ -143,7 +135,7 @@ impl Scheduler {
         match &res {
             Ok(r) => {
                 span.attr("outcome", "ok");
-                span.attr("ops_run", r.outputs.len().to_string());
+                span.attr("ops_run", r.outputs.len());
                 obs.counter("awel.ops_run", r.outputs.len() as u64);
                 obs.counter("awel.ops_skipped", r.skipped.len() as u64);
             }
@@ -163,19 +155,9 @@ impl Scheduler {
         dag: &Dag,
         events: impl IntoIterator<Item = Value>,
     ) -> Result<Vec<RunResult>, AwelError> {
-        self.run_stream_under(dag, events, &Span::noop())
-    }
-
-    /// Stream mode with trace propagation: one `awel.dag` span per event.
-    pub fn run_stream_under(
-        &self,
-        dag: &Dag,
-        events: impl IntoIterator<Item = Value>,
-        parent: &Span,
-    ) -> Result<Vec<RunResult>, AwelError> {
         events
             .into_iter()
-            .map(|e| self.run_under(dag, e, ExecutionMode::Batch, parent))
+            .map(|e| self.run(dag, e, ExecutionMode::Batch))
             .collect()
     }
 
@@ -201,9 +183,9 @@ impl Scheduler {
             }
             let op_span = span.child("awel.op", span.tick());
             op_span.attr("node", dag.node_name(node));
-            op_span.attr("id", node.to_string());
+            op_span.attr("id", node);
             op_span.attr("op", dag.operator(node).op_name());
-            let out = match dag.operator(node).run_traced(&inputs, &op_span) {
+            let out = match dag.operator(node).run(&inputs, &op_span) {
                 Ok(out) => {
                     op_span.end(span.tick());
                     out
@@ -274,7 +256,7 @@ impl Scheduler {
                     op_span.attr("id", node);
                     op_span.attr("op", op.op_name());
                     let thread_span = op_span.clone();
-                    let h = scope.spawn(move || op.run_traced(&inputs, &thread_span));
+                    let h = scope.spawn(move || op.run(&inputs, &thread_span));
                     handles.push((node, Some((h, op_span))));
                 }
                 for (node, h) in handles {

@@ -499,9 +499,9 @@ impl Cluster {
             node.server.advance_clock(delta);
             node.last_us = arrival.at_us;
         }
-        // `chat_under` with a no-op parent is byte-identical to `chat`,
-        // so the disabled path is unchanged; with telemetry on, the real
-        // smmf.chat span joins the propagated trace under node.serve.
+        // With telemetry off `serve` is a no-op and this is `chat`; with
+        // telemetry on, the real smmf.chat span joins the propagated trace
+        // under node.serve.
         let completion =
             match node
                 .server
@@ -621,7 +621,7 @@ impl Cluster {
                 self.catchup_ops += 1;
             }
         }
-        st.apply_traced(op, parent)
+        st.apply_under(op, parent)
     }
 
     /// Aggregate every tracer's dump — the gateway plus one per node —

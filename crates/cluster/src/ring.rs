@@ -12,27 +12,25 @@
 
 use std::collections::BTreeSet;
 
-/// 64-bit finalizer (SplitMix64's mixer): decorrelates sequential vnode
-/// indices into well-spread ring positions.
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+use dbgpt_obs::hash::{mix64, Fnv1a};
 
-/// Position a shard key on the ring: FNV-1a over the bytes, then mixed.
+/// Position a shard key on the ring: an FNV-1a-style pass over the bytes,
+/// then mixed (SplitMix64's finalizer spreads nearby hashes around the
+/// ring). The multiplier is `0x1000_0000_01b3`, not the FNV prime, so
+/// this is not [`dbgpt_obs::hash::fnv1a`]; it stays as is because ring
+/// positions must not move.
 pub fn hash_key(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::OFFSET_BASIS;
     for b in key.as_bytes() {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
-    mix(h)
+    mix64(h)
 }
 
 /// Position of virtual node `vnode` of physical node `node`.
 fn vnode_hash(node: usize, vnode: usize) -> u64 {
-    mix(((node as u64) << 32) | (vnode as u64) | 0x5eed_0000_0000_0000)
+    mix64(((node as u64) << 32) | (vnode as u64) | 0x5eed_0000_0000_0000)
 }
 
 /// A consistent-hash ring over physical node ids.

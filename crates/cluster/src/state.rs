@@ -10,6 +10,7 @@
 //! any replica, and [`TenantState::fingerprint`] folds all three surfaces
 //! into one `u64` so tests can assert replica convergence byte-for-byte.
 
+use dbgpt_obs::hash::{Fnv1a, GOLDEN_GAMMA};
 use dbgpt_obs::Span;
 use dbgpt_rag::{Document, KnowledgeBase};
 use dbgpt_sqlengine::Engine;
@@ -60,15 +61,15 @@ impl TenantState {
 
     /// Apply the next op. Panics on a log gap — replication must keep
     /// replicas contiguous (catch up before applying fresh ops).
-    pub fn apply(&mut self, op: &StateOp) {
-        self.apply_traced(op, &Span::noop());
+    /// Returns the rows written.
+    pub fn apply(&mut self, op: &StateOp) -> u64 {
+        self.apply_under(op, &Span::noop())
     }
 
     /// [`TenantState::apply`] under a trace span: the audit INSERT runs
-    /// through `execute_traced` so replica-side SQL work lands in the
-    /// request's distributed trace. Returns the rows written. With a
-    /// non-recording parent this is byte-identical to `apply`.
-    pub fn apply_traced(&mut self, op: &StateOp, parent: &Span) -> u64 {
+    /// through `execute_under` so replica-side SQL work lands in the
+    /// request's distributed trace. Returns the rows written.
+    pub fn apply_under(&mut self, op: &StateOp, parent: &Span) -> u64 {
         assert_eq!(
             op.seq, self.applied_seq,
             "{}: op {} applied out of order (at {})",
@@ -78,7 +79,7 @@ impl TenantState {
             .push(format!("user#{}: {}", op.seq, op.prompt));
         let res = self
             .sql
-            .execute_traced(
+            .execute_under(
                 &format!("INSERT INTO audit VALUES ({}, {})", op.seq, op.latency_us),
                 parent,
             )
@@ -123,7 +124,9 @@ impl TenantState {
     /// order-sensitive FNV-1a digest. Two replicas that applied the same
     /// op prefix produce the same fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        // FNV-1a-style, but with the ring's multiplier (see
+        // `ring::hash_key`), so not `dbgpt_obs::hash::Fnv1a`.
+        let mut h = Fnv1a::OFFSET_BASIS;
         let mut eat = |bytes: &[u8]| {
             for b in bytes {
                 h ^= *b as u64;
@@ -138,7 +141,7 @@ impl TenantState {
             eat(line.as_bytes());
         }
         let mut out = h;
-        out ^= self.sql.database().fingerprint().wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        out ^= self.sql.database().fingerprint().wrapping_mul(GOLDEN_GAMMA);
         out ^= self.kb.fingerprint().wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
         out
     }

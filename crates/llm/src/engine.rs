@@ -319,19 +319,16 @@ impl BatchEngine {
     /// persists across runs (so later batches hit prefixes warmed by
     /// earlier ones).
     pub fn run(&mut self) -> (Vec<ScheduledCompletion>, EngineRun) {
-        self.run_traced(None)
+        self.run_under(&Span::noop())
     }
 
     /// Like [`BatchEngine::run`], recording the drain as a child of
     /// `parent` when that span is live (otherwise the drain becomes its
     /// own trace if this engine's [`Obs`] is enabled, or records nothing).
-    pub fn run_traced(&mut self, parent: Option<&Span>) -> (Vec<ScheduledCompletion>, EngineRun) {
+    pub fn run_under(&mut self, parent: &Span) -> (Vec<ScheduledCompletion>, EngineRun) {
         let max_requests = self.config.max_batch_requests.max(1);
         let started = self.clock_us;
-        let span = match parent {
-            Some(p) => p.child("llm.engine.run", started),
-            None => self.obs.span("llm.engine.run", started),
-        };
+        let span = self.obs.enter_at(parent, "llm.engine.run", started);
         let cache_before = self.cache.stats();
         let mut now = self.clock_us;
         let mut inflight: Vec<InFlight> = Vec::new();
@@ -390,12 +387,10 @@ impl BatchEngine {
                 run.cached_prompt_tokens += cached as u64;
                 run.sequential_us += completion.simulated_latency_us;
                 inflight_tokens += footprint;
-                if span.is_recording() {
-                    span.event(
-                        now,
-                        format!("admit id={} cached={cached} footprint={footprint}", p.id),
-                    );
-                }
+                span.event(
+                    now,
+                    format_args!("admit id={} cached={cached} footprint={footprint}", p.id),
+                );
                 inflight.push(InFlight {
                     id: p.id,
                     remaining: completion.usage.completion_tokens,
@@ -535,13 +530,11 @@ impl BatchEngine {
             "llm.prefix_cache.evicted_tokens",
             cache_after.evicted_tokens - cache_before.evicted_tokens,
         );
-        if span.is_recording() {
-            span.attr("steps", run.steps);
-            span.attr("max_inflight", run.max_inflight);
-            span.attr("succeeded", run.succeeded);
-            span.attr("failed", run.failed);
-            span.attr("cached_prompt_tokens", run.cached_prompt_tokens);
-        }
+        span.attr("steps", run.steps);
+        span.attr("max_inflight", run.max_inflight);
+        span.attr("succeeded", run.succeeded);
+        span.attr("failed", run.failed);
+        span.attr("cached_prompt_tokens", run.cached_prompt_tokens);
         span.end(now);
         (out, run)
     }

@@ -18,17 +18,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::hash::{mix64, GOLDEN_GAMMA};
 use crate::json::ObjWriter;
 use crate::metrics::MetricsSnapshot;
 use crate::trace::{Obs, SpanId, SpanRecord};
-
-/// SplitMix64 finalizer — the sampling hash (local copy; no RNG state).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// One node's frozen telemetry: finished spans + a metrics snapshot.
 #[derive(Debug, Clone)]
@@ -438,7 +431,9 @@ impl Collector {
                 continue;
             }
             let g = &groups[t];
-            if mix(policy.seed ^ *t) % 1000 < policy.keep_per_mille as u64 {
+            if mix64((policy.seed ^ *t).wrapping_add(GOLDEN_GAMMA)) % 1000
+                < policy.keep_per_mille as u64
+            {
                 if kept_spans + g.members.len() <= policy.span_budget {
                     kept.insert(*t, KeepReason::Sampled);
                     kept_spans += g.members.len();

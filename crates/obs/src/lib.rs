@@ -39,6 +39,7 @@
 //! - [`SloEngine`] — declarative latency/error objectives evaluated with
 //!   multi-window burn-rate rules over metrics snapshots, emitting a
 //!   byte-reproducible alert log.
+//! - [`hash`] — the shared SplitMix64 finalizer and FNV-1a digest.
 //! - [`TraceContext`] + [`collect`] + [`export`] — the cluster-wide
 //!   pipeline: wire-portable trace propagation, per-node dumps joined by
 //!   a deterministic aggregator with tail-based sampling, and a
@@ -68,6 +69,7 @@
 
 pub mod collect;
 pub mod export;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod profile;

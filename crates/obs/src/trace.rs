@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::hash::{mix64, GOLDEN_GAMMA};
 use crate::json::{array_of, ObjWriter};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::render;
@@ -178,14 +179,6 @@ struct Inner {
     metrics: Metrics,
 }
 
-/// SplitMix64 finalizer: maps the seed to a span-id block deterministically.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The observability handle (see module docs). Cheap to clone; all clones
 /// share one tracer and one metrics registry. A disabled handle holds no
 /// allocation at all.
@@ -211,7 +204,9 @@ impl Obs {
                 // Span ids live in a seed-derived block: 16 seed bits up
                 // top, a plain counter (from 1) below. Deterministic and
                 // collision-free within one handle.
-                next_id: AtomicU64::new(((mix(config.seed) >> 48) << 48) | 1),
+                next_id: AtomicU64::new(
+                    ((mix64(config.seed.wrapping_add(GOLDEN_GAMMA)) >> 48) << 48) | 1,
+                ),
                 ticks: AtomicU64::new(0),
                 open: Mutex::new(BTreeMap::new()),
                 done: Mutex::new(Vec::new()),
@@ -307,6 +302,30 @@ impl Obs {
                 id,
                 trace: ctx.trace_id,
             }),
+        }
+    }
+
+    /// Open the span of one instrumented operation — the single entry
+    /// point every `*_under` method uses. A recording `parent` gets a
+    /// child (joining the caller's trace, whichever handle owns it);
+    /// otherwise the span is a new root on this handle, which is a no-op
+    /// span when this handle is disabled. The start timestamp is the next
+    /// tick of whichever tracer owns the new span.
+    pub fn enter(&self, parent: &Span, name: &str) -> Span {
+        if parent.is_recording() {
+            parent.child(name, parent.tick())
+        } else {
+            self.span(name, self.tick())
+        }
+    }
+
+    /// [`Obs::enter`] with an explicit start timestamp, for components
+    /// that run on a simulated clock.
+    pub fn enter_at(&self, parent: &Span, name: &str, start_us: u64) -> Span {
+        if parent.is_recording() {
+            parent.child(name, start_us)
+        } else {
+            self.span(name, start_us)
         }
     }
 
@@ -717,6 +736,60 @@ mod tests {
         assert_eq!(h, "00abcdef01234567");
         assert_eq!(TraceContext::parse_hex(&h), Some(id));
         assert_eq!(TraceContext::parse_hex("xyz"), None);
+    }
+
+    #[test]
+    fn enter_joins_a_recording_parent_from_another_handle() {
+        let caller = Obs::new(ObsConfig::enabled(1));
+        let own = Obs::new(ObsConfig::enabled(2));
+        let parent = caller.span("request", caller.tick());
+        let span = own.enter(&parent, "op");
+        span.end(span.tick());
+        parent.end(parent.tick());
+        assert_eq!(own.span_count(), 0, "nothing lands on the callee's handle");
+        let spans = caller.finished_spans();
+        let op = spans.iter().find(|s| s.name == "op").expect("op span");
+        assert_eq!(op.parent, parent.id());
+        assert_eq!(op.trace, parent.id().unwrap());
+        assert_eq!(op.start_us, 2, "start tick from the parent's tracer");
+    }
+
+    #[test]
+    fn enter_under_a_noop_parent_roots_on_an_enabled_handle() {
+        let own = Obs::new(ObsConfig::enabled(3));
+        own.tick();
+        let span = own.enter(&Span::noop(), "op");
+        assert!(span.is_recording());
+        span.end(10);
+        let r = &own.finished_spans()[0];
+        assert_eq!(r.parent, None, "a new root");
+        assert_eq!(r.trace, r.id);
+        assert_eq!(r.start_us, 2, "start tick from this handle");
+    }
+
+    #[test]
+    fn enter_with_nothing_recording_records_nothing() {
+        let own = Obs::disabled();
+        let span = own.enter(&Span::noop(), "op");
+        assert!(!span.is_recording());
+        span.child("stage", span.tick()).end(1);
+        span.end(span.tick());
+        assert_eq!(own.span_count(), 0);
+        assert!(!own.enter_at(&Span::noop(), "op", 5).is_recording());
+    }
+
+    #[test]
+    fn enter_at_keeps_the_given_start() {
+        let own = Obs::new(ObsConfig::enabled(4));
+        own.enter_at(&Span::noop(), "root", 1_000).end(1_500);
+        let parent = own.span("parent", 0);
+        own.enter_at(&parent, "child", 2_000).end(2_500);
+        parent.end(3_000);
+        let spans = own.finished_spans();
+        let start = |name: &str| spans.iter().find(|s| s.name == name).unwrap().start_us;
+        assert_eq!(start("root"), 1_000);
+        assert_eq!(start("child"), 2_000);
+        assert_eq!(own.tick(), 1, "no tick consumed");
     }
 
     #[test]

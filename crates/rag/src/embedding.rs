@@ -8,6 +8,7 @@
 //! encoder — texts sharing vocabulary land close in cosine space, the map
 //! is deterministic, and encoding is cheap — without model weights.
 
+use dbgpt_obs::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RagError;
@@ -120,12 +121,9 @@ impl HashEmbedder {
 
     /// FNV-1a with a seed salt.
     fn hash(&self, token: &str, salt: u64) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed.wrapping_mul(salt | 1);
-        for b in token.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        let mut h = Fnv1a::with_basis(Fnv1a::OFFSET_BASIS ^ self.seed.wrapping_mul(salt | 1));
+        h.write(token.as_bytes());
+        h.finish()
     }
 
     /// Lowercased alphanumeric tokens (CJK chars count individually).

@@ -34,6 +34,8 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use dbgpt_obs::hash::{mix64, Fnv1a, GOLDEN_GAMMA};
+
 /// Hard cap on layer indices (the `(seed, id)` draw is geometric; 16
 /// layers covers corpora far beyond memory anyway).
 const MAX_LEVEL: usize = 16;
@@ -189,13 +191,11 @@ impl HnswGraph {
     /// Deterministic level for node `id` under this seed: a SplitMix64
     /// draw mapped through the geometric `⌊-ln(u) / ln(m)⌋`.
     fn level_for(&self, id: u32) -> usize {
-        let mut x = self
-            .config
-            .seed
-            .wrapping_add(u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        let x = mix64(
+            self.config
+                .seed
+                .wrapping_add(u64::from(id).wrapping_mul(GOLDEN_GAMMA)),
+        );
         // 53 mantissa bits → u ∈ [0, 1); clamp away exact 0 before ln.
         let u = ((x >> 11) as f64 / (1u64 << 53) as f64).max(f64::MIN_POSITIVE);
         let ml = 1.0 / (self.config.m.max(2) as f64).ln();
@@ -468,13 +468,8 @@ impl HnswGraph {
     /// byte-identical (same layers, same neighbor lists in the same
     /// order) — the determinism witness used by the bench and tests.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = Fnv1a::new();
+        let mut eat = |v: u64| h.write(&v.to_le_bytes());
         eat(self.config.m as u64);
         eat(self.config.ef_construction as u64);
         eat(self.config.seed);
@@ -489,7 +484,7 @@ impl HnswGraph {
                 }
             }
         }
-        h
+        h.finish()
     }
 }
 

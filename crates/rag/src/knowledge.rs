@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use dbgpt_obs::hash::Fnv1a;
 use dbgpt_obs::metrics::COUNT_BUCKETS;
 use dbgpt_obs::{Obs, Span};
 
@@ -141,14 +142,10 @@ impl KnowledgeBase {
     /// HNSW graph and the quantized codes are derived data, so a replica
     /// that built an ANN index and one that did not still converge.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::new();
         let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h.write(bytes);
+            h.write_u8(0xff);
         };
         for chunk in &self.chunks {
             eat(chunk.document_id.as_bytes());
@@ -161,7 +158,7 @@ impl KnowledgeBase {
             eat(id.as_bytes());
             eat(&n.to_le_bytes());
         }
-        h
+        h.finish()
     }
 
     /// Ingest a document into all three indexes. Returns chunks created.
@@ -251,30 +248,30 @@ impl KnowledgeBase {
         k: usize,
         strategy: RetrievalStrategy,
     ) -> Vec<RetrievedChunk> {
-        let candidates = self.retrieve(query, k * 3, strategy);
-        crate::rerank::rerank(query, candidates, k)
+        self.retrieve_reranked_under(query, k, strategy, &Span::noop())
     }
 
     /// Retrieve the top-k chunks for a query under a strategy.
-    ///
-    /// Spans are opened only in this sequential orchestration — never
-    /// inside the threaded scan workers — so trace dumps stay
-    /// deterministic even when the flat scan fans out across threads.
     pub fn retrieve(
         &self,
         query: &str,
         k: usize,
         strategy: RetrievalStrategy,
     ) -> Vec<RetrievedChunk> {
-        let span = self.obs.span("rag.retrieve", self.obs.tick());
-        self.retrieve_with_span(query, k, strategy, span)
+        self.retrieve_under(query, k, strategy, &Span::noop())
     }
 
-    /// [`KnowledgeBase::retrieve`], but the `rag.retrieve` span joins
-    /// `parent`'s trace (when the parent is recording) instead of opening
-    /// its own — how an app-layer request root absorbs retrieval spans.
-    /// Share one handle via [`KnowledgeBase::set_obs`] so the counters
-    /// land in the same registry.
+    /// [`KnowledgeBase::retrieve`] under a caller span: the `rag.retrieve`
+    /// span joins `parent`'s trace when the parent is recording, else it
+    /// roots on this knowledge base's handle (see
+    /// [`dbgpt_obs::Obs::enter`]) — how an app-layer request root absorbs
+    /// retrieval spans. Share one handle via [`KnowledgeBase::set_obs`] so
+    /// the counters land in the same registry.
+    ///
+    /// Spans are opened only in this sequential orchestration — never
+    /// inside the threaded scan workers — so trace dumps stay
+    /// deterministic even when the flat scan fans out across threads.
+    /// Stage children are timestamped on the span's tick clock.
     pub fn retrieve_under(
         &self,
         query: &str,
@@ -282,39 +279,9 @@ impl KnowledgeBase {
         strategy: RetrievalStrategy,
         parent: &Span,
     ) -> Vec<RetrievedChunk> {
-        let span = if parent.is_recording() {
-            parent.child("rag.retrieve", parent.tick())
-        } else {
-            self.obs.span("rag.retrieve", self.obs.tick())
-        };
-        self.retrieve_with_span(query, k, strategy, span)
-    }
-
-    /// [`KnowledgeBase::retrieve_reranked`] under a parent span.
-    pub fn retrieve_reranked_under(
-        &self,
-        query: &str,
-        k: usize,
-        strategy: RetrievalStrategy,
-        parent: &Span,
-    ) -> Vec<RetrievedChunk> {
-        let candidates = self.retrieve_under(query, k * 3, strategy, parent);
-        crate::rerank::rerank(query, candidates, k)
-    }
-
-    /// Shared body of the `retrieve*` entry points, under an already-open
-    /// span (stage children are timestamped on the span's tick clock).
-    fn retrieve_with_span(
-        &self,
-        query: &str,
-        k: usize,
-        strategy: RetrievalStrategy,
-        span: Span,
-    ) -> Vec<RetrievedChunk> {
-        if span.is_recording() {
-            span.attr("strategy", strategy.name());
-            span.attr("k", k);
-        }
+        let span = self.obs.enter(parent, "rag.retrieve");
+        span.attr("strategy", strategy.name());
+        span.attr("k", k);
         self.obs.counter("rag.queries", 1);
         self.obs
             .counter("rag.chunks_scanned", self.chunks.len() as u64);
@@ -405,15 +372,23 @@ impl KnowledgeBase {
                 })
             })
             .collect();
-        if self.obs.is_enabled() {
-            self.obs
-                .observe_with("rag.hits", COUNT_BUCKETS, out.len() as u64);
-        }
-        if span.is_recording() {
-            span.attr("hits", out.len());
-            span.end(span.tick());
-        }
+        self.obs
+            .observe_with("rag.hits", COUNT_BUCKETS, out.len() as u64);
+        span.attr("hits", out.len());
+        span.end(span.tick());
         out
+    }
+
+    /// [`KnowledgeBase::retrieve_reranked`] under a parent span.
+    pub fn retrieve_reranked_under(
+        &self,
+        query: &str,
+        k: usize,
+        strategy: RetrievalStrategy,
+        parent: &Span,
+    ) -> Vec<RetrievedChunk> {
+        let candidates = self.retrieve_under(query, k * 3, strategy, parent);
+        crate::rerank::rerank(query, candidates, k)
     }
 }
 

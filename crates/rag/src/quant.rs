@@ -25,6 +25,8 @@
 //! incremental ingest deterministic — codes never depend on what arrived
 //! after fitting.
 
+use dbgpt_obs::hash::Fnv1a;
+
 use crate::embedding::Embedding;
 
 /// Codes per dimension (u8 range).
@@ -195,19 +197,13 @@ impl QuantizedStore {
     /// the same fit inputs and push sequence are byte-identical iff their
     /// fingerprints match.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&(self.dim as u64).to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.write(&(self.dim as u64).to_le_bytes());
         for x in self.mins.iter().chain(&self.steps) {
-            eat(&x.to_le_bytes());
+            h.write(&x.to_le_bytes());
         }
-        eat(&self.codes);
-        h
+        h.write(&self.codes);
+        h.finish()
     }
 }
 

@@ -23,28 +23,17 @@ pub trait AppHandler: Send + Sync {
     /// App name requests address (`chat2db`, `chat2data`, …).
     fn app_name(&self) -> &str;
 
-    /// Handle one input with the session context. Returns the
-    /// machine-readable payload plus an optional rendered artifact.
+    /// Handle one input with the session context under the server's
+    /// per-request span. Returns the machine-readable payload plus an
+    /// optional rendered artifact. Handlers whose apps are instrumented
+    /// pass `span` on to join app/engine spans to the request trace.
     fn handle(
         &self,
         input: &str,
         params: &Value,
         session: &Session,
+        span: &Span,
     ) -> Result<(Value, Option<String>), ServerError>;
-
-    /// Handle one input under the server's per-request span. Handlers
-    /// whose apps are instrumented override this to join app/engine spans
-    /// to the request trace; the default ignores the span and delegates to
-    /// [`AppHandler::handle`].
-    fn handle_traced(
-        &self,
-        input: &str,
-        params: &Value,
-        session: &Session,
-        _span: &Span,
-    ) -> Result<(Value, Option<String>), ServerError> {
-        self.handle(input, params, session)
-    }
 }
 
 /// Shared handler.
@@ -114,22 +103,15 @@ impl Server {
     }
 
     /// Handle a request under a caller span (e.g. a TCP connection span):
-    /// records a `server.request` span with app/status attributes plus
-    /// `server.requests`, `server.cmd.<app>` and `server.status.*`
-    /// counters. Byte-identical to [`Server::handle`] when nothing records.
+    /// records a `server.request` span (see [`Obs::enter`]) with
+    /// app/status attributes plus `server.requests`, `server.cmd.<app>`
+    /// and `server.status.*` counters.
     pub fn handle_under(&self, request: &Request, parent: &Span) -> Response {
-        let span = if parent.is_recording() {
-            parent.child("server.request", parent.tick())
-        } else if self.obs.is_enabled() {
-            self.obs.span("server.request", self.obs.tick())
-        } else {
-            return self.handle_inner(request, &Span::noop());
-        };
+        let span = self.obs.enter(parent, "server.request");
         let obs = span.handle();
         span.attr("app", &request.app);
         span.attr("id", request.id);
         obs.counter("server.requests", 1);
-        obs.counter(&format!("server.cmd.{}", request.app), 1);
         let resp = self.handle_inner(request, &span);
         let status = match resp.status {
             Status::Ok => "ok",
@@ -137,7 +119,11 @@ impl Server {
             Status::Error => "error",
         };
         span.attr("status", status);
-        obs.counter(&format!("server.status.{status}"), 1);
+        // Per-app/status counter names are formatted only when recording.
+        if obs.is_enabled() {
+            obs.counter(&format!("server.cmd.{}", request.app), 1);
+            obs.counter(&format!("server.status.{status}"), 1);
+        }
         span.end(span.tick());
         resp
     }
@@ -166,7 +152,7 @@ impl Server {
                 Err(e) => return Response::error(request.id, Status::BadRequest, e.to_string()),
             }
         };
-        match handler.handle_traced(&request.input, &request.params, &session, span) {
+        match handler.handle(&request.input, &request.params, &session, span) {
             Ok((content, rendered)) => {
                 // Persist the turn for real sessions.
                 if !request.session.is_empty() {
@@ -241,6 +227,7 @@ mod tests {
             input: &str,
             params: &Value,
             session: &Session,
+            _span: &Span,
         ) -> Result<(Value, Option<String>), ServerError> {
             if input == "boom" {
                 return Err(ServerError::Handler("exploded".into()));

@@ -106,15 +106,11 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
 
 fn handle_connection(mut stream: TcpStream, server: Arc<Server>) -> std::io::Result<()> {
     // One `server.conn` span per connection; each frame's `server.request`
-    // span nests under it. Noop (and branch-free downstream) when the
-    // server has no observability attached.
-    let obs = server.obs().clone();
-    let span = if obs.is_enabled() {
-        obs.counter("server.connections", 1);
-        obs.span("server.conn", obs.tick())
-    } else {
-        dbgpt_obs::Span::noop()
-    };
+    // span nests under it. A no-op span when the server has no
+    // observability attached.
+    let obs = server.obs();
+    obs.counter("server.connections", 1);
+    let span = obs.span("server.conn", obs.tick());
     let mut frames = 0u64;
     while let Some(frame) = read_frame(&mut stream)? {
         let response = server.handle_frame_under(&frame, &span);
@@ -160,6 +156,7 @@ mod tests {
             input: &str,
             _p: &Value,
             _s: &Session,
+            _span: &dbgpt_obs::Span,
         ) -> Result<(Value, Option<String>), ServerError> {
             Ok((json!({"echo": input}), None))
         }

@@ -14,6 +14,8 @@
 //! are determinism, decent equidistribution, and cheap independent streams
 //! (derived by salting the seed — see [`SplitMix64::stream`]).
 
+use dbgpt_obs::hash::{mix64, GOLDEN_GAMMA};
+
 /// Deterministic 64-bit PRNG (SplitMix64).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
@@ -35,17 +37,14 @@ impl SplitMix64 {
     pub fn stream(seed: u64, salt: u64) -> Self {
         // Mix the salt through one SplitMix64 step so that nearby salts
         // produce distant states.
-        let mut s = SplitMix64::new(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut s = SplitMix64::new(salt.wrapping_mul(GOLDEN_GAMMA));
         SplitMix64::new(seed ^ s.next_u64())
     }
 
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        mix64(self.state)
     }
 
     /// Uniform draw in `[0, 1)` with 53 bits of precision.

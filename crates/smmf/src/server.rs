@@ -32,6 +32,7 @@ use dbgpt_llm::catalog::{builtin_model, builtin_spec};
 use dbgpt_llm::engine::{BatchEngine, EngineConfig};
 use dbgpt_llm::prefix::PrefixCacheStats;
 use dbgpt_llm::{Completion, GenerationParams, SharedModel};
+use dbgpt_obs::hash::fnv1a;
 use dbgpt_obs::{Obs, ObsConfig, Span};
 
 use crate::controller::ModelController;
@@ -319,16 +320,14 @@ impl ApiServer {
         prompt: &str,
         params: &GenerationParams,
     ) -> Result<Completion, SmmfError> {
-        let started_us = self.now_us();
-        let span = self.obs.span("smmf.chat", started_us);
-        self.chat_with_span(model, prompt, params, span, started_us)
+        self.chat_under(model, prompt, params, &Span::noop())
     }
 
-    /// [`ApiServer::chat`], but the `smmf.chat` span joins `parent`'s
-    /// trace instead of opening a new one (when the parent is recording) —
-    /// how an app-layer request root absorbs the serving spans. Callers
-    /// that want counters too should share one handle via
-    /// [`ApiServer::set_obs`].
+    /// [`ApiServer::chat`] under a caller span: the `smmf.chat` span joins
+    /// `parent`'s trace when the parent is recording, else it roots on this
+    /// server's handle (see [`dbgpt_obs::Obs::enter_at`]) — how an
+    /// app-layer request root absorbs the serving spans. Callers that want
+    /// counters too should share one handle via [`ApiServer::set_obs`].
     pub fn chat_under(
         &self,
         model: &str,
@@ -337,34 +336,15 @@ impl ApiServer {
         parent: &Span,
     ) -> Result<Completion, SmmfError> {
         let started_us = self.now_us();
-        let span = if parent.is_recording() {
-            parent.child("smmf.chat", started_us)
-        } else {
-            self.obs.span("smmf.chat", started_us)
-        };
-        self.chat_with_span(model, prompt, params, span, started_us)
-    }
-
-    /// Shared tail of [`ApiServer::chat`] / [`ApiServer::chat_under`]:
-    /// run the pipeline under `span`, record outcome and latency.
-    fn chat_with_span(
-        &self,
-        model: &str,
-        prompt: &str,
-        params: &GenerationParams,
-        span: Span,
-        started_us: u64,
-    ) -> Result<Completion, SmmfError> {
+        let span = self.obs.enter_at(parent, "smmf.chat", started_us);
         span.attr("model", model);
         let result = self.chat_inner(model, prompt, params, &span);
         match &result {
             Ok(c) => {
                 self.obs.counter("smmf.requests_ok", 1);
                 span.attr("outcome", "ok");
-                if span.is_recording() {
-                    span.attr("prompt_tokens", c.usage.prompt_tokens);
-                    span.attr("completion_tokens", c.usage.completion_tokens);
-                }
+                span.attr("prompt_tokens", c.usage.prompt_tokens);
+                span.attr("completion_tokens", c.usage.completion_tokens);
             }
             Err(e) => {
                 self.obs.counter("smmf.requests_err", 1);
@@ -401,9 +381,10 @@ impl ApiServer {
             ) if fallback != model => {
                 self.m_fallbacks.fetch_add(1, Ordering::Relaxed);
                 self.obs.counter("smmf.fallbacks", 1);
-                if span.is_recording() {
-                    span.event(self.now_us(), format!("fallback tier: {model} -> {fallback}"));
-                }
+                span.event(
+                    self.now_us(),
+                    format_args!("fallback tier: {model} -> {fallback}"),
+                );
                 self.serve_on(fallback, prompt, params, &mut spent_us, span)
             }
             _ => primary,
@@ -451,10 +432,8 @@ impl ApiServer {
     ) -> Vec<Result<Completion, SmmfError>> {
         let started_us = self.now_us();
         let span = self.obs.span("smmf.chat_many", started_us);
-        if span.is_recording() {
-            span.attr("model", model);
-            span.attr("jobs", jobs.len());
-        }
+        span.attr("model", model);
+        span.attr("jobs", jobs.len());
         let workers = match self.controller.workers(model) {
             Ok(w) => w,
             Err(_) => {
@@ -517,7 +496,7 @@ impl ApiServer {
             if engine.clock_us() < now {
                 engine.advance_clock(now - engine.clock_us());
             }
-            let (scheduled, run) = engine.run_traced(Some(&span));
+            let (scheduled, run) = engine.run_under(&span);
             max_makespan_us = max_makespan_us.max(run.makespan_us);
             let mut by_id: BTreeMap<usize, _> =
                 scheduled.into_iter().map(|s| (s.id, s)).collect();
@@ -591,12 +570,10 @@ impl ApiServer {
                     self.m_backoff_us.fetch_add(pause, Ordering::Relaxed);
                     self.obs.counter("smmf.backoffs", 1);
                     self.obs.counter("smmf.backoff_us", pause);
-                    if parent.is_recording() {
-                        parent.event(
-                            self.now_us(),
-                            format!("backoff {pause}us before attempt {}", attempt + 1),
-                        );
-                    }
+                    parent.event(
+                        self.now_us(),
+                        format_args!("backoff {pause}us before attempt {}", attempt + 1),
+                    );
                 }
             }
             // Deadline gate: don't start an attempt the budget can't cover.
@@ -604,12 +581,12 @@ impl ApiServer {
                 if *spent_us >= budget_us {
                     self.m_deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                     self.obs.counter("smmf.deadline_exceeded", 1);
-                    if parent.is_recording() {
-                        parent.event(
-                            self.now_us(),
-                            format!("deadline gate on {model}: spent {spent_us}us >= budget {budget_us}us"),
-                        );
-                    }
+                    parent.event(
+                        self.now_us(),
+                        format_args!(
+                            "deadline gate on {model}: spent {spent_us}us >= budget {budget_us}us"
+                        ),
+                    );
                     return Err(SmmfError::DeadlineExceeded {
                         model: model.to_string(),
                         budget_us,
@@ -644,11 +621,9 @@ impl ApiServer {
                 None => break, // every distinct worker attempted or gated off
             };
             let aspan = parent.child("smmf.attempt", now);
-            if aspan.is_recording() {
-                aspan.attr("model", model);
-                aspan.attr("worker", worker.id());
-                aspan.attr("attempt", attempt + 1);
-            }
+            aspan.attr("model", model);
+            aspan.attr("worker", worker.id());
+            aspan.attr("attempt", attempt + 1);
             self.breaker_on_dispatch(model, worker.id(), now);
             match worker.infer(prompt, params) {
                 Ok(c) => {
@@ -657,9 +632,7 @@ impl ApiServer {
                     self.breaker_record(model, worker.id(), true, now);
                     *spent_us += effective_us;
                     self.advance_clock(effective_us);
-                    if aspan.is_recording() {
-                        aspan.attr("latency_us", effective_us);
-                    }
+                    aspan.attr("latency_us", effective_us);
                     // A success that lands after the deadline is still a
                     // deadline miss from the caller's point of view.
                     if let Some(budget_us) = budget {
@@ -755,18 +728,14 @@ impl ApiServer {
         self.m_hedges.fetch_add(1, Ordering::Relaxed);
         self.obs.counter("smmf.hedges", 1);
         let hspan = parent.child("smmf.hedge", now);
-        if hspan.is_recording() {
-            hspan.attr("worker", second.id());
-            hspan.attr("primary_latency_us", primary_us);
-        }
+        hspan.attr("worker", second.id());
+        hspan.attr("primary_latency_us", primary_us);
         self.breaker_on_dispatch(model, second.id(), now);
         let outcome = match second.infer(prompt, params) {
             Ok(mut hedged) => {
                 self.breaker_record(model, second.id(), true, now);
                 let hedged_us = hedge.delay_us + hedged.simulated_latency_us;
-                if hspan.is_recording() {
-                    hspan.attr("hedged_latency_us", hedged_us);
-                }
+                hspan.attr("hedged_latency_us", hedged_us);
                 if hedged_us < primary_us {
                     self.m_hedge_wins.fetch_add(1, Ordering::Relaxed);
                     self.obs.counter("smmf.hedge_wins", 1);
@@ -812,7 +781,7 @@ impl ApiServer {
         let key = breaker_key(model, worker);
         let seed = self.seed;
         map.entry(key.clone())
-            .or_insert_with(|| CircuitBreaker::new(cfg.clone(), seed ^ fnv1a(&key)))
+            .or_insert_with(|| CircuitBreaker::new(cfg.clone(), seed ^ fnv1a(key.as_bytes())))
             .admits(now_us)
     }
 
@@ -866,16 +835,6 @@ impl ApiServer {
 
 fn breaker_key(model: &str, worker: &WorkerId) -> String {
     format!("{model}/{worker}")
-}
-
-/// FNV-1a over the breaker key: a deterministic per-worker seed salt.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl std::fmt::Debug for ApiServer {

@@ -11,6 +11,8 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use dbgpt_obs::hash::Fnv1a;
+
 use crate::col::ColumnTable;
 use crate::error::SqlError;
 use crate::row::Row;
@@ -587,14 +589,10 @@ impl Database {
     /// identically — the cluster layer compares these digests to prove a
     /// replica's SQL shard converged with its primary after failover.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::new();
         let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h ^= 0xff;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h.write(bytes);
+            h.write_u8(0xff);
         };
         for (name, table) in &self.tables {
             eat(name.as_bytes());
@@ -613,7 +611,7 @@ impl Database {
                 Ok(())
             });
         }
-        h
+        h.finish()
     }
 
     /// Render the full schema as `CREATE TABLE`-style DDL — the schema

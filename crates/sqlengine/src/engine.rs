@@ -187,7 +187,7 @@ impl Engine {
 
     /// Execute one SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, SqlError> {
-        self.execute_traced(sql, &Span::noop())
+        self.execute_under(sql, &Span::noop())
     }
 
     /// [`Engine::execute`] with `sql.parse` / `sql.plan` / `sql.exec`
@@ -195,7 +195,7 @@ impl Engine {
     /// Refreshes the scanned tables' caches, then runs the statement the
     /// way [`Engine::prepare`] and [`ScannedSelect::finish`] /
     /// [`Engine::run_write`] do.
-    pub fn execute_traced(&mut self, sql: &str, parent: &Span) -> Result<QueryResult, SqlError> {
+    pub fn execute_under(&mut self, sql: &str, parent: &Span) -> Result<QueryResult, SqlError> {
         match self.plan(sql, parent)? {
             Planned::Select { plan, span } => {
                 self.refresh_scan_caches(&plan);
@@ -708,6 +708,34 @@ mod tests {
     }
 
     #[test]
+    fn long_flat_expression_chains_return_an_error() {
+        // A flat `1+1+…+1` parses in a loop but used to build a tree as
+        // deep as the chain, whose later walks aborted the process. Run on
+        // a 2 MiB stack (the default for spawned threads) under both
+        // executors.
+        let chain = |terms: usize| vec!["1"; terms].join("+");
+        let nested = format!("{})+", chain(100)).repeat(100);
+        let nested = format!("{}{}", "(".repeat(100), nested.trim_end_matches('+'));
+        for exec in [ExecConfig::row(), ExecConfig::columnar()] {
+            let (long, nested) = (chain(10_000), nested.clone());
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    let mut e = Engine::with_exec(exec);
+                    for sql in [format!("SELECT {long}"), format!("SELECT {nested}")] {
+                        let err = e.execute(&sql).unwrap_err();
+                        assert!(matches!(err, SqlError::Parse(_)), "{err}");
+                    }
+                    let r = e.execute(&format!("SELECT {}", chain(128))).unwrap();
+                    assert_eq!(r.rows[0][0].to_string(), "128");
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+        }
+    }
+
+    #[test]
     fn end_to_end_select() {
         let mut e = engine();
         let r = e.execute("SELECT name FROM t WHERE id >= 2 ORDER BY id DESC").unwrap();
@@ -988,7 +1016,7 @@ mod columnar_engine_tests {
         let obs = Obs::new(ObsConfig::enabled(7));
         let root = obs.span("request", obs.tick());
         let r = col
-            .execute_traced("SELECT COUNT(*) FROM t", &root)
+            .execute_under("SELECT COUNT(*) FROM t", &root)
             .unwrap();
         assert_eq!(r.rows[0][0], Value::Int(4));
         assert_eq!(obs.counter_value("sql.rows_scanned"), 4);
@@ -1005,7 +1033,7 @@ mod columnar_engine_tests {
             .unwrap();
         let obs = Obs::new(ObsConfig::enabled(7));
         let root = obs.span("request", obs.tick());
-        let r = e.execute_traced("SELECT COUNT(*) FROM t", &root).unwrap();
+        let r = e.execute_under("SELECT COUNT(*) FROM t", &root).unwrap();
         assert_eq!(r.rows[0][0], Value::Int(200));
         // A 200-row table behind a 4-frame pool cannot scan without
         // missing in the pool; the deltas must reach the metrics.

@@ -147,11 +147,17 @@ pub struct SelectStmt {
     pub union: Option<(Box<SelectStmt>, bool)>,
 }
 
-/// Deepest nesting the parser descends into: parenthesised
-/// expressions, `-`/`+`/`NOT` chains and `UNION` arms each add a level.
-/// Recursive descent runs on the native stack, so without a bound a few
-/// KB of `(` would overflow it and abort the process.
+/// Deepest nesting a statement may have: parenthesised expressions,
+/// `-`/`+`/`NOT` chains, operator nodes (`a + b + c` is two levels) and
+/// `UNION` arms each add a level. Recursive descent runs on the native
+/// stack, and so does every later walk of the expression tree (planning,
+/// evaluation, drop), so without a bound a few KB of `(` or of `+1`
+/// would overflow it and abort the process.
 const MAX_NESTING: usize = 128;
+
+fn too_deep() -> SqlError {
+    SqlError::Parse(format!("statement nests deeper than {MAX_NESTING} levels"))
+}
 
 /// Parse one statement (a trailing `;` is allowed).
 pub fn parse(sql: &str) -> Result<Statement, SqlError> {
@@ -160,6 +166,7 @@ pub fn parse(sql: &str) -> Result<Statement, SqlError> {
         toks,
         pos: 0,
         depth: 0,
+        height: 0,
     };
     let stmt = p.statement()?;
     p.eat_sym(Sym::Semi);
@@ -177,6 +184,10 @@ struct Parser {
     pos: usize,
     /// Current nesting level (see [`MAX_NESTING`]).
     depth: usize,
+    /// Height in nesting levels of the expression the last
+    /// expression-parsing method returned, relative to the depth it was
+    /// called at.
+    height: usize,
 }
 
 impl Parser {
@@ -186,14 +197,27 @@ impl Parser {
         f: impl FnOnce(&mut Self) -> Result<T, SqlError>,
     ) -> Result<T, SqlError> {
         if self.depth >= MAX_NESTING {
-            return Err(SqlError::Parse(format!(
-                "statement nests deeper than {MAX_NESTING} levels"
-            )));
+            return Err(too_deep());
         }
         self.depth += 1;
         let out = f(self);
         self.depth -= 1;
+        self.height += 1;
         out
+    }
+
+    /// Account for a new operator node over the expression just parsed
+    /// and a sibling `other` levels high, refusing a tree that would nest
+    /// past [`MAX_NESTING`] levels below the current depth. Chains are
+    /// built in loops, so this — not the recursion guard — is what bounds
+    /// `1 + 1 + … + 1`.
+    fn node_over(&mut self, other: usize) -> Result<(), SqlError> {
+        let child = self.height.max(other);
+        if self.depth + child >= MAX_NESTING {
+            return Err(too_deep());
+        }
+        self.height = child + 1;
+        Ok(())
     }
 
     fn at_end(&self) -> bool {
@@ -637,7 +661,9 @@ impl Parser {
     fn or_expr(&mut self) -> Result<Expr, SqlError> {
         let mut left = self.and_expr()?;
         while self.eat_kw("OR") {
+            let h = self.height;
             let right = self.and_expr()?;
+            self.node_over(h)?;
             left = Expr::binary(left, BinOp::Or, right);
         }
         Ok(left)
@@ -646,7 +672,9 @@ impl Parser {
     fn and_expr(&mut self) -> Result<Expr, SqlError> {
         let mut left = self.not_expr()?;
         while self.eat_kw("AND") {
+            let h = self.height;
             let right = self.not_expr()?;
+            self.node_over(h)?;
             left = Expr::binary(left, BinOp::And, right);
         }
         Ok(left)
@@ -665,11 +693,20 @@ impl Parser {
 
     fn comparison(&mut self) -> Result<Expr, SqlError> {
         let left = self.additive()?;
+        self.predicate(left)
+    }
 
+    /// What may follow a comparison's left operand (whose height is
+    /// `self.height`). Kept out of [`Parser::comparison`] so the frames of
+    /// the recursive path stay small: each parenthesis level costs one
+    /// frame of every expression method.
+    fn predicate(&mut self, left: Expr) -> Result<Expr, SqlError> {
+        let lh = self.height;
         // Postfix predicates: IS [NOT] NULL, [NOT] LIKE/IN/BETWEEN.
         if self.eat_kw("IS") {
             let negated = self.eat_kw("NOT");
             self.expect_kw("NULL")?;
+            self.node_over(0)?;
             return Ok(Expr::IsNull {
                 expr: Box::new(left),
                 negated,
@@ -678,6 +715,7 @@ impl Parser {
         let negated = self.eat_kw("NOT");
         if self.eat_kw("LIKE") {
             let pattern = self.additive()?;
+            self.node_over(lh)?;
             return Ok(Expr::Like {
                 expr: Box::new(left),
                 pattern: Box::new(pattern),
@@ -687,14 +725,18 @@ impl Parser {
         if self.eat_kw("IN") {
             self.expect_sym(Sym::LParen)?;
             let mut list = Vec::new();
+            let mut h = lh;
             loop {
                 list.push(self.expr()?);
+                h = h.max(self.height);
                 if self.eat_sym(Sym::Comma) {
                     continue;
                 }
                 self.expect_sym(Sym::RParen)?;
                 break;
             }
+            self.height = h;
+            self.node_over(0)?;
             return Ok(Expr::InList {
                 expr: Box::new(left),
                 list,
@@ -703,8 +745,10 @@ impl Parser {
         }
         if self.eat_kw("BETWEEN") {
             let low = self.additive()?;
+            let h = lh.max(self.height);
             self.expect_kw("AND")?;
             let high = self.additive()?;
+            self.node_over(h)?;
             return Ok(Expr::Between {
                 expr: Box::new(left),
                 low: Box::new(low),
@@ -730,6 +774,7 @@ impl Parser {
         if let Some(op) = op {
             self.pos += 1;
             let right = self.additive()?;
+            self.node_over(lh)?;
             return Ok(Expr::binary(left, op, right));
         }
         Ok(left)
@@ -744,7 +789,9 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let h = self.height;
             let right = self.multiplicative()?;
+            self.node_over(h)?;
             left = Expr::binary(left, op, right);
         }
         Ok(left)
@@ -760,7 +807,9 @@ impl Parser {
                 _ => break,
             };
             self.pos += 1;
+            let h = self.height;
             let right = self.unary()?;
+            self.node_over(h)?;
             left = Expr::binary(left, op, right);
         }
         Ok(left)
@@ -786,6 +835,8 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, SqlError> {
+        // A leaf unless a parenthesis or function call says otherwise.
+        self.height = 0;
         match self.next() {
             Some(Tok::Int(i)) => Ok(Expr::Literal(Value::Int(i))),
             Some(Tok::Float(f)) => Ok(Expr::Literal(Value::Float(f))),
@@ -811,6 +862,8 @@ impl Parser {
                 if self.eat_sym(Sym::LParen) {
                     let mut name = id.to_uppercase();
                     let mut args = Vec::new();
+                    // Each argument already counts its own level.
+                    let mut h = 0;
                     if !self.eat_sym(Sym::RParen) {
                         // `COUNT(DISTINCT x)` becomes the dedicated
                         // COUNT_DISTINCT aggregate; DISTINCT inside any
@@ -825,6 +878,7 @@ impl Parser {
                         }
                         loop {
                             args.push(self.expr()?);
+                            h = h.max(self.height);
                             if self.eat_sym(Sym::Comma) {
                                 continue;
                             }
@@ -832,6 +886,7 @@ impl Parser {
                             break;
                         }
                     }
+                    self.height = h;
                     return Ok(Expr::Function { name, args });
                 }
                 // Qualified column `t.col`.

@@ -10,7 +10,7 @@
 //! - Isolation: a prepared SELECT reflects the catalog at `prepare` time,
 //!   whatever runs between `prepare` and `finish`.
 //! - Tracing: the prepared path records the same span tree as
-//!   `execute_traced`.
+//!   `execute_under`.
 
 mod common;
 
@@ -165,7 +165,7 @@ fn prepared_path_records_the_execute_span_tree() {
                         Err(err) => Err(err),
                     }
                 } else {
-                    e.execute_traced(sql, &root)
+                    e.execute_under(sql, &root)
                 };
             }
             root.end(obs.tick());

@@ -53,46 +53,35 @@ impl Text2SqlModel {
 
     /// Generate SQL for a question given schema DDL.
     pub fn generate_sql(&self, ddl: &str, question: &str) -> Result<String, Text2SqlError> {
-        let schema = SchemaIndex::from_ddl(ddl)?;
-        self.generator.generate(&schema, question)
+        self.generate_sql_under(ddl, question, &Span::noop())
     }
 
-    /// Traced variant of [`Text2SqlModel::generate_sql`]: records a
-    /// `t2s.generate` span (with `t2s.schema` / `t2s.link_generate` stage
-    /// children and `t2s.requests` / `t2s.errors` counters) as a child of
-    /// `parent`. Falls back to the untraced path — byte-identically — when
-    /// the parent is not recording.
-    pub fn generate_sql_traced(
+    /// [`Text2SqlModel::generate_sql`] under a caller span: records a
+    /// `t2s.generate` child of `parent` (with `t2s.schema` /
+    /// `t2s.link_generate` stage children and `t2s.requests` /
+    /// `t2s.errors` counters).
+    pub fn generate_sql_under(
         &self,
         ddl: &str,
         question: &str,
         parent: &Span,
     ) -> Result<String, Text2SqlError> {
-        if !parent.is_recording() {
-            return self.generate_sql(ddl, question);
-        }
         let obs = parent.handle();
         let span = parent.child("t2s.generate", parent.tick());
         span.attr("model", &self.name);
         obs.counter("t2s.requests", 1);
         let stage = span.child("t2s.schema", span.tick());
-        let schema = match SchemaIndex::from_ddl(ddl) {
-            Ok(schema) => {
-                stage.end(span.tick());
-                schema
-            }
-            Err(e) => {
-                stage.attr("outcome", "error");
-                stage.end(span.tick());
-                span.attr("outcome", "error");
-                obs.counter("t2s.errors", 1);
-                span.end(span.tick());
-                return Err(e);
-            }
-        };
-        let stage = span.child("t2s.link_generate", span.tick());
-        let res = self.generator.generate(&schema, question);
+        let schema = SchemaIndex::from_ddl(ddl);
+        if schema.is_err() {
+            stage.attr("outcome", "error");
+        }
         stage.end(span.tick());
+        let res = schema.and_then(|schema| {
+            let stage = span.child("t2s.link_generate", span.tick());
+            let res = self.generator.generate(&schema, question);
+            stage.end(span.tick());
+            res
+        });
         match &res {
             Ok(_) => span.attr("outcome", "ok"),
             Err(_) => {
