@@ -20,8 +20,8 @@
 //!   replicas are always contiguous prefixes of the log.
 //!
 //! Node faults arrive as [`NodeFault`]s from the smmf chaos harness's
-//! [`NodeSchedule`]. Everything is deterministic in `(config, arrival
-//! schedule, fault schedule)`.
+//! [`NodeSchedule`](dbgpt_smmf::NodeSchedule). Everything is
+//! deterministic in `(config, arrival schedule, fault schedule)`.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -1,6 +1,6 @@
 //! Per-node collectors and the deterministic central aggregator.
 //!
-//! Every node in a cluster owns its own [`Obs`](crate::Obs) handle; this
+//! Every node in a cluster owns its own [`Obs`] handle; this
 //! module joins those islands into one picture. A [`NodeDump`] freezes a
 //! node's finished spans + metrics, a [`Collector`] gathers dumps, and
 //! [`Collector::aggregate`] groups spans into **distributed traces** (by

@@ -24,7 +24,7 @@
 //! ## Shape
 //!
 //! - [`ObsConfig`] — the on/off + seed switch components accept.
-//! - [`Obs`] — a cheaply cloneable handle owning one [`Tracer`] and one
+//! - [`Obs`] — a cheaply cloneable handle owning one span tracer and one
 //!   [`Metrics`] registry (or nothing, when disabled).
 //! - [`Span`] — a handle for one unit of work: nested children, key-value
 //!   attributes, point-in-time events, explicit `end(at_us)`.

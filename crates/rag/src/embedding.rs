@@ -12,6 +12,7 @@ use dbgpt_obs::hash::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::error::RagError;
+use crate::inverted::InvertedIndex;
 
 /// A dense embedding vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,35 +120,16 @@ impl HashEmbedder {
         }
     }
 
-    /// FNV-1a with a seed salt.
-    fn hash(&self, token: &str, salt: u64) -> u64 {
-        let mut h = Fnv1a::with_basis(Fnv1a::OFFSET_BASIS ^ self.seed.wrapping_mul(salt | 1));
-        h.write(token.as_bytes());
-        h.finish()
+    /// An FNV-1a hasher with a seed salt.
+    fn hasher(&self, salt: u64) -> Fnv1a {
+        Fnv1a::with_basis(Fnv1a::OFFSET_BASIS ^ self.seed.wrapping_mul(salt | 1))
     }
 
-    /// Lowercased alphanumeric tokens (CJK chars count individually).
-    fn tokens(text: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut current = String::new();
-        for c in text.chars() {
-            if c.is_alphanumeric() || c == '_' {
-                if (0x4E00..=0x9FFF).contains(&(c as u32)) {
-                    if !current.is_empty() {
-                        out.push(std::mem::take(&mut current));
-                    }
-                    out.push(c.to_string());
-                } else {
-                    current.extend(c.to_lowercase());
-                }
-            } else if !current.is_empty() {
-                out.push(std::mem::take(&mut current));
-            }
-        }
-        if !current.is_empty() {
-            out.push(current);
-        }
-        out
+    /// Salted FNV-1a of one token.
+    fn hash(&self, token: &str, salt: u64) -> u64 {
+        let mut h = self.hasher(salt);
+        h.write(token.as_bytes());
+        h.finish()
     }
 }
 
@@ -164,7 +146,7 @@ impl Embedder for HashEmbedder {
 
     fn embed(&self, text: &str) -> Embedding {
         let mut v = vec![0.0f32; self.dim];
-        let tokens = Self::tokens(text);
+        let tokens = InvertedIndex::terms(text);
         // Unigram features.
         for t in &tokens {
             let h = self.hash(t, 1);
@@ -177,10 +159,15 @@ impl Embedder for HashEmbedder {
             let sign2 = if (h2 >> 32) & 1 == 0 { 1.0 } else { -1.0 };
             v[idx2] += 0.5 * sign2;
         }
-        // Bigram features give mild order sensitivity.
+        // Bigram features give mild order sensitivity. A bigram hashes as
+        // the string "first second"; FNV-1a over the three parts in turn
+        // is that digest without building the string.
         for pair in tokens.windows(2) {
-            let joined = format!("{} {}", pair[0], pair[1]);
-            let h = self.hash(&joined, 13);
+            let mut h = self.hasher(13);
+            h.write(pair[0].as_bytes());
+            h.write_u8(b' ');
+            h.write(pair[1].as_bytes());
+            let h = h.finish();
             let idx = (h % self.dim as u64) as usize;
             let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
             v[idx] += 0.5 * sign;

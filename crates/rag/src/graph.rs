@@ -11,6 +11,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::inverted::is_cjk;
 use crate::topk::TopK;
 
 /// Weight of a one-hop (neighbour) entity match relative to a direct match.
@@ -23,6 +24,31 @@ const STOP_WORDS: &[&str] = &[
     "what", "which", "who", "how", "why", "when", "where", "not", "no", "can", "will", "does",
     "do", "did", "into", "their", "they", "them", "these", "those", "also", "but", "if", "then",
 ];
+
+/// Byte length of the longest entry in [`STOP_WORDS`], computed at
+/// compile time.
+const STOP_WORD_MAX_LEN: usize = {
+    let (mut max, mut i) = (0, 0);
+    while i < STOP_WORDS.len() {
+        let len = STOP_WORDS[i].len();
+        max = if len > max { len } else { max };
+        i += 1;
+    }
+    max
+};
+
+/// Is `s` a stop word? Longer words skip the list without comparing bytes.
+fn is_stop_word(s: &str) -> bool {
+    s.len() <= STOP_WORD_MAX_LEN && STOP_WORDS.contains(&s)
+}
+
+/// Append `entity` to `out` unless `seen` (every entry of `out`) has it.
+fn push_new(out: &mut Vec<String>, seen: &mut HashSet<String>, entity: &str) {
+    if !seen.contains(entity) {
+        seen.insert(entity.to_owned());
+        out.push(entity.to_owned());
+    }
+}
 
 /// A scored hit: `(chunk id, graph score)`.
 pub type GraphHit = (usize, f64);
@@ -52,42 +78,43 @@ impl GraphIndex {
     }
 
     /// Extract the entity terms of `text`: lowercased content words of
-    /// length ≥ 3 (CJK chars are grouped into bigram entities).
+    /// length ≥ 3 (CJK chars are grouped into bigram entities), each once,
+    /// in order of first appearance.
     pub fn entities(text: &str) -> Vec<String> {
         let mut out = Vec::new();
         let mut seen = HashSet::new();
+        // One scratch buffer for the whole text: a word is copied out of
+        // it only when it is kept.
         let mut current = String::new();
         let mut cjk_prev: Option<char> = None;
-        let push = |s: String, out: &mut Vec<String>, seen: &mut HashSet<String>| {
-            if s.len() >= 3 && !STOP_WORDS.contains(&s.as_str()) && seen.insert(s.clone()) {
-                out.push(s);
-            }
-        };
-        for c in text.chars() {
-            if (0x4E00..=0x9FFF).contains(&(c as u32)) {
-                if !current.is_empty() {
-                    push(std::mem::take(&mut current), &mut out, &mut seen);
-                }
-                // CJK bigrams as entities (covers most Chinese nouns).
-                if let Some(p) = cjk_prev {
-                    let bigram: String = [p, c].iter().collect();
-                    if seen.insert(bigram.clone()) {
-                        out.push(bigram);
-                    }
-                }
-                cjk_prev = Some(c);
-            } else if c.is_alphanumeric() || c == '_' {
+        // The trailing space ends the last word.
+        for c in text.chars().chain([' ']) {
+            if (c.is_alphanumeric() || c == '_') && !is_cjk(c) {
                 cjk_prev = None;
-                current.extend(c.to_lowercase());
-            } else {
-                cjk_prev = None;
-                if !current.is_empty() {
-                    push(std::mem::take(&mut current), &mut out, &mut seen);
+                if c.is_ascii() {
+                    current.push(c.to_ascii_lowercase());
+                } else {
+                    current.extend(c.to_lowercase());
                 }
+                continue;
             }
-        }
-        if !current.is_empty() {
-            push(current, &mut out, &mut seen);
+            if current.len() >= 3 && !is_stop_word(&current) {
+                push_new(&mut out, &mut seen, &current);
+            }
+            current.clear();
+            if !is_cjk(c) {
+                cjk_prev = None;
+                continue;
+            }
+            // CJK bigrams as entities (covers most Chinese nouns).
+            if let Some(p) = cjk_prev {
+                let mut buf = [0u8; 8];
+                let n = p.encode_utf8(&mut buf).len();
+                let m = c.encode_utf8(&mut buf[n..]).len();
+                let bigram = std::str::from_utf8(&buf[..n + m]).expect("two encoded chars");
+                push_new(&mut out, &mut seen, bigram);
+            }
+            cjk_prev = Some(c);
         }
         out
     }

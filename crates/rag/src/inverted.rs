@@ -20,6 +20,12 @@ pub type KeywordHit = (usize, f64);
 /// document id (documents are appended in id order).
 type Postings = Vec<(u32, u32)>;
 
+/// Is `c` a CJK unified ideograph? Both tokenizers take these chars one
+/// at a time instead of as part of a word.
+pub(crate) fn is_cjk(c: char) -> bool {
+    (0x4E00..=0x9FFF).contains(&(c as u32))
+}
+
 /// An inverted index over dense `usize` document ids.
 #[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
@@ -35,26 +41,32 @@ impl InvertedIndex {
     }
 
     /// Lowercased alphanumeric terms of `text` (CJK chars individually).
+    /// The one tokenizer of the crate: the hash embedder encodes these
+    /// same terms.
     pub fn terms(text: &str) -> Vec<String> {
         let mut out = Vec::new();
+        // One scratch buffer for the whole text: each term is copied out
+        // at its exact length and the buffer keeps its capacity.
         let mut current = String::new();
+        let flush = |current: &mut String, out: &mut Vec<String>| {
+            if !current.is_empty() {
+                out.push(current.clone());
+                current.clear();
+            }
+        };
         for c in text.chars() {
-            if c.is_alphanumeric() || c == '_' {
-                if (0x4E00..=0x9FFF).contains(&(c as u32)) {
-                    if !current.is_empty() {
-                        out.push(std::mem::take(&mut current));
-                    }
-                    out.push(c.to_string());
-                } else {
-                    current.extend(c.to_lowercase());
-                }
-            } else if !current.is_empty() {
-                out.push(std::mem::take(&mut current));
+            if !(c.is_alphanumeric() || c == '_') {
+                flush(&mut current, &mut out);
+            } else if c.is_ascii() {
+                current.push(c.to_ascii_lowercase());
+            } else if is_cjk(c) {
+                flush(&mut current, &mut out);
+                out.push(c.to_string());
+            } else {
+                current.extend(c.to_lowercase());
             }
         }
-        if !current.is_empty() {
-            out.push(current);
-        }
+        flush(&mut current, &mut out);
         out
     }
 

@@ -59,8 +59,6 @@ pub struct KnowledgeBase {
     /// Scan tuning for every retrieval; defaults to auto-parallel above
     /// the crossover size, so existing callers speed up with no changes.
     config: RetrievalConfig,
-    /// Build knobs used when the HNSW index is (auto-)built.
-    ann_build: AnnBuildConfig,
     /// Tracing + metrics handle; disabled (free) by default. Retrieval has
     /// no simulated clock, so spans are timestamped with [`Obs::tick`]
     /// logical ticks — still byte-identical across identical runs.
@@ -87,16 +85,8 @@ impl KnowledgeBase {
             graph: GraphIndex::new(),
             documents: HashMap::new(),
             config: RetrievalConfig::default(),
-            ann_build: AnnBuildConfig::default(),
             obs: Obs::disabled(),
         }
-    }
-
-    /// Override the HNSW build knobs (storage backend, degree, beam,
-    /// seed), builder style. Takes effect at the next (auto-)build.
-    pub fn with_ann_build_config(mut self, config: AnnBuildConfig) -> Self {
-        self.ann_build = config;
-        self
     }
 
     /// Override the retrieval scan tuning, builder style.
@@ -162,6 +152,10 @@ impl KnowledgeBase {
     }
 
     /// Ingest a document into all three indexes. Returns chunks created.
+    ///
+    /// Ingest never builds the HNSW index; once
+    /// [`KnowledgeBase::build_hnsw_index`] has, new chunks are inserted
+    /// into it.
     pub fn add_document(&mut self, doc: Document) -> Result<usize, RagError> {
         if self.documents.contains_key(&doc.id) {
             return Err(RagError::DuplicateDocument(doc.id));
@@ -183,11 +177,6 @@ impl KnowledgeBase {
             self.chunks.push(chunk);
         }
         self.documents.insert(doc.id, n);
-        // Auto-build once the corpus crosses the configured threshold;
-        // past that point inserts above keep the index current.
-        if !self.vectors.has_hnsw() && self.chunks.len() >= self.config.ann_auto_build {
-            self.vectors.build_hnsw(self.ann_build);
-        }
         Ok(n)
     }
 
@@ -225,7 +214,6 @@ impl KnowledgeBase {
     /// to [`KnowledgeBase::fingerprint`], so replicas that did and did not
     /// build it still converge.
     pub fn build_hnsw_index(&mut self, config: AnnBuildConfig) {
-        self.ann_build = config;
         self.vectors.build_hnsw(config);
     }
 
@@ -310,6 +298,12 @@ impl KnowledgeBase {
             }
             RetrievalStrategy::VectorAnn => {
                 let stage = span.child("rag.scan.hnsw", span.tick());
+                // Until `build_hnsw_index` runs, the exact flat scan answers.
+                let built = self.vectors.has_hnsw();
+                stage.attr("index", if built { "hnsw" } else { "flat" });
+                if !built {
+                    self.obs.counter("rag.ann_fallback", 1);
+                }
                 let r = self
                     .vectors
                     .search_hnsw_with(&self.embedder.embed(query), k, &self.config)
@@ -559,17 +553,16 @@ mod tests {
     }
 
     #[test]
-    fn vector_ann_auto_builds_past_threshold_and_inserts_incrementally() {
-        let mut kb = KnowledgeBase::with_defaults().with_retrieval_config(RetrievalConfig {
-            ann_auto_build: 10,
-            ..RetrievalConfig::default()
-        });
-        for i in 0..9 {
-            kb.add_text(&format!("d{i}"), &format!("note {i} about subsystem {}", i % 3));
+    fn ingest_never_builds_hnsw_but_inserts_once_built() {
+        let mut kb = KnowledgeBase::with_defaults();
+        for i in 0..10 {
+            kb.add_text(
+                &format!("d{i}"),
+                &format!("note {i} about subsystem {}", i % 3),
+            );
         }
-        assert!(!kb.has_hnsw_index(), "below threshold");
-        kb.add_text("d9", "note 9 about subsystem 0");
-        assert!(kb.has_hnsw_index(), "threshold crossed → auto-build");
+        assert!(!kb.has_hnsw_index(), "ingest must not build the index");
+        kb.build_hnsw_index(AnnBuildConfig::default());
         let before = kb.vector_store().hnsw_fingerprint();
         kb.add_text("d10", "a fresh note about quarterly revenue forecasts");
         assert!(kb.has_hnsw_index());
@@ -644,6 +637,30 @@ mod obs_tests {
             kb.obs().counter_value("rag.chunks_scanned"),
             kb.chunk_count() as u64
         );
+    }
+
+    #[test]
+    fn vector_ann_counts_flat_fallbacks_until_the_index_is_built() {
+        let ann_query = |kb: &KnowledgeBase| {
+            kb.retrieve("model serving", 1, RetrievalStrategy::VectorAnn);
+            let spans = kb.obs().finished_spans();
+            let scan = spans
+                .iter()
+                .rev()
+                .find(|r| r.name == "rag.scan.hnsw")
+                .expect("scan");
+            scan.attr("index").map(str::to_string)
+        };
+        let unbuilt = kb().with_obs(Obs::new(ObsConfig::enabled(5)));
+        assert_eq!(ann_query(&unbuilt).as_deref(), Some("flat"));
+        assert_eq!(ann_query(&unbuilt).as_deref(), Some("flat"));
+        assert_eq!(unbuilt.obs().counter_value("rag.ann_fallback"), 2);
+
+        let mut built = kb().with_obs(Obs::new(ObsConfig::enabled(5)));
+        built.build_hnsw_index(AnnBuildConfig::default());
+        assert_eq!(ann_query(&built).as_deref(), Some("hnsw"));
+        assert_eq!(built.obs().counter_value("rag.ann_fallback"), 0);
+        assert_eq!(built.obs().counter_value("rag.queries"), 1);
     }
 
     #[test]

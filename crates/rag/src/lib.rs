@@ -31,7 +31,7 @@
 //! - **Normalized-vector kernel** — [`VectorStore`] unit-normalizes every
 //!   vector once at insert (keeping the raw norm via
 //!   [`VectorStore::stored_norm`]), so per-candidate cosine scoring is a
-//!   bare [`dot`](embedding::dot) product with no square roots or
+//!   bare [`dot`] product with no square roots or
 //!   divisions; k-means partition building reuses the same kernel.
 //! - **Heap top-k** — every ranking path (flat scan, IVF probe, BM25,
 //!   graph, RRF fusion) selects through one shared bounded
@@ -51,10 +51,10 @@
 //!   ⇒ the same seed builds a byte-identical index) over either the f32
 //!   store or a [`quant`] scalar-quantized mirror (u8 codes + per-query
 //!   dot lookup tables, ~4× less memory, optional exact rescore).
-//!   [`KnowledgeBase`] auto-builds the index once the corpus crosses
-//!   `RetrievalConfig::ann_auto_build` chunks and inserts incrementally
-//!   on later ingest; until an index exists the strategy falls back to
-//!   the exact flat scan. Gated ≥0.95 recall@10 and ≥20× flat-scan
+//!   Ingest never builds the index: a caller asks for it with
+//!   [`KnowledgeBase::build_hnsw_index`], and later ingest inserts into
+//!   it. Until then the strategy falls back to the exact flat scan and
+//!   counts `rag.ann_fallback`. Gated ≥0.95 recall@10 and ≥20× flat-scan
 //!   speedup at 100k chunks by `bench_ann` (`results/BENCH_ann.json`).
 //!
 //! Retrieval is also observable: attach a [`dbgpt_obs::Obs`] handle via

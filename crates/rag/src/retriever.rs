@@ -35,18 +35,12 @@ pub struct RetrievalConfig {
     /// vectors before the final top-k cut. `0` disables rescoring (raw
     /// quantized scores are returned). Ignored on the f32 backend.
     pub ann_rescore: usize,
-    /// [`KnowledgeBase`](crate::KnowledgeBase) builds the HNSW index
-    /// automatically once the chunk count reaches this threshold (further
-    /// ingest inserts incrementally). `usize::MAX` disables auto-build.
-    pub ann_auto_build: usize,
 }
 
 /// Default HNSW search beam width.
 const DEFAULT_ANN_EF_SEARCH: usize = 100;
 /// Default exact-rescore depth over quantized candidates.
 const DEFAULT_ANN_RESCORE: usize = 64;
-/// Default chunk count at which the knowledge base auto-builds HNSW.
-const DEFAULT_ANN_AUTO_BUILD: usize = 4096;
 /// Default store size from which flat scans shard across threads: the
 /// smallest corpus at which `bench_rag_parallel`'s crossover sweep saw
 /// the sharded eight-row-kernel scan beat one thread by ≥1.15× at that
@@ -62,7 +56,6 @@ impl Default for RetrievalConfig {
             topk_crossover: DEFAULT_TOPK_CROSSOVER,
             ann_ef_search: DEFAULT_ANN_EF_SEARCH,
             ann_rescore: DEFAULT_ANN_RESCORE,
-            ann_auto_build: DEFAULT_ANN_AUTO_BUILD,
         }
     }
 }
@@ -74,7 +67,6 @@ impl RetrievalConfig {
         topk_crossover: usize::MAX,
         ann_ef_search: DEFAULT_ANN_EF_SEARCH,
         ann_rescore: DEFAULT_ANN_RESCORE,
-        ann_auto_build: DEFAULT_ANN_AUTO_BUILD,
     };
 
     /// Config with an explicit thread count (`0` = auto) and the default

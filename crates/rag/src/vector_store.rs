@@ -17,7 +17,7 @@
 //!    [`dot`] product: no square roots, no divisions, and k-means partition
 //!    building stops paying the redundant-norm cost `KMEANS_ITERS`× over.
 //! 2. **Eight rows per pass** — the scan scores eight stored vectors
-//!    per walk over the query ([`dot8`]), one accumulator per row, so
+//!    per walk over the query (`dot8`), one accumulator per row, so
 //!    the eight dependency chains of additions overlap instead of one row
 //!    waiting on its own running sum. Each row still adds its products in
 //!    dimension order from the identity `Iterator::sum` starts at, so

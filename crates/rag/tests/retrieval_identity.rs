@@ -8,202 +8,18 @@
 //! repeated query terms, unknown entities, stop-word-only queries, k = 0,
 //! k > n and zero vectors.
 
-use std::collections::{HashMap, HashSet};
+mod common;
+
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use common::{assert_bits_f64, assert_kb_matches_reference, ref_flat, RefBm25, RefGraph, Rng};
 use dbgpt_rag::{
     dot, Chunker, ChunkingStrategy, Embedder, Embedding, GraphIndex, HashEmbedder, InvertedIndex,
-    KnowledgeBase, RetrievalConfig, RetrievalStrategy, TopK, VectorStore,
+    KnowledgeBase, RetrievalConfig, VectorStore,
 };
 
-// ---- reference algorithms ------------------------------------------------
-
-/// Reference graph index: string-keyed maps and hash-map accumulation.
-#[derive(Default)]
-struct RefGraph {
-    entity_chunks: HashMap<String, HashSet<usize>>,
-    edges: HashMap<String, HashSet<String>>,
-    chunk_count: usize,
-}
-
-impl RefGraph {
-    fn add(&mut self, text: &str) {
-        let id = self.chunk_count;
-        self.chunk_count += 1;
-        let ents = GraphIndex::entities(text);
-        for e in &ents {
-            self.entity_chunks.entry(e.clone()).or_default().insert(id);
-        }
-        for (i, a) in ents.iter().enumerate() {
-            for b in &ents[i + 1..] {
-                self.edges.entry(a.clone()).or_default().insert(b.clone());
-                self.edges.entry(b.clone()).or_default().insert(a.clone());
-            }
-        }
-    }
-
-    fn neighbours(&self, entity: &str) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .edges
-            .get(&entity.to_lowercase())
-            .map(|s| s.iter().map(String::as_str).collect())
-            .unwrap_or_default();
-        v.sort_unstable();
-        v
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<(usize, f64)> {
-        let q_entities = GraphIndex::entities(query);
-        if q_entities.is_empty() || self.chunk_count == 0 {
-            return Vec::new();
-        }
-        let mut expanded: HashMap<String, f64> = HashMap::new();
-        for e in &q_entities {
-            expanded.insert(e.clone(), 1.0);
-        }
-        for e in &q_entities {
-            if let Some(ns) = self.edges.get(e) {
-                for n in ns {
-                    expanded.entry(n.clone()).or_insert(0.5);
-                }
-            }
-        }
-        let mut scores: HashMap<usize, f64> = HashMap::new();
-        for (entity, weight) in &expanded {
-            if let Some(chunks) = self.entity_chunks.get(entity) {
-                for &c in chunks {
-                    *scores.entry(c).or_insert(0.0) += weight;
-                }
-            }
-        }
-        let norm = q_entities.len() as f64;
-        let mut top = TopK::new(k);
-        for (c, s) in scores {
-            top.push(c, s / norm);
-        }
-        top.into_sorted_vec()
-    }
-}
-
-/// Reference BM25: per-term `HashMap` postings and hash-map accumulation.
-#[derive(Default)]
-struct RefBm25 {
-    postings: HashMap<String, HashMap<usize, u32>>,
-    doc_len: Vec<usize>,
-    total_len: usize,
-}
-
-impl RefBm25 {
-    fn add(&mut self, text: &str) {
-        let id = self.doc_len.len();
-        let terms = InvertedIndex::terms(text);
-        self.doc_len.push(terms.len());
-        self.total_len += terms.len();
-        for t in terms {
-            *self.postings.entry(t).or_default().entry(id).or_insert(0) += 1;
-        }
-    }
-
-    fn search(&self, query: &str, k: usize) -> Vec<(usize, f64)> {
-        let (k1, b) = (1.2, 0.75);
-        let n = self.doc_len.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let avg_len = self.total_len as f64 / n as f64;
-        let mut scores: HashMap<usize, f64> = HashMap::new();
-        for term in InvertedIndex::terms(query) {
-            let Some(postings) = self.postings.get(&term) else {
-                continue;
-            };
-            let df = postings.len() as f64;
-            let idf = (((n as f64 - df + 0.5) / (df + 0.5)) + 1.0).ln();
-            for (&doc, &tf) in postings {
-                let tf = tf as f64;
-                let dl = self.doc_len[doc] as f64;
-                let denom = tf + k1 * (1.0 - b + b * dl / avg_len.max(1e-9));
-                *scores.entry(doc).or_insert(0.0) += idf * tf * (k1 + 1.0) / denom;
-            }
-        }
-        let mut top = TopK::new(k);
-        for (doc, score) in scores {
-            if score > 0.0 {
-                top.push(doc, score);
-            }
-        }
-        top.into_sorted_vec()
-    }
-}
-
-/// Reference flat scan: one [`dot`] per stored vector, in id order.
-fn ref_flat(store: &VectorStore, query: &Embedding, k: usize) -> Vec<(usize, f32)> {
-    let q = query.unit();
-    let mut top = TopK::new(k);
-    for i in 0..store.len() {
-        top.push(i, dot(&q, store.get(i).unwrap()));
-    }
-    top.into_sorted_vec()
-}
-
-/// Reference RRF over the three reference rankings.
-fn ref_hybrid(
-    store: &VectorStore,
-    bm25: &RefBm25,
-    graph: &RefGraph,
-    embedder: &HashEmbedder,
-    query: &str,
-    k: usize,
-) -> Vec<(usize, f64)> {
-    let rankings = [
-        ref_flat(store, &embedder.embed(query), k * 2)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect::<Vec<_>>(),
-        bm25.search(query, k * 2)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect(),
-        graph
-            .search(query, k * 2)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect(),
-    ];
-    let mut scores: HashMap<usize, f64> = HashMap::new();
-    for ranking in &rankings {
-        for (rank, &id) in ranking.iter().enumerate() {
-            *scores.entry(id).or_insert(0.0) += 1.0 / (60.0 + rank as f64 + 1.0);
-        }
-    }
-    let mut top = TopK::new(k);
-    for (id, s) in scores {
-        top.push(id, s);
-    }
-    top.into_sorted_vec()
-}
-
 // ---- seeded corpora --------------------------------------------------------
-
-/// SplitMix64: a tiny seeded generator, so every case is reproducible.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn pick<'a>(&mut self, xs: &[&'a str]) -> &'a str {
-        xs[self.below(xs.len())]
-    }
-}
 
 /// Content words (shared across documents so the graph gets dense),
 /// stop words, and CJK fragments (single chars for BM25, bigrams for the
@@ -293,12 +109,6 @@ fn queries(seed: u64) -> Vec<String> {
 
 fn ks(n: usize) -> [usize; 5] {
     [0, 1, 4, 9, n + 5]
-}
-
-fn assert_bits_f64(got: &[(usize, f64)], want: &[(usize, f64)], what: &str) {
-    let got: Vec<(usize, u64)> = got.iter().map(|&(i, s)| (i, s.to_bits())).collect();
-    let want: Vec<(usize, u64)> = want.iter().map(|&(i, s)| (i, s.to_bits())).collect();
-    assert_eq!(got, want, "{what}");
 }
 
 fn assert_bits_f32(got: &[(usize, f32)], want: &[(usize, f32)], what: &str) {
@@ -524,50 +334,15 @@ fn knowledge_base_strategies_match_reference() {
         for (i, t) in docs.iter().enumerate() {
             kb.add_text(&format!("d{i}"), t);
         }
-        // Chunk id → text, in ingest order, plus the reference indexes.
-        let mut key_to_id = HashMap::new();
-        let mut store = VectorStore::new();
-        let mut bm25 = RefBm25::default();
-        let mut graph = RefGraph::default();
-        for i in 0..docs.len() {
-            for c in kb.document_chunks(&format!("d{i}")) {
-                key_to_id.insert((c.document_id.clone(), c.index), store.len());
-                store.add(embedder.embed(&c.text));
-                bm25.add(&c.text);
-                graph.add(&c.text);
-            }
-        }
-        assert_eq!(store.len(), kb.chunk_count());
-        for q in queries(seed) {
-            for k in [0, 1, 4, store.len() + 3] {
-                let got = |strategy| -> Vec<(usize, f64)> {
-                    kb.retrieve(&q, k, strategy)
-                        .into_iter()
-                        .map(|h| (key_to_id[&(h.chunk.document_id, h.chunk.index)], h.score))
-                        .collect()
-                };
-                let what = |s: &str| format!("{s} seed={seed} q={q:?} k={k}");
-                let vector: Vec<(usize, f64)> = ref_flat(&store, &embedder.embed(&q), k)
-                    .into_iter()
-                    .map(|(i, s)| (i, s as f64))
-                    .collect();
-                assert_bits_f64(&got(RetrievalStrategy::Vector), &vector, &what("vector"));
-                assert_bits_f64(
-                    &got(RetrievalStrategy::Keyword),
-                    &bm25.search(&q, k),
-                    &what("keyword"),
-                );
-                assert_bits_f64(
-                    &got(RetrievalStrategy::Graph),
-                    &graph.search(&q, k),
-                    &what("graph"),
-                );
-                assert_bits_f64(
-                    &got(RetrievalStrategy::Hybrid),
-                    &ref_hybrid(&store, &bm25, &graph, &embedder, &q, k),
-                    &what("hybrid"),
-                );
-            }
-        }
+        let doc_ids: Vec<String> = (0..docs.len()).map(|i| format!("d{i}")).collect();
+        assert_kb_matches_reference(
+            &kb,
+            &doc_ids,
+            &embedder,
+            InvertedIndex::terms,
+            GraphIndex::entities,
+            &queries(seed),
+            &format!("seed={seed}"),
+        );
     }
 }

@@ -221,7 +221,7 @@ impl ModelWorker {
     ///
     /// Probes draw from their own seeded stream, so interleaving probes
     /// with requests never changes request outcomes (regression-tested in
-    /// [`probe_tests::probing_does_not_perturb_infer_outcomes`]).
+    /// `probe_tests::probing_does_not_perturb_infer_outcomes`).
     pub fn probe(&self) -> bool {
         if self.is_crashed() {
             return false;

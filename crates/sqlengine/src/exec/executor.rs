@@ -5,8 +5,8 @@
 //! time: equi-join conjuncts in the `ON` clause trigger a **hash join**,
 //! anything else falls back to a nested-loop join.
 //!
-//! Execution runs in two phases: [`scan_plan`] reads every table scan
-//! from the catalog, then [`finish_plan`] runs the operators over the
+//! Execution runs in two phases: `scan_plan` reads every table scan
+//! from the catalog, then `finish_plan` runs the operators over the
 //! owned batches without touching the catalog.
 
 use std::collections::HashMap;
@@ -22,8 +22,8 @@ use crate::value::{DataType, GroupKey, Value};
 
 use super::aggregate::Accumulator;
 
-/// Execute a logical plan to completion: [`scan_plan`], then
-/// [`finish_plan`] over the scanned rows.
+/// Execute a logical plan to completion: `scan_plan`, then
+/// `finish_plan` over the scanned rows.
 pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
     finish_plan(plan, scan_plan(plan, db)?)
 }

@@ -6,8 +6,8 @@
 //! via [`Expr::eval_batch`] producing **selection vectors** (row ids that
 //! survive a filter), and aggregation folds typed columns through
 //! [`Accumulator::update_col`]. Joins and sorts re-batch through column
-//! gathers. As in the row executor, [`scan_plan`] reads the catalog and
-//! [`finish_plan`] runs the operators on the scanned chunks.
+//! gathers. As in the row executor, `scan_plan` reads the catalog and
+//! `finish_plan` runs the operators on the scanned chunks.
 //!
 //! ## Equivalence contract
 //!
