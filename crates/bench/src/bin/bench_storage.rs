@@ -1,16 +1,19 @@
 //! Paged-storage benchmark + gates (E14).
 //!
 //! Loads a `big` fact table (monotonic `ts` column, so the B+-tree is
-//! clustered with insertion order) into three engines — in-memory row
-//! storage (the reference), `StorageConfig::Paged` without a secondary
-//! index, and paged with a B+-tree on `ts` — and drives identical
-//! workloads through all of them:
+//! clustered with insertion order) into four engines — in-memory row
+//! storage without an index (the reference), in-memory with an index on
+//! `ts`, `StorageConfig::Paged` without a secondary index, and paged with
+//! a B+-tree on `ts` — and drives identical workloads through all of
+//! them:
 //!
 //! 1. **Residency gate**: the heap spans ≥ 4× the buffer pool, yet every
 //!    workload completes with `max_resident <= pool_pages` — scans
 //!    stream through the pool instead of faulting the table in.
-//! 2. **Equivalence gate**: every workload's result matches the in-memory
-//!    engine per cell on both paged engines.
+//! 2. **Equivalence gate**: every workload's result matches the
+//!    index-free in-memory engine per cell on the other three engines, so
+//!    the index probe and its range bounds are checked on both storage
+//!    arms.
 //! 3. **Speedup gate** (full mode): the B+-tree range scan on a selective
 //!    predicate is ≥ 5× faster than the paged full scan.
 //! 4. **Determinism gate**: the emitted JSON carries no timings — page
@@ -128,24 +131,19 @@ struct Params {
     range_hi: i64,
 }
 
-/// One deterministic pass: build all three engines, run the residency and
+/// One deterministic pass: build all four engines, run the residency and
 /// equivalence gates, and return the JSON body plus the two paged engines
 /// (for the timing phase). Called twice; both JSON strings must agree.
 fn deterministic_pass(s: &Params, mode: &str) -> (String, Engine, Engine) {
     let rows = fixture(s.rows);
     let mut mem = build_engine(StorageConfig::InMemory, &rows, false);
+    let mut mem_indexed = build_engine(StorageConfig::InMemory, &rows, true);
     let paged_cfg = StorageConfig::paged(s.pool_pages, s.page_size);
     let mut paged = build_engine(paged_cfg, &rows, false);
     let mut indexed = build_engine(paged_cfg, &rows, true);
     drop(rows);
 
-    let heap_pages = indexed
-        .database()
-        .table("big")
-        .unwrap()
-        .heap()
-        .expect("paged table has a heap")
-        .page_count();
+    let heap_pages = indexed.database().table("big").unwrap().page_count();
     assert!(
         heap_pages >= 4 * s.pool_pages,
         "fixture too small: {heap_pages} heap pages < 4x pool ({})",
@@ -178,6 +176,7 @@ fn deterministic_pass(s: &Params, mode: &str) -> (String, Engine, Engine) {
         let (fp_mem, n_mem) = fingerprint(&mut mem, sql);
         let (fp_paged, n_paged) = fingerprint(&mut paged, sql);
         let (fp_idx, n_idx) = fingerprint(&mut indexed, sql);
+        let (fp_mem_idx, n_mem_idx) = fingerprint(&mut mem_indexed, sql);
         assert_eq!(
             (fp_mem, n_mem),
             (fp_paged, n_paged),
@@ -187,6 +186,11 @@ fn deterministic_pass(s: &Params, mode: &str) -> (String, Engine, Engine) {
             (fp_mem, n_mem),
             (fp_idx, n_idx),
             "indexed paged result diverged from in-memory on {name}"
+        );
+        assert_eq!(
+            (fp_mem, n_mem),
+            (fp_mem_idx, n_mem_idx),
+            "indexed in-memory result diverged from in-memory on {name}"
         );
         let _ = write!(
             wl_json,

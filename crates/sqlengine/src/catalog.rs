@@ -1,14 +1,23 @@
 //! The catalog: named tables, their stored rows, and secondary indexes.
 //!
-//! Tables come in two storage arms selected by
-//! [`crate::storage::StorageConfig`]: the classic in-memory `Vec<Row>` arm
-//! (the default — its behavior is byte-identical to before paged storage
-//! existed) and a paged arm where rows live in a
-//! [`crate::storage::TableHeap`] behind a shared buffer pool and secondary
-//! indexes are paged [`crate::storage::BTreeIndex`]es instead of
-//! [`HashIndex`]es.
+//! [`Table`] is the one storage interface both executors and DML use. It
+//! hides which of two storage arms, selected by
+//! [`crate::storage::StorageConfig`], holds the rows: an in-memory
+//! `Vec<Row>` (the default) or a [`crate::storage::TableHeap`] of pages
+//! behind a shared buffer pool. Every scan ([`Table::for_each_row`]),
+//! positional fetch ([`Table::for_each_at`]), index probe
+//! ([`Table::probe`]) and row rewrite ([`Table::rewrite_rows`]) has one
+//! entry point that serves both arms.
+//!
+//! Secondary indexes key rows by [`encode_value`] on either arm: the
+//! in-memory arm holds the B+-tree's leaf level as an ordered map, the
+//! paged arm a [`crate::storage::BTreeIndex`]. INSERTs keep in-memory
+//! indexes current. Any other change to the rows marks the table's indexes
+//! stale (and drops the in-memory columnar mirror) until
+//! [`Table::refresh_indexes`] rebuilds them; probes need fresh indexes.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use dbgpt_obs::hash::Fnv1a;
@@ -17,109 +26,94 @@ use crate::col::ColumnTable;
 use crate::error::SqlError;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
+use crate::storage::btree::encode_value;
 use crate::storage::{BTreeIndex, Pager, StorageConfig, TableHeap};
-use crate::value::{GroupKey, Value};
+use crate::value::Value;
 
-/// A hash index over one column: value → row positions.
-#[derive(Debug, Clone, Default)]
-pub struct HashIndex {
-    entries: HashMap<GroupKey, Vec<usize>>,
+/// Where a table's rows live.
+#[derive(Debug, Clone)]
+enum Rows {
+    /// In memory, in storage order.
+    Mem(Vec<Row>),
+    /// In heap pages behind the database's shared buffer pool.
+    Paged { heap: TableHeap, pager: Arc<Pager> },
 }
 
-impl HashIndex {
-    /// Build from a column of an existing table.
-    fn build(rows: &[Row], col: usize) -> HashIndex {
-        let mut entries: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-        for (i, r) in rows.iter().enumerate() {
-            entries.entry(r[col].group_key()).or_default().push(i);
-        }
-        HashIndex { entries }
-    }
-
-    /// Row positions holding `value` (empty slice when absent).
-    pub fn lookup(&self, value: &Value) -> &[usize] {
-        self.entries
-            .get(&value.group_key())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.entries.len()
-    }
+/// A secondary index over one column, in its table's storage form.
+#[derive(Debug, Clone)]
+enum Index {
+    /// The B+-tree's leaf level held in memory: encoded value → ascending
+    /// row positions.
+    Mem(BTreeMap<Vec<u8>, Vec<usize>>),
+    /// A B+-tree in the table's buffer pool.
+    Paged(BTreeIndex),
 }
 
-/// A stored table: schema + row storage + secondary hash indexes.
+/// What a [`Table::rewrite_rows`] callback did with one row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowEdit {
+    /// Left the row as it was.
+    Keep,
+    /// Changed the row in place.
+    Changed,
+    /// Removed the row from the table.
+    Remove,
+}
+
+/// A stored table: schema, rows on one storage arm, secondary indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table name (lowercase).
     pub name: String,
     /// Schema (unqualified column names).
     pub schema: SchemaRef,
-    /// Row storage.
-    pub rows: Vec<Row>,
-    /// Hash indexes by column position. Maintained on insert; rebuilt
-    /// lazily after bulk mutation (UPDATE/DELETE mark them stale).
-    indexes: HashMap<usize, HashIndex>,
+    rows: Rows,
+    /// Indexes by column position.
+    indexes: HashMap<usize, Index>,
     /// Index name → column position (for `DROP INDEX name ON table`).
     index_names: HashMap<String, usize>,
+    /// Set when rows changed under the indexes; probes then refuse to
+    /// answer until [`Table::refresh_indexes`].
     indexes_stale: bool,
-    /// Columnar mirror of `rows`, maintained on insert and dropped on
-    /// in-place mutation (like indexes, but rebuilt on demand by the
-    /// vectorized executor rather than lazily here).
+    /// Columnar mirror of in-memory rows: appended to on insert, dropped
+    /// by every other change, rebuilt by [`Table::refresh_columnar`].
     columnar: Option<ColumnTable>,
-    /// Paged row storage; `Some` iff the table uses the paged arm (then
-    /// `rows` stays empty).
-    heap: Option<TableHeap>,
-    /// Paged-arm secondary indexes (the paged counterpart of `indexes`).
-    btrees: HashMap<usize, BTreeIndex>,
-    /// Shared buffer pool, present on paged tables.
-    pager: Option<Arc<Pager>>,
 }
 
 impl Table {
-    /// Create an empty table.
+    /// Create an empty in-memory table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Table {
-            name: name.into().to_lowercase(),
-            schema: Arc::new(schema),
-            rows: Vec::new(),
-            indexes: HashMap::new(),
-            index_names: HashMap::new(),
-            indexes_stale: false,
-            columnar: None,
-            heap: None,
-            btrees: HashMap::new(),
-            pager: None,
-        }
+        Table::with_rows(name, schema, Rows::Mem(Vec::new()))
     }
 
     /// Create an empty paged table whose rows live in `pager`'s pool.
     pub fn new_paged(name: impl Into<String>, schema: Schema, pager: Arc<Pager>) -> Self {
-        let mut t = Table::new(name, schema);
-        t.heap = Some(TableHeap::new());
-        t.pager = Some(pager);
-        t
+        let heap = TableHeap::new();
+        Table::with_rows(name, schema, Rows::Paged { heap, pager })
     }
 
-    /// Whether this table stores rows in pages rather than `rows`.
-    pub fn is_paged(&self) -> bool {
-        self.heap.is_some()
+    fn with_rows(name: impl Into<String>, schema: Schema, rows: Rows) -> Self {
+        Table {
+            name: name.into().to_lowercase(),
+            schema: Arc::new(schema),
+            rows,
+            indexes: HashMap::new(),
+            index_names: HashMap::new(),
+            indexes_stale: false,
+            columnar: None,
+        }
     }
 
-    /// The paged heap, when on the paged arm.
-    pub fn heap(&self) -> Option<&TableHeap> {
-        self.heap.as_ref()
+    /// Heap pages holding the rows (0 on the in-memory arm).
+    pub fn page_count(&self) -> usize {
+        match &self.rows {
+            Rows::Mem(_) => 0,
+            Rows::Paged { heap, .. } => heap.page_count(),
+        }
     }
 
-    /// The shared pager, when on the paged arm.
-    pub fn pager(&self) -> Option<&Arc<Pager>> {
-        self.pager.as_ref()
-    }
-
-    /// Coerce one row of values against the schema (shared by both arms).
-    fn coerce_values(&self, values: Vec<Value>) -> Result<Vec<Value>, SqlError> {
+    /// Coerce one row of values against the schema.
+    fn coerce_values(&self, values: Vec<Value>) -> Result<Row, SqlError> {
         if values.len() != self.schema.len() {
             return Err(SqlError::Execution(format!(
                 "table `{}` has {} columns but {} values were supplied",
@@ -128,171 +122,145 @@ impl Table {
                 values.len()
             )));
         }
-        let mut row = Vec::with_capacity(values.len());
-        for (v, c) in values.into_iter().zip(self.schema.columns()) {
-            row.push(v.coerce_to(c.data_type)?);
-        }
-        Ok(row)
+        let row = values
+            .into_iter()
+            .zip(self.schema.columns())
+            .map(|(v, c)| v.coerce_to(c.data_type))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Row::new(row))
     }
 
     /// Append a row after coercing every value to its column type.
     pub fn insert_row(&mut self, values: Vec<Value>) -> Result<(), SqlError> {
         let row = self.coerce_values(values)?;
-        if let (Some(heap), Some(pager)) = (&mut self.heap, &self.pager) {
-            heap.append_row(&mut pager.pool(), &row)?;
-            // B+-trees are rebuilt from a heap snapshot rather than
-            // maintained incrementally; any append invalidates them.
-            if !self.btrees.is_empty() {
-                self.indexes_stale = true;
-            }
-            return Ok(());
-        }
-        let row = Row::new(row);
-        // Incremental index maintenance on the append path.
-        if !self.indexes_stale {
-            let pos = self.rows.len();
-            for (&col, idx) in self.indexes.iter_mut() {
-                idx.entries.entry(row[col].group_key()).or_default().push(pos);
-            }
-        }
-        if let Some(ct) = &mut self.columnar {
-            ct.append_row(&row);
-        }
-        self.rows.push(row);
-        Ok(())
+        self.append(row)
     }
 
     /// Bulk append: coerce and validate every row first, then append them
-    /// all (no partial inserts on error). One index/columnar maintenance
-    /// pass instead of per-row work — the CSV/bench ingest path.
+    /// all (no partial inserts on a bad row).
     pub fn insert_rows(&mut self, rows: Vec<Vec<Value>>) -> Result<usize, SqlError> {
-        let mut coerced = Vec::with_capacity(rows.len());
-        for values in rows {
-            coerced.push(Row::new(self.coerce_values(values)?));
-        }
-        let n = coerced.len();
-        if let (Some(heap), Some(pager)) = (&mut self.heap, &self.pager) {
-            let mut pool = pager.pool();
-            for row in &coerced {
-                heap.append_row(&mut pool, row.values())?;
-            }
-            drop(pool);
-            if !self.btrees.is_empty() {
-                self.indexes_stale = true;
-            }
-            return Ok(n);
-        }
-        if !self.indexes_stale {
-            let base = self.rows.len();
-            for (&col, idx) in self.indexes.iter_mut() {
-                for (i, row) in coerced.iter().enumerate() {
-                    idx.entries
-                        .entry(row[col].group_key())
-                        .or_default()
-                        .push(base + i);
-                }
-            }
-        }
-        if let Some(ct) = &mut self.columnar {
-            for row in &coerced {
-                ct.append_row(row);
-            }
-        }
-        self.rows.reserve(n);
-        self.rows.extend(coerced);
+        let rows = rows
+            .into_iter()
+            .map(|values| self.coerce_values(values))
+            .collect::<Result<Vec<_>, _>>()?;
+        let n = rows.len();
+        rows.into_iter().try_for_each(|row| self.append(row))?;
         Ok(n)
     }
 
-    /// The columnar mirror, if present and in sync with `rows`. The row
-    /// count guard catches direct `rows` mutation that bypassed the
-    /// maintenance hooks.
+    /// Append one coerced row, keeping in-memory indexes and the columnar
+    /// mirror current.
+    fn append(&mut self, row: Row) -> Result<(), SqlError> {
+        let pos = self.len();
+        if !self.indexes_stale {
+            for (&col, index) in &mut self.indexes {
+                match index {
+                    Index::Mem(map) => map.entry(encode_value(&row[col])).or_default().push(pos),
+                    // B+-trees are only bulk-built: an append makes them stale.
+                    Index::Paged(_) => self.indexes_stale = true,
+                }
+            }
+        }
+        match &mut self.rows {
+            Rows::Mem(rows) => {
+                if let Some(ct) = &mut self.columnar {
+                    ct.append_row(&row);
+                }
+                rows.push(row);
+            }
+            Rows::Paged { heap, pager } => {
+                heap.append_row(&mut pager.pool(), row.values())?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The columnar mirror of the in-memory rows, when it is fresh. Paged
+    /// tables never have one.
     pub fn columnar(&self) -> Option<&ColumnTable> {
-        if self.is_paged() {
-            // Paged tables have no columnar mirror; the vectorized executor
-            // streams chunks straight off the heap instead.
-            return None;
-        }
-        self.columnar
-            .as_ref()
-            .filter(|ct| ct.rows() == self.rows.len())
+        self.columnar.as_ref()
     }
 
-    /// Build (or rebuild) the columnar mirror from row storage if it is
-    /// absent or out of sync. No-op on paged tables.
+    /// Build the columnar mirror if it is missing. No-op on paged tables.
     pub fn refresh_columnar(&mut self) {
-        if self.is_paged() {
-            return;
-        }
-        let fresh = self
-            .columnar
-            .as_ref()
-            .is_some_and(|ct| ct.rows() == self.rows.len());
-        if !fresh {
-            self.columnar = Some(ColumnTable::from_rows(&self.rows, self.schema.len()));
+        if let (Rows::Mem(rows), None) = (&self.rows, &self.columnar) {
+            self.columnar = Some(ColumnTable::from_rows(rows, self.schema.len()));
         }
     }
 
-    /// Build a B+-tree over column `col` from the current heap contents.
-    fn build_btree(&self, col: usize) -> Result<BTreeIndex, SqlError> {
-        let (heap, pager) = (
-            self.heap.as_ref().expect("paged table"),
-            self.pager.as_ref().expect("paged table"),
-        );
-        let mut pool = pager.pool();
-        let mut items = Vec::with_capacity(heap.len());
-        heap.scan(&mut pool, |ord, row| {
-            items.push((row[col].clone(), ord));
-            Ok(())
-        })?;
-        BTreeIndex::build(&mut pool, items)
-    }
-
-    /// Create a named index on `column`: a [`HashIndex`] on the in-memory
-    /// arm, a paged [`BTreeIndex`] on the paged arm. Re-creating under the
-    /// same name replaces it.
-    pub fn create_index(&mut self, name: &str, column: &str) -> Result<(), SqlError> {
-        let col = self.schema.index_of(column)?;
-        let name = name.to_lowercase();
-        if let Some(&existing) = self.index_names.get(&name) {
-            if existing != col {
-                self.indexes.remove(&existing);
-                if let Some(tree) = self.btrees.remove(&existing) {
-                    if let Some(pager) = &self.pager {
-                        tree.free(&mut pager.pool())?;
+    /// Build an index over column `col` from the current rows.
+    fn build_index(&self, col: usize) -> Result<Index, SqlError> {
+        Ok(match &self.rows {
+            Rows::Mem(rows) => {
+                // Sort, then group: `BTreeMap` bulk-builds from sorted
+                // input, far faster than one insert per row.
+                let mut keys: Vec<(Vec<u8>, usize)> = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| (encode_value(&row[col]), i))
+                    .collect();
+                keys.sort_unstable();
+                let mut grouped: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
+                for (key, i) in keys {
+                    match grouped.last_mut() {
+                        Some((last, ids)) if *last == key => ids.push(i),
+                        _ => grouped.push((key, vec![i])),
                     }
                 }
+                Index::Mem(grouped.into_iter().collect())
+            }
+            Rows::Paged { heap, pager } => {
+                let mut pool = pager.pool();
+                let mut items = Vec::with_capacity(heap.len());
+                heap.scan(&mut pool, |ord, row| {
+                    items.push((row[col].clone(), ord));
+                    Ok(())
+                })?;
+                Index::Paged(BTreeIndex::build(&mut pool, items)?)
+            }
+        })
+    }
+
+    /// Release an index's pages (a no-op for in-memory indexes).
+    fn free_index(&self, index: Index) -> Result<(), SqlError> {
+        match (index, &self.rows) {
+            (Index::Paged(tree), Rows::Paged { pager, .. }) => tree.free(&mut pager.pool()),
+            _ => Ok(()),
+        }
+    }
+
+    /// Drop the index on `col` unless another index name still covers it.
+    fn drop_column_index(&mut self, col: usize) -> Result<(), SqlError> {
+        if self.index_names.values().any(|&c| c == col) {
+            return Ok(());
+        }
+        match self.indexes.remove(&col) {
+            Some(index) => self.free_index(index),
+            None => Ok(()),
+        }
+    }
+
+    /// Create a named index on `column`. Re-creating under the same name
+    /// replaces it.
+    pub fn create_index(&mut self, name: &str, column: &str) -> Result<(), SqlError> {
+        let col = self.schema.index_of(column)?;
+        let index = self.build_index(col)?;
+        if let Some(old) = self.index_names.insert(name.to_lowercase(), col) {
+            if old != col {
+                self.drop_column_index(old)?;
             }
         }
-        if self.is_paged() {
-            let tree = self.build_btree(col)?;
-            if let Some(old) = self.btrees.insert(col, tree) {
-                if let Some(pager) = &self.pager {
-                    old.free(&mut pager.pool())?;
-                }
-            }
-        } else {
-            self.indexes.insert(col, HashIndex::build(&self.rows, col));
+        match self.indexes.insert(col, index) {
+            Some(old) => self.free_index(old),
+            None => Ok(()),
         }
-        self.index_names.insert(name, col);
-        Ok(())
     }
 
     /// Drop an index by name.
     pub fn drop_index(&mut self, name: &str) -> Result<(), SqlError> {
         let name = name.to_lowercase();
         match self.index_names.remove(&name) {
-            Some(col) => {
-                // Only remove the column index if no other name covers it.
-                if !self.index_names.values().any(|&c| c == col) {
-                    self.indexes.remove(&col);
-                    if let Some(tree) = self.btrees.remove(&col) {
-                        if let Some(pager) = &self.pager {
-                            tree.free(&mut pager.pool())?;
-                        }
-                    }
-                }
-                Ok(())
-            }
+            Some(col) => self.drop_column_index(col),
             None => Err(SqlError::Plan(format!("index not found: {name}"))),
         }
     }
@@ -304,74 +272,92 @@ impl Table {
         v
     }
 
-    /// Columns (by position) that currently carry indexes (either arm).
+    /// Columns (by position) that carry indexes.
     pub fn indexed_columns(&self) -> Vec<usize> {
-        let mut cols: Vec<usize> = self.indexes.keys().chain(self.btrees.keys()).copied().collect();
+        let mut cols: Vec<usize> = self.indexes.keys().copied().collect();
         cols.sort_unstable();
-        cols.dedup();
         cols
     }
 
-    /// The index on column position `col`, refreshed if stale.
-    /// Returns `None` when no index exists there.
-    pub fn index(&mut self, col: usize) -> Option<&HashIndex> {
-        if self.indexes_stale {
-            for (&c, idx) in self.indexes.iter_mut() {
-                *idx = HashIndex::build(&self.rows, c);
+    /// Whether column `col` has an index that [`Table::probe`] may use.
+    pub fn has_fresh_index(&self, col: usize) -> bool {
+        !self.indexes_stale && self.indexes.contains_key(&col)
+    }
+
+    /// Ascending positions of the rows whose column `col` lies between
+    /// `lo` and `hi` in [`encode_value`] order. Errors unless
+    /// [`Table::has_fresh_index`] holds for `col`.
+    pub fn probe(
+        &self,
+        col: usize,
+        lo: Bound<&Value>,
+        hi: Bound<&Value>,
+    ) -> Result<Vec<usize>, SqlError> {
+        let index = match self.indexes.get(&col) {
+            Some(index) if !self.indexes_stale => index,
+            _ => {
+                return Err(SqlError::Plan(format!(
+                    "no fresh index on column {col} of `{}`",
+                    self.name
+                )))
             }
-            self.indexes_stale = false;
+        };
+        match (index, &self.rows) {
+            (Index::Paged(tree), Rows::Paged { pager, .. }) => {
+                tree.range(&mut pager.pool(), lo, hi)
+            }
+            (Index::Mem(map), _) => {
+                let (lo, hi) = (lo.map(encode_value), hi.map(encode_value));
+                // `BTreeMap::range` panics on inverted bounds.
+                let empty = match (&lo, &hi) {
+                    (Bound::Included(l), Bound::Included(h)) => l > h,
+                    (
+                        Bound::Included(l) | Bound::Excluded(l),
+                        Bound::Included(h) | Bound::Excluded(h),
+                    ) => l >= h,
+                    _ => false,
+                };
+                if empty {
+                    return Ok(Vec::new());
+                }
+                let range = (
+                    lo.as_ref().map(Vec::as_slice),
+                    hi.as_ref().map(Vec::as_slice),
+                );
+                let mut ids: Vec<usize> = map
+                    .range::<[u8], _>(range)
+                    .flat_map(|(_, ids)| ids.iter().copied())
+                    .collect();
+                ids.sort_unstable();
+                Ok(ids)
+            }
+            (Index::Paged(_), Rows::Mem(_)) => unreachable!("B+-trees index paged tables only"),
         }
-        self.indexes.get(&col)
     }
 
-    /// Read-only view of an index; `None` if absent or stale.
-    pub fn index_if_fresh(&self, col: usize) -> Option<&HashIndex> {
-        if self.indexes_stale {
-            return None;
-        }
-        self.indexes.get(&col)
-    }
-
-    /// Read-only view of a paged B+-tree index; `None` if absent or stale.
-    pub fn btree_if_fresh(&self, col: usize) -> Option<&BTreeIndex> {
-        if self.indexes_stale {
-            return None;
-        }
-        self.btrees.get(&col)
-    }
-
-    /// Mark indexes stale after in-place mutation (UPDATE/DELETE). The
-    /// columnar mirror is dropped unconditionally: unlike indexes its row
-    /// count can stay equal under UPDATE, so a staleness flag alone would
-    /// not catch the change.
-    pub fn mark_indexes_stale(&mut self) {
-        if !self.indexes.is_empty() || !self.btrees.is_empty() {
+    /// Mark derived state stale after rows changed or left: indexes until
+    /// [`Table::refresh_indexes`], the columnar mirror until
+    /// [`Table::refresh_columnar`].
+    fn mark_stale(&mut self) {
+        if !self.indexes.is_empty() {
             self.indexes_stale = true;
         }
         self.columnar = None;
     }
 
-    /// Rebuild any stale indexes now (optional; lookups do this lazily on
-    /// the in-memory arm; the engine calls this before reads on the paged
-    /// arm, where the immutable executor cannot rebuild).
+    /// Rebuild stale indexes. A failed build leaves the table stale, so
+    /// probes keep falling back to scans.
     pub fn refresh_indexes(&mut self) {
         if !self.indexes_stale {
             return;
         }
-        if self.is_paged() {
-            let cols: Vec<usize> = self.btrees.keys().copied().collect();
-            for c in cols {
-                // Build before free: a build failure leaves the old (stale,
-                // unused) tree in place rather than dangling.
-                if let Ok(tree) = self.build_btree(c) {
-                    if let (Some(old), Some(pager)) = (self.btrees.insert(c, tree), &self.pager) {
-                        let _ = old.free(&mut pager.pool());
-                    }
-                }
-            }
-        } else {
-            for (&c, idx) in self.indexes.iter_mut() {
-                *idx = HashIndex::build(&self.rows, c);
+        let cols: Vec<usize> = self.indexes.keys().copied().collect();
+        for col in cols {
+            let Ok(index) = self.build_index(col) else {
+                return;
+            };
+            if let Some(old) = self.indexes.insert(col, index) {
+                let _ = self.free_index(old);
             }
         }
         self.indexes_stale = false;
@@ -379,9 +365,9 @@ impl Table {
 
     /// Row count.
     pub fn len(&self) -> usize {
-        match &self.heap {
-            Some(h) => h.len(),
-            None => self.rows.len(),
+        match &self.rows {
+            Rows::Mem(rows) => rows.len(),
+            Rows::Paged { heap, .. } => heap.len(),
         }
     }
 
@@ -390,19 +376,46 @@ impl Table {
         self.len() == 0
     }
 
-    /// Stream every stored row through `f` in storage order, whichever arm
-    /// holds it. The paged arm decodes one page at a time.
+    /// Stream every stored row through `f` in storage order. The paged arm
+    /// decodes one page at a time, so memory stays bounded by the pool.
     pub fn for_each_row(
         &self,
-        mut f: impl FnMut(&[Value]) -> Result<(), SqlError>,
+        mut f: impl FnMut(&Row) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
-        match (&self.heap, &self.pager) {
-            (Some(heap), Some(pager)) => heap.scan(&mut pager.pool(), |_, row| f(&row)),
-            _ => {
-                for row in &self.rows {
-                    f(row.values())?;
+        match &self.rows {
+            Rows::Mem(rows) => rows.iter().try_for_each(f),
+            Rows::Paged { heap, pager } => {
+                for i in 0..heap.page_count() {
+                    for values in heap.read_page(&mut pager.pool(), i)? {
+                        f(&Row::new(values))?;
+                    }
                 }
                 Ok(())
+            }
+        }
+    }
+
+    /// Stream the rows at ascending positions `ids` (from
+    /// [`Table::probe`]) through `f`.
+    pub fn for_each_at(
+        &self,
+        ids: &[usize],
+        mut f: impl FnMut(&Row) -> Result<(), SqlError>,
+    ) -> Result<(), SqlError> {
+        debug_assert!(ids.windows(2).all(|w| w[0] <= w[1]), "positions ascend");
+        match &self.rows {
+            Rows::Mem(rows) => ids.iter().try_for_each(|&id| match rows.get(id) {
+                Some(row) => f(row),
+                None => Err(SqlError::Storage(format!(
+                    "row position {id} out of range (table has {} rows)",
+                    rows.len()
+                ))),
+            }),
+            Rows::Paged { heap, pager } => {
+                let fetched = heap.fetch_many(&mut pager.pool(), ids)?;
+                fetched
+                    .into_iter()
+                    .try_for_each(|values| f(&Row::new(values)))
             }
         }
     }
@@ -412,38 +425,69 @@ impl Table {
     pub fn all_rows(&self) -> Result<Vec<Vec<Value>>, SqlError> {
         let mut out = Vec::with_capacity(self.len());
         self.for_each_row(|row| {
-            out.push(row.to_vec());
+            out.push(row.values().to_vec());
             Ok(())
         })?;
         Ok(out)
     }
 
-    /// Swap in a rewritten heap (the paged UPDATE/DELETE path), freeing the
-    /// old heap's pages. Does NOT touch index staleness — the caller owns
-    /// that, so paged staleness bookkeeping can mirror the in-memory arm
-    /// statement for statement.
-    pub fn replace_heap(&mut self, new_heap: TableHeap) -> Result<(), SqlError> {
-        let (heap, pager) = match (&mut self.heap, &self.pager) {
-            (Some(h), Some(p)) => (h, p),
-            _ => return Err(SqlError::Storage("replace_heap on an in-memory table".into())),
+    /// Rewrite the table in one pass over its rows, in storage order.
+    /// `edit` may change each row in place and reports what it did; rows
+    /// it removes leave the table. In memory this is a `retain_mut`; the
+    /// paged arm streams the pages into a new heap and swaps it in, and on
+    /// a storage error frees the new heap and leaves the table as it was.
+    ///
+    /// As soon as any row changed or left, indexes and the columnar mirror
+    /// go stale — also when the caller's statement goes on to fail.
+    pub fn rewrite_rows(
+        &mut self,
+        mut edit: impl FnMut(&mut Row) -> RowEdit,
+    ) -> Result<(), SqlError> {
+        let mut touched = false;
+        let mut keep = |row: &mut Row| {
+            let e = edit(row);
+            touched |= e != RowEdit::Keep;
+            e != RowEdit::Remove
         };
-        let mut old = std::mem::replace(heap, new_heap);
-        old.free(&mut pager.pool())?;
+        match &mut self.rows {
+            Rows::Mem(rows) => rows.retain_mut(|row| keep(row)),
+            Rows::Paged { heap, pager } => {
+                let mut pool = pager.pool();
+                let mut rewritten = TableHeap::new();
+                let copied = (0..heap.page_count()).try_for_each(|i| {
+                    for values in heap.read_page(&mut pool, i)? {
+                        let mut row = Row::new(values);
+                        if keep(&mut row) {
+                            rewritten.append_row(&mut pool, row.values())?;
+                        }
+                    }
+                    Ok(())
+                });
+                if let Err(e) = copied {
+                    rewritten.free(&mut pool)?;
+                    return Err(e);
+                }
+                std::mem::replace(heap, rewritten).free(&mut pool)?;
+            }
+        }
+        if touched {
+            self.mark_stale();
+        }
         Ok(())
     }
 
-    /// Release all paged storage (heap + B+-trees) back to the pool's free
-    /// list; called when the table is dropped. No-op on the in-memory arm.
+    /// Release all paged storage (heap and B+-trees) back to the pool's
+    /// free list; called when the table is dropped. No-op in memory.
     pub fn free_storage(&mut self) -> Result<(), SqlError> {
-        let pager = match &self.pager {
-            Some(p) => Arc::clone(p),
-            None => return Ok(()),
+        let Rows::Paged { heap, pager } = &mut self.rows else {
+            return Ok(());
         };
-        if let Some(heap) = &mut self.heap {
-            heap.free(&mut pager.pool())?;
-        }
-        for (_, tree) in self.btrees.drain() {
-            tree.free(&mut pager.pool())?;
+        let mut pool = pager.pool();
+        heap.free(&mut pool)?;
+        for (_, index) in self.indexes.drain() {
+            if let Index::Paged(tree) = index {
+                tree.free(&mut pool)?;
+            }
         }
         Ok(())
     }
@@ -474,8 +518,8 @@ impl Clone for Database {
         let mut tables = self.tables.clone();
         if let Some(p) = &pager {
             for t in tables.values_mut() {
-                if t.pager.is_some() {
-                    t.pager = Some(Arc::clone(p));
+                if let Rows::Paged { pager, .. } = &mut t.rows {
+                    *pager = Arc::clone(p);
                 }
             }
         }
@@ -604,7 +648,7 @@ impl Database {
             // paged-arm storage error truncates the digest (and is reported
             // loudly everywhere else), so ignore it here.
             let _ = table.for_each_row(|row| {
-                for v in row {
+                for v in row.values() {
                     eat(v.to_string().as_bytes());
                 }
                 eat(b"|");
@@ -711,7 +755,7 @@ mod tests {
             a.insert_row(r).unwrap();
         }
         assert_eq!(b.insert_rows(rows).unwrap(), 5);
-        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.all_rows().unwrap(), b.all_rows().unwrap());
         // Atomic: a bad row rejects the whole batch.
         let bad = vec![
             vec![Value::Int(9), Value::Text("ok".into())],
@@ -731,8 +775,9 @@ mod tests {
             vec![Value::Int(3), Value::Text("b".into())],
         ])
         .unwrap();
-        let idx = t.index(1).unwrap();
-        assert_eq!(idx.lookup(&Value::Text("a".into())), &[0, 1]);
+        let a = Value::Text("a".into());
+        let probe = t.probe(1, Bound::Included(&a), Bound::Included(&a));
+        assert_eq!(probe.unwrap(), vec![0, 1]);
     }
 
     #[test]
@@ -748,16 +793,33 @@ mod tests {
             .unwrap();
         let ct = t.columnar().unwrap();
         assert_eq!(ct.rows(), 3);
-        assert_eq!(ct.chunks()[0].row(2), t.rows[2]);
+        assert_eq!(ct.chunks()[0].row(2).values(), t.all_rows().unwrap()[2]);
+        // A rewrite that changes nothing keeps the cache.
+        t.rewrite_rows(|_| RowEdit::Keep).unwrap();
+        assert_eq!(t.columnar().unwrap().rows(), 3);
         // In-place mutation drops the cache even without an index.
-        t.mark_indexes_stale();
+        t.rewrite_rows(|row| {
+            row.values_mut()[1] = Value::Text("z".into());
+            RowEdit::Changed
+        })
+        .unwrap();
         assert!(t.columnar().is_none());
-        // Direct row mutation is caught by the row-count guard.
         t.refresh_columnar();
-        t.rows.push(Row::new(vec![Value::Int(4), Value::Null]));
+        assert_eq!(
+            t.columnar().unwrap().chunks()[0].row(1)[1],
+            Value::Text("z".into())
+        );
+        t.rewrite_rows(|row| {
+            if row[0] == Value::Int(1) {
+                RowEdit::Remove
+            } else {
+                RowEdit::Keep
+            }
+        })
+        .unwrap();
         assert!(t.columnar().is_none());
         t.refresh_columnar();
-        assert_eq!(t.columnar().unwrap().rows(), 4);
+        assert_eq!(t.columnar().unwrap().rows(), 2);
     }
 
     #[test]
@@ -803,13 +865,22 @@ mod index_tests {
     fn create_index_and_lookup() {
         let mut e = seeded();
         e.execute("CREATE INDEX idx_grp ON t (grp)").unwrap();
-        let t = e.database_mut().table_mut("t").unwrap();
+        let t = e.database().table("t").unwrap();
         assert_eq!(t.index_list(), vec!["idx_grp"]);
         assert_eq!(t.indexed_columns(), vec![1]);
-        let idx = t.index(1).unwrap();
-        assert_eq!(idx.lookup(&Value::Text("a".into())), &[0, 2]);
-        assert_eq!(idx.lookup(&Value::Text("z".into())), &[] as &[usize]);
-        assert_eq!(idx.distinct_keys(), 3);
+        assert!(t.has_fresh_index(1));
+        assert!(!t.has_fresh_index(0));
+        let eq = |v: &str| {
+            let v = Value::Text(v.into());
+            t.probe(1, Bound::Included(&v), Bound::Included(&v))
+                .unwrap()
+        };
+        assert_eq!(eq("a"), vec![0, 2]);
+        assert_eq!(eq("z"), Vec::<usize>::new());
+        let all = t.probe(1, Bound::Unbounded, Bound::Unbounded).unwrap();
+        assert_eq!(all, vec![0, 1, 2, 3]);
+        // No index on `id`: the probe refuses rather than guessing.
+        assert!(t.probe(0, Bound::Unbounded, Bound::Unbounded).is_err());
     }
 
     #[test]

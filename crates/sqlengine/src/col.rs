@@ -507,7 +507,7 @@ impl Chunk {
 }
 
 /// Column-chunked storage for a catalog table: the cached columnar mirror
-/// of `Table::rows`, rebuilt lazily after mutation (like hash indexes).
+/// of an in-memory table's rows, rebuilt lazily after UPDATE or DELETE.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnTable {
     chunks: Vec<Chunk>,

@@ -184,6 +184,7 @@ pub fn export_csv(db: &Database, name: &str) -> Result<String, SqlError> {
     out.push('\n');
     t.for_each_row(|row| {
         let cells: Vec<String> = row
+            .values()
             .iter()
             .map(|v| match v {
                 Value::Null => String::new(),
@@ -268,7 +269,7 @@ mod tests {
         assert_eq!(t.schema.columns()[0].data_type, DataType::Int);
         assert_eq!(t.schema.columns()[2].data_type, DataType::Float);
         assert_eq!(t.schema.columns()[3].data_type, DataType::Bool);
-        assert_eq!(t.rows[1][2], Value::Float(20.0));
+        assert_eq!(t.all_rows().unwrap()[1][2], Value::Float(20.0));
     }
 
     #[test]
@@ -298,7 +299,7 @@ mod tests {
         load_csv(&mut db2, "s2", &text).unwrap();
         let a = db.table("s").unwrap();
         let b = db2.table("s2").unwrap();
-        assert_eq!(a.rows, b.rows);
+        assert_eq!(a.all_rows().unwrap(), b.all_rows().unwrap());
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //! owned batches without touching the catalog.
 
 use std::collections::HashMap;
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 use crate::catalog::{Database, Table};
 use crate::error::SqlError;
-use crate::expr::{BinOp, Expr};
+use crate::expr::{flip_cmp, BinOp, Expr};
 use crate::parser::JoinKind;
 use crate::plan::logical::LogicalPlan;
 use crate::row::{Row, RowBatch};
@@ -68,50 +69,13 @@ fn scan_table(scan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
         rows.push(projected);
         Ok(())
     };
-    if t.is_paged() {
-        let pager = t.pager().expect("paged table");
-        let heap = t.heap().expect("paged table");
-        // Index path: equality or range conjuncts on a B+-tree
-        // column narrow the scan to ascending row ordinals.
-        let candidates = match filter {
-            Some(f) => paged_index_candidates(t, schema, projection, f)?,
-            None => None,
-        };
-        match candidates {
-            Some(ords) => {
-                let fetched = heap.fetch_many(&mut pager.pool(), &ords)?;
-                for vals in fetched {
-                    emit(&Row::new(vals))?;
-                }
-            }
-            None => {
-                // Stream page by page: resident memory stays
-                // bounded by the pool, not the table.
-                for i in 0..heap.page_count() {
-                    for vals in heap.read_page(&mut pager.pool(), i)? {
-                        emit(&Row::new(vals))?;
-                    }
-                }
-            }
-        }
-        return Ok(RowBatch::new(schema.clone(), rows));
-    }
-    // Index path: an equality conjunct on an indexed column narrows
-    // the scan to the index's posting list.
-    let candidates = filter
-        .as_ref()
-        .and_then(|f| index_candidates(t, schema, projection, f));
+    let candidates = match filter {
+        Some(f) => index_candidates(t, schema, projection, f)?,
+        None => None,
+    };
     match candidates {
-        Some(ids) => {
-            for id in ids {
-                emit(&t.rows[id])?;
-            }
-        }
-        None => {
-            for row in &t.rows {
-                emit(row)?;
-            }
-        }
+        Some(ids) => t.for_each_at(&ids, &mut emit)?,
+        None => t.for_each_row(&mut emit)?,
     }
     Ok(RowBatch::new(schema.clone(), rows))
 }
@@ -293,75 +257,23 @@ fn run(
     }
 }
 
-/// If `filter` contains an equality conjunct `col = literal` whose column
-/// carries a fresh hash index, return the matching row positions.
-fn index_candidates(
-    t: &Table,
-    schema: &SchemaRef,
-    projection: &Option<Vec<usize>>,
-    filter: &Expr,
-) -> Option<Vec<usize>> {
-    let mut conjuncts = Vec::new();
-    fn split(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::Binary {
-                left,
-                op: BinOp::And,
-                right,
-            } => {
-                split(left, out);
-                split(right, out);
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    split(filter, &mut conjuncts);
-    for c in &conjuncts {
-        let Expr::Binary {
-            left,
-            op: BinOp::Eq,
-            right,
-        } = c
-        else {
-            continue;
-        };
-        let (col, value) = match (left.as_ref(), right.as_ref()) {
-            (Expr::Column { table, name }, Expr::Literal(v)) => ((table, name), v),
-            (Expr::Literal(v), Expr::Column { table, name }) => ((table, name), v),
-            _ => continue,
-        };
-        let Ok(scan_pos) = schema.resolve(col.0.as_deref(), col.1) else {
-            continue;
-        };
-        let base_pos = match projection {
-            Some(p) => p[scan_pos],
-            None => scan_pos,
-        };
-        if let Some(idx) = t.index_if_fresh(base_pos) {
-            return Some(idx.lookup(value).to_vec());
-        }
-    }
-    None
-}
-
-/// What a single conjunct contributes to a paged index probe.
-enum PagedProbe {
-    /// Conjunct can't use the tree — try the next one.
+/// What a single conjunct contributes to an index probe.
+enum Probe {
+    /// Conjunct can't use the index — try the next one.
     Skip,
     /// Conjunct can never be truthy — the scan yields nothing.
     Empty,
-    /// Probe the tree with these bounds.
-    Range(std::ops::Bound<Value>, std::ops::Bound<Value>),
+    /// Probe the index with these bounds.
+    Range(Bound<Value>, Bound<Value>),
 }
 
-/// Convert a comparison against `lit` on a column of type `ty` into B+-tree
+/// Convert a comparison against `lit` on a column of type `ty` into index
 /// bounds. `op` is normalised so the column is on the left. Cross-type
 /// Int/Float comparisons are rewritten into same-type bounds so the probe
 /// never under-selects; anything not provably safe falls back to a full
 /// scan (`Skip`). The filter re-checks every candidate, so over-selection
 /// is always fine.
-fn paged_bounds(op: BinOp, lit: &Value, ty: DataType) -> PagedProbe {
-    use std::ops::Bound::{Excluded, Included, Unbounded};
+fn probe_bounds(op: BinOp, lit: &Value, ty: DataType) -> Probe {
     let same = matches!(
         (lit, ty),
         (Value::Int(_), DataType::Int)
@@ -372,107 +284,76 @@ fn paged_bounds(op: BinOp, lit: &Value, ty: DataType) -> PagedProbe {
     if same {
         if let Value::Float(f) = lit {
             if f.is_nan() {
-                return PagedProbe::Skip;
+                return Probe::Skip;
             }
         }
         let v = lit.clone();
         return match op {
-            BinOp::Eq => PagedProbe::Range(Included(v.clone()), Included(v)),
-            BinOp::Gt => PagedProbe::Range(Excluded(v), Unbounded),
-            BinOp::Ge => PagedProbe::Range(Included(v), Unbounded),
-            BinOp::Lt => PagedProbe::Range(Unbounded, Excluded(v)),
-            BinOp::Le => PagedProbe::Range(Unbounded, Included(v)),
-            _ => PagedProbe::Skip,
+            BinOp::Eq => Probe::Range(Included(v.clone()), Included(v)),
+            BinOp::Gt => Probe::Range(Excluded(v), Unbounded),
+            BinOp::Ge => Probe::Range(Included(v), Unbounded),
+            BinOp::Lt => Probe::Range(Unbounded, Excluded(v)),
+            BinOp::Le => Probe::Range(Unbounded, Included(v)),
+            _ => Probe::Skip,
         };
     }
     match (lit, ty) {
-        // Int literal against a Float column: exact as f64 for |i| < 2^53,
-        // and the engine's comparison semantics already go through the same
-        // widening, so bounds stay aligned with the filter.
-        (Value::Int(i), DataType::Float) => paged_bounds(op, &Value::Float(*i as f64), ty),
+        // Int literal against a Float column: SQL compares both sides as
+        // `i as f64`, so the widened literal is the exact bound.
+        (Value::Int(i), DataType::Float) => probe_bounds(op, &Value::Float(*i as f64), ty),
         (Value::Float(f), DataType::Int) => {
-            if !f.is_finite() || *f < -(2f64.powi(63)) || *f >= 2f64.powi(63) {
-                return PagedProbe::Skip;
+            // Past 2^53 neighbouring INTs widen to the same f64 that SQL
+            // compares against, so no single INT bound is exact.
+            if !f.is_finite() || f.abs() >= 2f64.powi(53) {
+                return Probe::Skip;
             }
             let whole = f.fract() == 0.0;
+            let at = |v: f64, inclusive: bool| {
+                let v = Value::Int(v as i64);
+                if inclusive {
+                    Included(v)
+                } else {
+                    Excluded(v)
+                }
+            };
             match op {
-                BinOp::Eq if whole => {
-                    let v = Value::Int(*f as i64);
-                    PagedProbe::Range(Included(v.clone()), Included(v))
-                }
-                BinOp::Eq => PagedProbe::Empty,
-                BinOp::Gt | BinOp::Ge => {
-                    let lo = if whole {
-                        let v = Value::Int(*f as i64);
-                        if op == BinOp::Gt {
-                            Excluded(v)
-                        } else {
-                            Included(v)
-                        }
-                    } else {
-                        // fract != 0 implies |f| < 2^52, so ceil/floor stay
-                        // comfortably inside i64.
-                        Included(Value::Int(f.ceil() as i64))
-                    };
-                    PagedProbe::Range(lo, Unbounded)
-                }
-                BinOp::Lt | BinOp::Le => {
-                    let hi = if whole {
-                        let v = Value::Int(*f as i64);
-                        if op == BinOp::Lt {
-                            Excluded(v)
-                        } else {
-                            Included(v)
-                        }
-                    } else {
-                        Included(Value::Int(f.floor() as i64))
-                    };
-                    PagedProbe::Range(Unbounded, hi)
-                }
-                _ => PagedProbe::Skip,
+                BinOp::Eq if whole => Probe::Range(at(*f, true), at(*f, true)),
+                BinOp::Eq => Probe::Empty,
+                BinOp::Gt | BinOp::Ge if whole => Probe::Range(at(*f, op == BinOp::Ge), Unbounded),
+                BinOp::Gt | BinOp::Ge => Probe::Range(at(f.ceil(), true), Unbounded),
+                BinOp::Lt | BinOp::Le if whole => Probe::Range(Unbounded, at(*f, op == BinOp::Le)),
+                BinOp::Lt | BinOp::Le => Probe::Range(Unbounded, at(f.floor(), true)),
+                _ => Probe::Skip,
             }
         }
-        _ => PagedProbe::Skip,
+        _ => Probe::Skip,
     }
 }
 
-/// If `filter` contains an equality or range conjunct on a column carrying a
-/// fresh B+-tree, return matching row ordinals (ascending). `Ok(None)` means
-/// fall back to a full heap scan.
-fn paged_index_candidates(
+/// If `filter` contains an equality or range conjunct on a column with a
+/// fresh index, return the matching row positions (ascending) from the
+/// first such conjunct. `Ok(None)` means scan the whole table.
+fn index_candidates(
     t: &Table,
     schema: &SchemaRef,
     projection: &Option<Vec<usize>>,
     filter: &Expr,
 ) -> Result<Option<Vec<usize>>, SqlError> {
-    let (Some(heap), Some(pager)) = (t.heap(), t.pager()) else {
-        return Ok(None);
-    };
-    let mut conjuncts = Vec::new();
-    fn split(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::Binary {
-                left,
-                op: BinOp::And,
-                right,
-            } => {
-                split(left, out);
-                split(right, out);
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    split(filter, &mut conjuncts);
-    // Resolve a column expression to its base-table position.
-    let base_pos = |table: &Option<String>, name: &String| -> Option<usize> {
+    // The base-table position of an indexed column reference.
+    let indexed = |e: &Expr| -> Option<usize> {
+        let Expr::Column { table, name } = e else {
+            return None;
+        };
         let scan_pos = schema.resolve(table.as_deref(), name).ok()?;
-        Some(match projection {
-            Some(p) => p[scan_pos],
-            None => scan_pos,
-        })
+        let pos = projection.as_ref().map_or(scan_pos, |p| p[scan_pos]);
+        t.has_fresh_index(pos).then_some(pos)
     };
-    for c in &conjuncts {
-        let probe = match c {
+    let literal = |e: &Expr| match e {
+        Expr::Literal(v) if !v.is_null() => Some(v.clone()),
+        _ => None,
+    };
+    for c in filter.conjuncts() {
+        let (pos, probe) = match c {
             Expr::Binary { left, op, right }
                 if matches!(
                     op,
@@ -480,37 +361,15 @@ fn paged_index_candidates(
                 ) =>
             {
                 // Normalise `lit OP col` to `col FLIP(OP) lit`.
-                let (pos, norm_op, lit) = match (left.as_ref(), right.as_ref()) {
-                    (Expr::Column { table, name }, Expr::Literal(v)) => {
-                        match base_pos(table, name) {
-                            Some(p) => (p, *op, v),
-                            None => continue,
-                        }
-                    }
-                    (Expr::Literal(v), Expr::Column { table, name }) => {
-                        let flipped = match op {
-                            BinOp::Eq => BinOp::Eq,
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::Le => BinOp::Ge,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::Ge => BinOp::Le,
-                            _ => unreachable!(),
-                        };
-                        match base_pos(table, name) {
-                            Some(p) => (p, flipped, v),
-                            None => continue,
-                        }
-                    }
-                    _ => continue,
-                };
-                if lit.is_null() {
-                    continue;
-                }
-                let Some(tree) = t.btree_if_fresh(pos) else {
-                    continue;
+                let (pos, op, lit) = match (indexed(left), literal(right)) {
+                    (Some(pos), Some(lit)) => (pos, *op, lit),
+                    _ => match (literal(left), indexed(right)) {
+                        (Some(lit), Some(pos)) => (pos, flip_cmp(*op), lit),
+                        _ => continue,
+                    },
                 };
                 let ty = t.schema.columns()[pos].data_type;
-                (tree, paged_bounds(norm_op, lit, ty))
+                (pos, probe_bounds(op, &lit, ty))
             }
             Expr::Between {
                 expr,
@@ -518,51 +377,27 @@ fn paged_index_candidates(
                 high,
                 negated: false,
             } => {
-                let (Expr::Column { table, name }, Expr::Literal(lo), Expr::Literal(hi)) =
-                    (expr.as_ref(), low.as_ref(), high.as_ref())
+                let (Some(pos), Some(lo), Some(hi)) = (indexed(expr), literal(low), literal(high))
                 else {
-                    continue;
-                };
-                let Some(pos) = base_pos(table, name) else {
-                    continue;
-                };
-                if lo.is_null() || hi.is_null() {
-                    continue;
-                }
-                let Some(tree) = t.btree_if_fresh(pos) else {
                     continue;
                 };
                 let ty = t.schema.columns()[pos].data_type;
                 let probe = match (
-                    paged_bounds(BinOp::Ge, lo, ty),
-                    paged_bounds(BinOp::Le, hi, ty),
+                    probe_bounds(BinOp::Ge, &lo, ty),
+                    probe_bounds(BinOp::Le, &hi, ty),
                 ) {
-                    (PagedProbe::Empty, _) | (_, PagedProbe::Empty) => PagedProbe::Empty,
-                    (PagedProbe::Range(l, _), PagedProbe::Range(_, h)) => PagedProbe::Range(l, h),
-                    _ => PagedProbe::Skip,
+                    (Probe::Empty, _) | (_, Probe::Empty) => Probe::Empty,
+                    (Probe::Range(l, _), Probe::Range(_, h)) => Probe::Range(l, h),
+                    _ => Probe::Skip,
                 };
-                (tree, probe)
+                (pos, probe)
             }
             _ => continue,
         };
-        let (tree, probe) = probe;
         match probe {
-            PagedProbe::Skip => continue,
-            PagedProbe::Empty => return Ok(Some(Vec::new())),
-            PagedProbe::Range(lo, hi) => {
-                fn as_ref(b: &std::ops::Bound<Value>) -> std::ops::Bound<&Value> {
-                    match b {
-                        std::ops::Bound::Included(v) => std::ops::Bound::Included(v),
-                        std::ops::Bound::Excluded(v) => std::ops::Bound::Excluded(v),
-                        std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
-                    }
-                }
-                let mut ords = tree.range(&mut pager.pool(), as_ref(&lo), as_ref(&hi))?;
-                // Defensive: a stale-but-unmarked tree could carry ordinals
-                // past the current heap; a full scan would never see them.
-                ords.retain(|&o| o < heap.len());
-                return Ok(Some(ords));
-            }
+            Probe::Skip => continue,
+            Probe::Empty => return Ok(Some(Vec::new())),
+            Probe::Range(lo, hi) => return t.probe(pos, lo.as_ref(), hi.as_ref()).map(Some),
         }
     }
     Ok(None)
@@ -587,34 +422,18 @@ pub(super) fn extract_equi_keys(on: &Expr, lschema: &SchemaRef, rschema: &Schema
                 .iter()
                 .all(|(t, n)| schema.resolve(t.as_deref(), n).is_ok())
     }
-    let mut conjuncts = Vec::new();
-    fn split(e: &Expr, out: &mut Vec<Expr>) {
-        match e {
-            Expr::Binary {
-                left,
-                op: BinOp::And,
-                right,
-            } => {
-                split(left, out);
-                split(right, out);
-            }
-            other => out.push(other.clone()),
-        }
-    }
-    split(on, &mut conjuncts);
-
     let mut keys = JoinKeys {
         left_exprs: Vec::new(),
         right_exprs: Vec::new(),
         residual: None,
     };
     let mut residuals = Vec::new();
-    for c in conjuncts {
+    for c in on.conjuncts() {
         if let Expr::Binary {
             left,
             op: BinOp::Eq,
             right,
-        } = &c
+        } = c
         {
             if bound_by(left, lschema) && bound_by(right, rschema) {
                 keys.left_exprs.push((**left).clone());
@@ -627,7 +446,7 @@ pub(super) fn extract_equi_keys(on: &Expr, lschema: &SchemaRef, rschema: &Schema
                 continue;
             }
         }
-        residuals.push(c);
+        residuals.push(c.clone());
     }
     keys.residual = residuals.into_iter().reduce(|a, b| Expr::binary(a, BinOp::And, b));
     keys

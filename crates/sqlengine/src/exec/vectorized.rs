@@ -2,7 +2,8 @@
 //!
 //! The logical plans are the same ones [`super::executor`] interprets;
 //! only the physical representation changes. Tables are scanned as
-//! [`Chunk`]s from the catalog's [`ColumnTable`] mirror, predicates run
+//! [`Chunk`]s from the catalog's [`ColumnTable`] mirror (or re-batched from
+//! streamed rows when there is none), predicates run
 //! via [`Expr::eval_batch`] producing **selection vectors** (row ids that
 //! survive a filter), and aggregation folds typed columns through
 //! [`Accumulator::update_col`]. Joins and sorts re-batch through column
@@ -103,9 +104,9 @@ impl ColBatch {
 /// Execute a logical plan with the columnar executor.
 ///
 /// Scans read the catalog's columnar mirror when it is fresh (see
-/// [`crate::catalog::Table::refresh_columnar`]) and fall back to a
-/// one-shot conversion of row storage otherwise, so results never depend
-/// on cache state.
+/// [`crate::catalog::Table::refresh_columnar`]) and otherwise re-batch
+/// the table's rows as they stream, so results never depend on cache
+/// state.
 pub fn execute_plan_columnar(
     plan: &LogicalPlan,
     db: &Database,
@@ -159,13 +160,9 @@ fn scan_table(
         unreachable!("scan_table takes Scan nodes");
     };
     let t = db.table(table)?;
-    // One scan chunk: project, filter, keep survivors. Shared by
-    // the mirror path and the paged streaming path below.
+    // One scan chunk: project, filter, keep survivors.
     let mut chunks = Vec::new();
-    let scan_chunk = |chunk: &Chunk,
-                      stats: &mut ExecStats,
-                      chunks: &mut Vec<Chunk>|
-     -> Result<(), SqlError> {
+    let mut scan_chunk = |chunk: &Chunk| -> Result<(), SqlError> {
         stats.chunks += 1;
         stats.rows_scanned += chunk.len as u64;
         // Match the row executor: project first, filter on the
@@ -190,48 +187,28 @@ fn scan_table(
         }
         Ok(())
     };
-    if t.is_paged() {
-        // Paged tables have no columnar mirror; stream heap pages
-        // through the buffer pool, re-batching rows into
-        // CHUNK_ROWS-row chunks so chunk boundaries match the
-        // in-memory mirror's.
-        let pager = t.pager().expect("paged table");
-        let heap = t.heap().expect("paged table");
-        let width = t.schema.len();
-        let mut buf: Vec<Row> = Vec::with_capacity(CHUNK_ROWS);
-        for i in 0..heap.page_count() {
-            for vals in heap.read_page(&mut pager.pool(), i)? {
-                buf.push(Row::new(vals));
-                if buf.len() == CHUNK_ROWS {
-                    let ct = ColumnTable::from_rows(&buf, width);
-                    for chunk in ct.chunks() {
-                        scan_chunk(chunk, stats, &mut chunks)?;
-                    }
-                    buf.clear();
-                }
-            }
-        }
-        if !buf.is_empty() {
-            let ct = ColumnTable::from_rows(&buf, width);
-            for chunk in ct.chunks() {
-                scan_chunk(chunk, stats, &mut chunks)?;
-            }
-        }
-        return Ok(ColBatch {
-            schema: schema.clone(),
-            chunks,
-        });
-    }
-    let fallback;
-    let ct: &ColumnTable = match t.columnar() {
-        Some(ct) => ct,
+    match t.columnar() {
+        Some(ct) => ct.chunks().iter().try_for_each(&mut scan_chunk)?,
         None => {
-            fallback = ColumnTable::from_rows(&t.rows, t.schema.len());
-            &fallback
+            // No fresh mirror (or a paged table): stream the rows,
+            // re-batching them into CHUNK_ROWS-row chunks so chunk
+            // boundaries match the mirror's.
+            let width = t.schema.len();
+            let mut buf: Vec<Row> = Vec::with_capacity(CHUNK_ROWS);
+            let mut flush = |buf: &mut Vec<Row>| -> Result<(), SqlError> {
+                let ct = ColumnTable::from_rows(buf, width);
+                buf.clear();
+                ct.chunks().iter().try_for_each(&mut scan_chunk)
+            };
+            t.for_each_row(|row| {
+                buf.push(row.clone());
+                if buf.len() == CHUNK_ROWS {
+                    flush(&mut buf)?;
+                }
+                Ok(())
+            })?;
+            flush(&mut buf)?;
         }
-    };
-    for chunk in ct.chunks() {
-        scan_chunk(chunk, stats, &mut chunks)?;
     }
     Ok(ColBatch {
         schema: schema.clone(),

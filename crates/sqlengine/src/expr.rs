@@ -214,6 +214,27 @@ impl Expr {
         }
     }
 
+    /// The AND-ed factors of this expression, left to right (just the
+    /// expression itself when it is not an `AND`).
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+            match e {
+                Expr::Binary {
+                    left,
+                    op: BinOp::And,
+                    right,
+                } => {
+                    walk(left, out);
+                    walk(right, out);
+                }
+                other => out.push(other),
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
+    }
+
     /// Every column referenced by this subtree, as `(table, name)` pairs.
     pub fn referenced_columns(&self, out: &mut Vec<(Option<String>, String)>) {
         match self {
@@ -689,7 +710,7 @@ fn cmp_result(op: BinOp, ord: std::cmp::Ordering) -> bool {
 }
 
 /// Mirror a comparison operator so `scalar op col` becomes `col op' scalar`.
-fn flip_cmp(op: BinOp) -> BinOp {
+pub(crate) fn flip_cmp(op: BinOp) -> BinOp {
     match op {
         BinOp::Lt => BinOp::Gt,
         BinOp::Le => BinOp::Ge,

@@ -23,7 +23,8 @@
 //!   operator pulls `Vec<Row>` from its child and evaluates expressions
 //!   one row at a time.
 //! - **Columnar** ([`exec::ExecConfig::columnar`]): a vectorized batch
-//!   pipeline. The catalog keeps a column-chunked mirror of each table
+//!   pipeline. The catalog keeps a column-chunked mirror of each in-memory
+//!   table
 //!   ([`col::ColumnTable`]: typed [`col::ColumnVec`]s with null bitmaps
 //!   in [`col::CHUNK_ROWS`]-row [`col::Chunk`]s). Scans stream chunks,
 //!   predicates evaluate whole chunks at once ([`expr::Expr::eval_batch`])
@@ -46,9 +47,19 @@
 //! same two phases back to back, after refreshing the scanned tables'
 //! index and columnar caches.
 //!
+//! ## Storage: one interface, two arms
+//!
+//! [`catalog::Table`] stores rows either in memory (the default) or in
+//! heap pages behind a buffer pool ([`storage::StorageConfig::paged`]).
+//! Executors and DML never see the difference: they scan, fetch index
+//! hits, probe indexes and rewrite rows through `Table` alone. Secondary
+//! indexes on both arms key values by the same order-preserving encoding
+//! ([`storage::btree::encode_value`]) and answer equality and range
+//! probes.
+//!
 //! ## Supported SQL
 //!
-//! - DDL: `CREATE TABLE`, `DROP TABLE`
+//! - DDL: `CREATE TABLE`, `DROP TABLE`, `CREATE INDEX`, `DROP INDEX`
 //! - DML: `INSERT INTO … VALUES`, `UPDATE … SET … WHERE`, `DELETE FROM`
 //! - Queries: `SELECT` with projections & aliases, `WHERE`, `INNER/LEFT
 //!   JOIN … ON`, `GROUP BY` + `HAVING`, `ORDER BY … ASC/DESC`, `LIMIT`,

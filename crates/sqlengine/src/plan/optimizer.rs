@@ -215,21 +215,6 @@ pub fn fold_expr(e: Expr) -> Expr {
 
 // ---------- rule 2: predicate pushdown ----------
 
-/// Split a conjunction into its AND-ed factors.
-fn split_conjuncts(e: Expr, out: &mut Vec<Expr>) {
-    match e {
-        Expr::Binary {
-            left,
-            op: BinOp::And,
-            right,
-        } => {
-            split_conjuncts(*left, out);
-            split_conjuncts(*right, out);
-        }
-        other => out.push(other),
-    }
-}
-
 /// Rebuild a conjunction from factors.
 fn join_conjuncts(mut parts: Vec<Expr>) -> Option<Expr> {
     let mut acc = parts.pop()?;
@@ -332,8 +317,7 @@ fn push_filter(input: LogicalPlan, predicate: Expr) -> Result<LogicalPlan, SqlEr
             kind,
             on,
         } => {
-            let mut parts = Vec::new();
-            split_conjuncts(predicate, &mut parts);
+            let parts = predicate.conjuncts().into_iter().cloned();
             let lschema = left.schema();
             let rschema = right.schema();
             let mut push_left = Vec::new();
@@ -794,13 +778,11 @@ mod tests {
             BinOp::And,
             Expr::binary(Expr::col("b"), BinOp::Lt, Expr::lit(2i64)),
         );
-        let mut parts = Vec::new();
-        split_conjuncts(e, &mut parts);
+        let parts: Vec<Expr> = e.conjuncts().into_iter().cloned().collect();
         assert_eq!(parts.len(), 2);
-        let rebuilt = join_conjuncts(parts).unwrap();
-        let mut again = Vec::new();
-        split_conjuncts(rebuilt, &mut again);
-        assert_eq!(again.len(), 2);
+        let rebuilt = join_conjuncts(parts.clone()).unwrap();
+        assert_eq!(rebuilt.conjuncts(), parts.iter().collect::<Vec<_>>());
+        assert_eq!(rebuilt, e);
     }
 
     #[test]

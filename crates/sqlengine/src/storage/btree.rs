@@ -8,11 +8,12 @@
 //! seeks to the first matching entry because a prefix sorts before any of
 //! its extensions.
 //!
-//! Lifecycle mirrors `HashIndex`: the tree is **bulk-built bottom-up** from
-//! a snapshot of the table and marked stale by any mutation; the engine
-//! rebuilds stale trees before executing reads. There is no incremental
+//! The tree is **bulk-built bottom-up** from a snapshot of a paged table
+//! and marked stale by any mutation; [`crate::catalog::Table`] rebuilds
+//! stale trees before reads that may refresh. There is no incremental
 //! insert/delete path — rebuilds are O(n log n) and keep the page layout
-//! dense.
+//! dense. In-memory tables key their indexes with the same
+//! [`encode_value`], holding the leaf level as an ordered map.
 //!
 //! Page layouts (on top of the slotted format in [`super::page`]):
 //! - leaf tuple:      `key` bytes (value encoding ++ ordinal BE); leaves are
@@ -29,7 +30,8 @@ use std::ops::Bound;
 /// Order-preserving byte encoding of one value, consistent with
 /// `Value::total_cmp` ranks (NULL < BOOL < numeric < TEXT). A column's
 /// values are homogeneous by schema type, so INT and FLOAT never share a
-/// tree even though both use rank 2.
+/// tree even though both use rank 2. `-0.0` encodes as `+0.0`, because SQL
+/// comparison treats the two as equal.
 pub fn encode_value(v: &Value) -> Vec<u8> {
     match v {
         Value::Null => vec![0],
@@ -41,7 +43,7 @@ pub fn encode_value(v: &Value) -> Vec<u8> {
             out
         }
         Value::Float(f) => {
-            let bits = f.to_bits();
+            let bits = if *f == 0.0 { 0 } else { f.to_bits() };
             // IEEE-754 total order: positive floats get the sign bit set,
             // negative floats are bit-inverted. Matches `f64::total_cmp`.
             let sortable = if bits & (1 << 63) != 0 { !bits } else { bits | (1 << 63) };
@@ -334,6 +336,11 @@ mod tests {
                 w[1]
             );
         }
+        // Signed zeros share one key, as they compare equal in SQL.
+        assert_eq!(
+            encode_value(&Value::Float(-0.0)),
+            encode_value(&Value::Float(0.0))
+        );
         // Cross-rank: NULL < BOOL < numeric < TEXT.
         let ranked = [
             Value::Null,

@@ -1,10 +1,11 @@
 //! Table heap: an ordered chain of slotted heap pages plus an in-memory
 //! page directory with cumulative row counts for ordinal addressing.
 //!
-//! Rows are addressed by **ordinal** — their 0-based position in insertion
-//! order. Ordinals are what the B+-tree stores as postings; they stay stable
-//! between rebuilds because UPDATE/DELETE rewrite the whole heap (and mark
-//! indexes stale) rather than mutating in place.
+//! Rows are addressed by **ordinal** — their 0-based position in storage
+//! order. Ordinals are what the B+-tree stores as postings. An UPDATE or
+//! DELETE rewrites the whole heap ([`crate::catalog::Table::rewrite_rows`]),
+//! which shifts ordinals once a row leaves, so the rewrite marks the
+//! table's indexes stale whenever a row changed or left.
 
 use super::buffer::BufferPool;
 use super::page::{decode_row, encode_row, PageType};

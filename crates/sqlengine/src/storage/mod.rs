@@ -11,9 +11,9 @@
 //! - [`btree`]: [`btree::BTreeIndex`] secondary indexes with ordered range
 //!   scans.
 //!
-//! Selection happens through [`StorageConfig`] on `Engine`/`Database`; the
-//! default [`StorageConfig::InMemory`] leaves the classic `Vec<Row>` path
-//! byte-identical.
+//! Selection happens through [`StorageConfig`] on `Engine`/`Database`;
+//! [`crate::catalog::Table`] hides the choice from everything above it.
+//! The default is [`StorageConfig::InMemory`].
 
 pub mod btree;
 pub mod buffer;

@@ -1,8 +1,12 @@
 //! Shared differential-test harness: a deterministic RNG, random SQL
 //! generators over a fixed two-table schema, and an equivalence checker.
 //!
-//! Used by `columnar_props.rs` (row vs. columnar executor) and
-//! `storage_props.rs` (in-memory vs. paged storage, both executors).
+//! Used by `columnar_props.rs` (row vs. columnar executor),
+//! `storage_props.rs` (in-memory vs. paged storage, both executors) and
+//! `prepare_props.rs` (two-phase SELECT vs. `execute`). In each, the
+//! reference engine runs [`seed_stmts`] alone; the engines compared with it
+//! also run [`INDEXES`], so every index probe is checked against an
+//! index-free oracle.
 
 #![allow(dead_code)] // each test binary uses a subset
 
@@ -46,11 +50,17 @@ pub fn int_lit(rng: &mut Rng) -> String {
 }
 
 pub fn float_lit(rng: &mut Rng) -> String {
-    if rng.pct(10) {
-        "NULL".into()
-    } else {
-        format!("{:?}", (rng.below(4000) as f64 - 2000.0) / 8.0)
+    match rng.below(20) {
+        0 | 1 => "NULL".into(),
+        2 => "-0.0".into(),
+        3 => "0.0".into(),
+        _ => format!("{:?}", (rng.below(4000) as f64 - 2000.0) / 8.0),
     }
+}
+
+/// A whole or half FLOAT literal in INT `v`'s range, e.g. `-7.0` or `3.5`.
+pub fn numeric_float_lit(rng: &mut Rng) -> String {
+    format!("{:?}", (rng.below(400) as f64 - 200.0) / 2.0)
 }
 
 pub fn group_lit(rng: &mut Rng) -> String {
@@ -69,15 +79,20 @@ pub fn bool_lit(rng: &mut Rng) -> String {
     }
 }
 
-/// The seed statement stream: DDL for `t1`/`t2`, a secondary index on
-/// `t1.grp`, and bulk inserts. Feed the same stream to every engine under
-/// comparison.
+/// Secondary indexes on `t1` for the engines compared with the index-free
+/// reference: TEXT equality, INT and FLOAT ranges.
+pub const INDEXES: &[&str] = &[
+    "CREATE INDEX idx_grp ON t1 (grp)",
+    "CREATE INDEX idx_v ON t1 (v)",
+    "CREATE INDEX idx_f ON t1 (f)",
+];
+
+/// The seed statement stream: DDL for `t1`/`t2` and bulk inserts. Feed the
+/// same stream to every engine under comparison.
 pub fn seed_stmts(rng: &mut Rng, t1_rows: usize, t2_rows: usize) -> Vec<String> {
     let mut stmts = vec![
         "CREATE TABLE t1 (id INT, grp TEXT, v INT, f FLOAT, b BOOL)".to_string(),
         "CREATE TABLE t2 (id INT, t1_id INT, w FLOAT, tag TEXT)".to_string(),
-        // Exercise index-narrowed scans against full scans.
-        "CREATE INDEX idx_grp ON t1 (grp)".to_string(),
     ];
     let mut vals = Vec::with_capacity(t1_rows);
     for id in 0..t1_rows {
@@ -110,7 +125,7 @@ pub fn seed_stmts(rng: &mut Rng, t1_rows: usize, t2_rows: usize) -> Vec<String> 
 /// One random predicate over t1's columns (optionally qualified).
 pub fn predicate(rng: &mut Rng, q: &str) -> String {
     let atom = |rng: &mut Rng| -> String {
-        match rng.below(9) {
+        match rng.below(14) {
             0 => format!("{q}v > {}", int_lit(rng)),
             1 => format!("{q}f <= {}", float_lit(rng)),
             2 => format!("{q}grp = {}", group_lit(rng)),
@@ -124,7 +139,13 @@ pub fn predicate(rng: &mut Rng, q: &str) -> String {
             5 => format!("{q}v BETWEEN {} AND {}", int_lit(rng), int_lit(rng)),
             6 => format!("{q}b = TRUE"),
             7 => format!("{q}grp IS NULL"),
-            _ => format!("{q}v + {q}id > {}", int_lit(rng)),
+            8 => format!("{q}v + {q}id > {}", int_lit(rng)),
+            // Literals of the other numeric type, on either side.
+            9 => format!("{q}v = {}", numeric_float_lit(rng)),
+            10 => format!("{} <= {q}v", numeric_float_lit(rng)),
+            11 => format!("{q}f = {}", int_lit(rng)),
+            12 => format!("{q}f BETWEEN {} AND {}", int_lit(rng), float_lit(rng)),
+            _ => format!("{q}f >= {}", float_lit(rng)),
         }
     };
     match rng.below(4) {
@@ -207,14 +228,24 @@ pub fn query(rng: &mut Rng) -> String {
     }
 }
 
+/// One random write. Some fail part-way: `10 / (v - k)` divides by zero
+/// at the first row holding `v = k`, after earlier rows were hit.
 pub fn dml(rng: &mut Rng, next_id: &mut i64) -> String {
-    match rng.below(3) {
+    match rng.below(5) {
         0 => format!(
             "UPDATE t1 SET v = v + {}, f = f * 0.5 WHERE {}",
             rng.below(10),
             predicate(rng, "")
         ),
         1 => format!("DELETE FROM t1 WHERE v = {}", int_lit(rng)),
+        2 => {
+            let fails_at = format!("10 / (v - {}) > 0", rng.below(200) as i64 - 100);
+            if rng.pct(50) {
+                format!("UPDATE t1 SET v = v + 1, f = f * 0.5 WHERE {fails_at}")
+            } else {
+                format!("DELETE FROM t1 WHERE {fails_at}")
+            }
+        }
         _ => {
             let id = *next_id;
             *next_id += 1;

@@ -3,10 +3,12 @@
 //!
 //! - Differential: over the seeded corpus in `tests/common/`, under both
 //!   executors, `prepare` + `finish` through `&Engine` returns what
-//!   `execute` returns, per cell, with DML interleaved. The prepared
-//!   engine never refreshes its caches: under the columnar executor its
-//!   scans convert row storage per query, while `execute` reads the
-//!   refreshed columnar mirror.
+//!   `execute` returns on an index-free engine, per cell, with DML
+//!   (including writes that fail part-way) interleaved. The prepared
+//!   engine carries the corpus indexes but never refreshes its caches:
+//!   it probes indexes only while INSERTs alone have touched them, and
+//!   under the columnar executor its scans re-batch rows per query, while
+//!   `execute` reads the refreshed columnar mirror.
 //! - Isolation: a prepared SELECT reflects the catalog at `prepare` time,
 //!   whatever runs between `prepare` and `finish`.
 //! - Tracing: the prepared path records the same span tree as
@@ -14,7 +16,7 @@
 
 mod common;
 
-use common::{compare, dml, query, seed_stmts, Rng};
+use common::{compare, dml, query, seed_stmts, Rng, INDEXES};
 use dbgpt_obs::{Obs, ObsConfig, Span};
 use dbgpt_sqlengine::engine::Prepared;
 use dbgpt_sqlengine::{Engine, ExecConfig, QueryResult, SqlError, StorageConfig};
@@ -37,6 +39,9 @@ fn differential(make: impl Fn() -> Engine, label: &str) {
         for s in &stmts {
             two_phase.execute(s).unwrap();
             reference.execute(s).unwrap();
+        }
+        for s in INDEXES {
+            two_phase.execute(s).unwrap();
         }
         let ctx = format!("{label} seed {seed}");
         let mut next_id = 1_000_000;

@@ -78,10 +78,11 @@ fn rows_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64, &'static str)>> 
 
 /// Strategy: a comparison filter over the `o` table, with columns
 /// qualified by `prefix` (empty for single-table queries, `"o."` in joins
-/// where bare `id` would be ambiguous).
+/// where bare `id` would be ambiguous). Some compare an INT column with a
+/// whole or half FLOAT literal, on either side.
 fn filter_strategy(prefix: &'static str) -> impl Strategy<Value = String> {
-    let col = prop_oneof![Just("amt"), Just("uid"), Just("id")];
-    let op = prop_oneof![Just(">"), Just("<"), Just(">="), Just("<="), Just("="), Just("<>")];
+    let col = || prop_oneof![Just("amt"), Just("uid"), Just("id")];
+    let op = || prop_oneof![Just(">"), Just("<"), Just(">="), Just("<="), Just("="), Just("<>")];
     let text_filter = prop_oneof![
         Just(format!("{prefix}cat = 'red'")),
         Just(format!("{prefix}cat <> 'blue'")),
@@ -89,10 +90,21 @@ fn filter_strategy(prefix: &'static str) -> impl Strategy<Value = String> {
         Just(format!("{prefix}cat IN ('red', 'green')")),
     ];
     prop_oneof![
-        (col, op, -10i64..60).prop_map(move |(c, o, v)| format!("{prefix}{c} {o} {v}")),
+        (col(), op(), -10i64..60).prop_map(move |(c, o, v)| format!("{prefix}{c} {o} {v}")),
+        (col(), op(), -20i64..120, proptest::bool::ANY).prop_map(move |(c, o, v, flip)| {
+            let lit = format!("{:?}", v as f64 / 2.0);
+            if flip {
+                format!("{lit} {o} {prefix}{c}")
+            } else {
+                format!("{prefix}{c} {o} {lit}")
+            }
+        }),
         text_filter,
         (0i64..40, 10i64..80)
             .prop_map(move |(a, b)| format!("{prefix}amt BETWEEN {} AND {}", a.min(b), a.max(b))),
+        (-10i64..80, -10i64..80).prop_map(move |(a, b)| {
+            format!("{prefix}amt BETWEEN {:?} AND {:?}", a as f64 / 2.0, b as f64 / 2.0)
+        }),
     ]
 }
 
@@ -155,18 +167,21 @@ proptest! {
         prop_assert_eq!(a, b, "{}", sql);
     }
 
-    /// A hash index never changes results, only speed.
+    /// An index never changes results, only speed. `f` comes first, so
+    /// its column's index answers the probe when it can.
     #[test]
     fn index_preserves_results(
         rows in rows_strategy(),
         f in filter_strategy(""),
     ) {
-        let sql = format!("SELECT id FROM o WHERE cat = 'red' AND {f}");
+        let sql = format!("SELECT id FROM o WHERE {f} AND cat = 'red'");
         let mut plain = Engine::new();
         seed(&mut plain, &rows);
         let mut indexed = Engine::new();
         seed(&mut indexed, &rows);
-        indexed.execute("CREATE INDEX i_cat ON o (cat)").unwrap();
+        for col in ["cat", "amt", "uid", "id"] {
+            indexed.execute(&format!("CREATE INDEX i_{col} ON o ({col})")).unwrap();
+        }
         let a = fingerprint(&plain.execute(&sql).unwrap(), false);
         let b = fingerprint(&indexed.execute(&sql).unwrap(), false);
         prop_assert_eq!(a, b, "{}", sql);

@@ -5,16 +5,17 @@
 //!    patterns and NULLs).
 //! 2. **Differential storage equivalence**: the same randomized DDL/DML/
 //!    query corpus as `columnar_props.rs` runs against three engines —
-//!    row executor over in-memory storage (the reference), row executor
-//!    over `StorageConfig::Paged`, and columnar executor over paged
-//!    storage. Every statement must produce per-cell-identical results.
-//!    The pool is sized far below the table footprint so the workload
-//!    constantly evicts, and a `CREATE INDEX` on an INT column routes
-//!    range predicates through the B+-tree on the paged arms.
+//!    row executor over index-free in-memory storage (the reference), row
+//!    executor over `StorageConfig::Paged`, and columnar executor over
+//!    paged storage. Every statement must produce per-cell-identical
+//!    results. The pool is sized far below the table footprint so the
+//!    workload constantly evicts, and the corpus indexes on TEXT, INT and
+//!    FLOAT columns route equality and range predicates through B+-trees
+//!    on the paged arms.
 
 mod common;
 
-use common::{check, compare, dml, query, seed_stmts, Rng};
+use common::{check, compare, dml, query, seed_stmts, Rng, INDEXES};
 use dbgpt_sqlengine::storage::page::{decode_row, encode_row, Page, PageType};
 use dbgpt_sqlengine::{Engine, ExecConfig, StorageConfig, Value};
 
@@ -90,17 +91,19 @@ fn paged_storage_agrees_with_in_memory() {
     let paged = StorageConfig::paged(16, 512);
     for seed in [7, 42, 1234] {
         let mut rng = Rng::new(seed);
-        let mut stmts = seed_stmts(&mut rng, 1500, 300);
-        // A B+-tree on an INT column: range predicates (`v > …`,
-        // `v BETWEEN … AND …`) go through ordered index scans on the
-        // paged arms while the reference full-scans.
-        stmts.push("CREATE INDEX idx_v ON t1 (v)".to_string());
+        let stmts = seed_stmts(&mut rng, 1500, 300);
 
         let mut reference = Engine::new();
         let mut paged_row = Engine::with_storage(paged);
         let mut paged_col = Engine::with_exec_and_storage(ExecConfig::columnar(), paged);
         for s in &stmts {
             reference.execute(s).unwrap();
+            paged_row.execute(s).unwrap();
+            paged_col.execute(s).unwrap();
+        }
+        // Range and equality predicates go through ordered index scans on
+        // the paged arms while the reference full-scans.
+        for s in INDEXES {
             paged_row.execute(s).unwrap();
             paged_col.execute(s).unwrap();
         }
