@@ -11,6 +11,13 @@
 //!    faster than the row executor on the scan, filter and group-by
 //!    aggregate workloads. The join workload is reported but ungated
 //!    (its output re-materialises rows either way).
+//! 3. **Snapshot gate**: the three Chat2Data shapes (filtered `COUNT(*)`,
+//!    `GROUP BY … SUM`, `JOIN … GROUP BY`) run the served two-phase path
+//!    on the row engine, `Engine::prepare`, then a write to the scanned
+//!    table, then `ScannedSelect::finish`, and must return the columnar
+//!    engine's pre-write answer per cell. It runs after the timings, so
+//!    they see the fixture unchanged, and before the speedup gate, so it
+//!    runs in both modes.
 //!
 //! Emits `results/BENCH_sql_columnar.json`.
 //!
@@ -23,7 +30,9 @@ use std::fmt::Write as _;
 use std::fs;
 use std::time::Instant;
 
-use dbgpt_sqlengine::{Engine, ExecConfig, Value};
+use dbgpt_obs::Span;
+use dbgpt_sqlengine::engine::Prepared;
+use dbgpt_sqlengine::{Engine, ExecConfig, QueryResult, Value};
 
 /// Seed for the fixture generator.
 const SEED: u64 = 42;
@@ -134,6 +143,35 @@ const WORKLOADS: &[Workload] = &[
     },
 ];
 
+/// The served Chat2Data shapes, each with the write that runs between
+/// its `prepare` and its `finish`.
+const SNAPSHOT_SHAPES: &[(&str, &str)] = &[
+    (
+        "SELECT COUNT(*) FROM events WHERE category = 'c3'",
+        "INSERT INTO events VALUES (-1, 0, 1.0, TRUE, 'c3'), (-2, 1, 2.0, FALSE, 'c3')",
+    ),
+    (
+        "SELECT category, SUM(amount) FROM events GROUP BY category",
+        "UPDATE events SET amount = amount + 1.0, category = 'c3' WHERE id % 97 = 5",
+    ),
+    (
+        "SELECT u.segment, SUM(e.amount) FROM events e JOIN users u ON e.user_id = u.id \
+         GROUP BY u.segment",
+        "DELETE FROM events WHERE id % 89 = 7",
+    ),
+];
+
+/// Per-cell identity of two results (same columns, rows, order).
+fn assert_identical(a: &QueryResult, b: &QueryResult, what: &str) {
+    assert_eq!(a.column_names(), b.column_names(), "schema diverged on {what}");
+    assert_eq!(a.rows.len(), b.rows.len(), "row count diverged on {what}");
+    for (i, (ra, rb)) in a.rows.iter().zip(&b.rows).enumerate() {
+        for (j, (va, vb)) in ra.values().iter().zip(rb.values()).enumerate() {
+            assert_eq!(va, vb, "cell ({i},{j}) diverged on {what}");
+        }
+    }
+}
+
 /// Best-of-`reps` wall-clock milliseconds for one query on one engine.
 fn time_ms(e: &mut Engine, sql: &str, reps: u32) -> f64 {
     let mut best = f64::INFINITY;
@@ -171,18 +209,7 @@ pub fn run(smoke: bool, out_path: &str) {
         let a = row_engine.execute(w.sql).unwrap();
         let b = col_engine.execute(w.sql).unwrap();
         // Equivalence gate: per-cell identity, both orders.
-        assert_eq!(
-            a.column_names(),
-            b.column_names(),
-            "schema diverged on {}",
-            w.name
-        );
-        assert_eq!(a.rows.len(), b.rows.len(), "row count diverged on {}", w.name);
-        for (i, (ra, rb)) in a.rows.iter().zip(&b.rows).enumerate() {
-            for (j, (va, vb)) in ra.values().iter().zip(rb.values()).enumerate() {
-                assert_eq!(va, vb, "cell ({i},{j}) diverged on {}", w.name);
-            }
-        }
+        assert_identical(&a, &b, w.name);
     }
     println!("  equivalence gate passed: all workloads identical per cell\n");
 
@@ -209,6 +236,21 @@ pub fn run(smoke: bool, out_path: &str) {
         results.push((w, row_ms, col_ms, speedup, rows_out));
     }
 
+    // Snapshot gate: a prepared SELECT answers as of `prepare`, whatever
+    // the write between `prepare` and `finish` did to the scanned table.
+    for (sql, write) in SNAPSHOT_SHAPES {
+        let want = col_engine.execute(sql).unwrap();
+        let Prepared::Read(select) = row_engine.prepare(sql, &Span::noop()).unwrap() else {
+            panic!("a SELECT prepares as a read: {sql}");
+        };
+        let affected = row_engine.execute(write).unwrap().rows_affected;
+        assert!(affected > 0, "{write}");
+        assert_identical(&select.finish().unwrap(), &want, sql);
+        // Keep the two engines' tables equal for the next shape.
+        assert_eq!(col_engine.execute(write).unwrap().rows_affected, affected);
+    }
+    println!("  snapshot gate passed: prepared SELECTs keep their pre-write answer");
+
     // Speedup gate: only meaningful at the million-row scale.
     if !smoke {
         for (w, _, _, speedup, _) in &results {
@@ -223,6 +265,7 @@ pub fn run(smoke: bool, out_path: &str) {
         println!("\n  speedup gate passed: >= 3x on scan/filter/aggregate");
     }
 
+
     let mut json = String::new();
     let _ = write!(
         json,
@@ -230,7 +273,8 @@ pub fn run(smoke: bool, out_path: &str) {
          \"generated_by\": \"cargo run -p dbgpt-bench --release --bin bench_sql_columnar\",\n  \
          \"seed\": {SEED},\n  \"events\": {events},\n  \"users\": {users},\n  \
          \"reps\": {reps},\n  \
-         \"gates\": [\"row and columnar results identical per cell\"{}],\n  \
+         \"gates\": [\"row and columnar results identical per cell\", \
+         \"prepared SELECTs keep their pre-write answer\"{}],\n  \
          \"workloads\": {{\n",
         if smoke {
             ""

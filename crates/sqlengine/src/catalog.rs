@@ -2,12 +2,28 @@
 //!
 //! [`Table`] is the one storage interface both executors and DML use. It
 //! hides which of two storage arms, selected by
-//! [`crate::storage::StorageConfig`], holds the rows: an in-memory
-//! `Vec<Row>` (the default) or a [`crate::storage::TableHeap`] of pages
-//! behind a shared buffer pool. Every scan ([`Table::for_each_row`]),
-//! positional fetch ([`Table::for_each_at`]), index probe
+//! [`crate::storage::StorageConfig`], holds the rows: in memory (the
+//! default) or a [`crate::storage::TableHeap`] of pages behind a shared
+//! buffer pool. Every scan ([`Table::for_each_row`]), positional fetch
+//! ([`Table::for_each_at`]), snapshot ([`Table::snapshot`]), index probe
 //! ([`Table::probe`]) and row rewrite ([`Table::rewrite_rows`]) has one
 //! entry point that serves both arms.
+//!
+//! In memory, rows sit in copy-on-write chunks of [`CHUNK_ROWS`] shared
+//! rows (each an `Arc<[Value]>`, no larger than a [`Row`]), every chunk
+//! full except the last, so row position `p` is row `p % CHUNK_ROWS` of
+//! chunk `p / CHUNK_ROWS`. A [`Snapshot`] shares the chunks: taking one
+//! under a read lock costs one reference count per chunk, and the SELECT
+//! reads it after the lock is gone. A write copies only the chunks it
+//! changes while a snapshot still shares them (counted by
+//! [`Table::cow_chunks`]): an INSERT touches the last chunk, an UPDATE the
+//! chunks holding rows it changes, a DELETE every chunk from its first
+//! removed row on, since the survivors are re-packed. Copying a chunk
+//! copies its row handles, not the rows, and an UPDATE copies only the
+//! rows it changes. (Chunks that owned their rows had to be copied whole;
+//! on an OLTP table that moved the rows from the loading thread's
+//! allocator arena into the writers' arenas and grew the process by about
+//! the table's size.) The paged arm's snapshot copies its rows out.
 //!
 //! Secondary indexes key rows by [`encode_value`] on either arm: the
 //! in-memory arm holds the B+-tree's leaf level as an ordered map, the
@@ -22,7 +38,7 @@ use std::sync::Arc;
 
 use dbgpt_obs::hash::Fnv1a;
 
-use crate::col::ColumnTable;
+use crate::col::{ColumnTable, CHUNK_ROWS};
 use crate::error::SqlError;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
@@ -33,8 +49,9 @@ use crate::value::Value;
 /// Where a table's rows live.
 #[derive(Debug, Clone)]
 enum Rows {
-    /// In memory, in storage order.
-    Mem(Vec<Row>),
+    /// In memory, in storage order: copy-on-write chunks of
+    /// [`CHUNK_ROWS`] rows, every one full except the last.
+    Mem(Vec<RowChunk>),
     /// In heap pages behind the database's shared buffer pool.
     Paged { heap: TableHeap, pager: Arc<Pager> },
 }
@@ -49,15 +66,180 @@ enum Index {
     Paged(BTreeIndex),
 }
 
-/// What a [`Table::rewrite_rows`] callback did with one row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One stored in-memory row, shared by the chunks that hold it.
+type StoredRow = Arc<[Value]>;
+
+/// What a [`Table::rewrite_rows`] callback wants done with one row.
+#[derive(Debug, Clone, PartialEq)]
 pub enum RowEdit {
-    /// Left the row as it was.
+    /// Leave the row as it is.
     Keep,
-    /// Changed the row in place.
-    Changed,
-    /// Removed the row from the table.
+    /// Overwrite these cells: `(column position, new value)`.
+    Set(Vec<(usize, Value)>),
+    /// Remove the row from the table.
     Remove,
+}
+
+impl RowEdit {
+    /// Apply a [`RowEdit::Set`] to `row`.
+    fn apply(cells: Vec<(usize, Value)>, row: &mut [Value]) {
+        for (col, v) in cells {
+            row[col] = v;
+        }
+    }
+}
+
+/// One in-memory chunk: up to [`CHUNK_ROWS`] rows, each shared so that
+/// copying the chunk copies handles only.
+type RowChunk = Arc<Vec<StoredRow>>;
+
+/// A table's rows as [`Table::snapshot`] saw them, readable after the
+/// table's lock is released.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// The table's schema (unqualified).
+    schema: SchemaRef,
+    rows: SnapshotRows,
+}
+
+#[derive(Debug, Clone)]
+enum SnapshotRows {
+    /// In-memory chunks shared with the table, and the ascending row
+    /// positions to read (`None`: every row).
+    Shared {
+        chunks: Vec<RowChunk>,
+        at: Option<Vec<usize>>,
+    },
+    /// The paged arm's rows, copied out.
+    Owned(Vec<Vec<Value>>),
+}
+
+impl Snapshot {
+    /// The table's schema (unqualified column names).
+    pub fn schema(&self) -> &SchemaRef {
+        &self.schema
+    }
+
+    /// Stream the snapshot's rows through `f`, in storage order. The rows
+    /// borrow from the snapshot, so `f` may keep them.
+    pub fn for_each<'a>(
+        &'a self,
+        mut f: impl FnMut(&'a [Value]) -> Result<(), SqlError>,
+    ) -> Result<(), SqlError> {
+        match &self.rows {
+            SnapshotRows::Shared { chunks, at: None } => mem_rows(chunks).try_for_each(f),
+            SnapshotRows::Shared {
+                chunks,
+                at: Some(ids),
+            } => ids.iter().try_for_each(|&id| f(row_at(chunks, id)?)),
+            SnapshotRows::Owned(rows) => rows.iter().try_for_each(|row| f(row)),
+        }
+    }
+
+    /// [`Snapshot::for_each`] that releases each in-memory chunk as soon as
+    /// its rows are read, so a write racing the rest of the scan does not
+    /// have to copy the chunks already read.
+    pub fn drain(
+        self,
+        mut f: impl FnMut(&[Value]) -> Result<(), SqlError>,
+    ) -> Result<(), SqlError> {
+        match self.rows {
+            SnapshotRows::Shared { chunks, at: None } => chunks
+                .into_iter()
+                .try_for_each(|chunk| chunk.iter().try_for_each(|row| f(row))),
+            _ => self.for_each(f),
+        }
+    }
+}
+
+/// Every in-memory row, in storage order.
+fn mem_rows(chunks: &[RowChunk]) -> impl Iterator<Item = &[Value]> {
+    chunks.iter().flat_map(|c| c.iter().map(|row| &**row))
+}
+
+/// The in-memory row at position `id`.
+fn row_at(chunks: &[RowChunk], id: usize) -> Result<&[Value], SqlError> {
+    chunks
+        .get(id / CHUNK_ROWS)
+        .and_then(|c| c.get(id % CHUNK_ROWS))
+        .map(|row| &**row)
+        .ok_or_else(|| {
+            let len: usize = chunks.iter().map(|c| c.len()).sum();
+            SqlError::Storage(format!(
+                "row position {id} out of range (table has {len} rows)"
+            ))
+        })
+}
+
+/// `chunk`, writable: copied first (and counted in `copies`) while a
+/// snapshot still shares it.
+fn chunk_mut<'c>(chunk: &'c mut RowChunk, copies: &mut u64) -> &'c mut Vec<StoredRow> {
+    let shared = Arc::as_ptr(chunk);
+    let chunk = Arc::make_mut(chunk);
+    if !std::ptr::eq(shared, chunk) {
+        *copies += 1;
+    }
+    chunk
+}
+
+/// `row`, writable: copied first while a snapshot still shares it.
+fn row_mut(row: &mut StoredRow) -> &mut [Value] {
+    if Arc::get_mut(row).is_none() {
+        *row = row.iter().cloned().collect();
+    }
+    Arc::get_mut(row).expect("a row no one else holds")
+}
+
+/// The in-memory arm of [`Table::rewrite_rows`]; returns whether any row
+/// changed or left. Chunks before the first removed row keep their place
+/// and are copied only to change a row a snapshot shares (the row too is
+/// copied then). From the first removal on, the surviving rows are
+/// re-packed into full chunks.
+fn rewrite_chunks(
+    chunks: &mut Vec<RowChunk>,
+    edit: &mut impl FnMut(&[Value]) -> RowEdit,
+    copies: &mut u64,
+) -> bool {
+    let mut touched = false;
+    let mut packed = Vec::with_capacity(chunks.len());
+    // Survivors waiting to fill the next re-packed chunk.
+    let mut pending: Vec<StoredRow> = Vec::new();
+    for mut chunk in std::mem::take(chunks) {
+        let mut removed = Vec::new();
+        for i in 0..chunk.len() {
+            match edit(&chunk[i]) {
+                RowEdit::Keep => continue,
+                RowEdit::Set(cells) => {
+                    RowEdit::apply(cells, row_mut(&mut chunk_mut(&mut chunk, copies)[i]))
+                }
+                RowEdit::Remove => removed.push(i),
+            }
+            touched = true;
+        }
+        if removed.is_empty() && pending.is_empty() {
+            packed.push(chunk);
+            continue;
+        }
+        let rows = Arc::try_unwrap(chunk).unwrap_or_else(|shared| {
+            *copies += 1;
+            shared.as_ref().clone()
+        });
+        let mut removed = removed.into_iter().peekable();
+        for (i, row) in rows.into_iter().enumerate() {
+            if removed.next_if_eq(&i).is_some() {
+                continue;
+            }
+            pending.push(row);
+            if pending.len() == CHUNK_ROWS {
+                packed.push(Arc::new(std::mem::take(&mut pending)));
+            }
+        }
+    }
+    if !pending.is_empty() {
+        packed.push(Arc::new(pending));
+    }
+    *chunks = packed;
+    touched
 }
 
 /// A stored table: schema, rows on one storage arm, secondary indexes.
@@ -78,6 +260,8 @@ pub struct Table {
     /// Columnar mirror of in-memory rows: appended to on insert, dropped
     /// by every other change, rebuilt by [`Table::refresh_columnar`].
     columnar: Option<ColumnTable>,
+    /// In-memory chunks copied by writes because a snapshot shared them.
+    cow_chunks: u64,
 }
 
 impl Table {
@@ -101,6 +285,7 @@ impl Table {
             index_names: HashMap::new(),
             indexes_stale: false,
             columnar: None,
+            cow_chunks: 0,
         }
     }
 
@@ -162,11 +347,15 @@ impl Table {
             }
         }
         match &mut self.rows {
-            Rows::Mem(rows) => {
+            Rows::Mem(chunks) => {
                 if let Some(ct) = &mut self.columnar {
                     ct.append_row(&row);
                 }
-                rows.push(row);
+                if chunks.last().is_none_or(|c| c.len() == CHUNK_ROWS) {
+                    chunks.push(Arc::default());
+                }
+                let tail = chunks.last_mut().expect("a tail chunk");
+                chunk_mut(tail, &mut self.cow_chunks).push(row.into_values().into());
             }
             Rows::Paged { heap, pager } => {
                 heap.append_row(&mut pager.pool(), row.values())?;
@@ -183,19 +372,19 @@ impl Table {
 
     /// Build the columnar mirror if it is missing. No-op on paged tables.
     pub fn refresh_columnar(&mut self) {
-        if let (Rows::Mem(rows), None) = (&self.rows, &self.columnar) {
-            self.columnar = Some(ColumnTable::from_rows(rows, self.schema.len()));
+        if let (Rows::Mem(chunks), None) = (&self.rows, &self.columnar) {
+            let chunks = chunks.iter().map(|c| c.as_slice());
+            self.columnar = Some(ColumnTable::from_row_chunks(chunks, self.schema.len()));
         }
     }
 
     /// Build an index over column `col` from the current rows.
     fn build_index(&self, col: usize) -> Result<Index, SqlError> {
         Ok(match &self.rows {
-            Rows::Mem(rows) => {
+            Rows::Mem(chunks) => {
                 // Sort, then group: `BTreeMap` bulk-builds from sorted
                 // input, far faster than one insert per row.
-                let mut keys: Vec<(Vec<u8>, usize)> = rows
-                    .iter()
+                let mut keys: Vec<(Vec<u8>, usize)> = mem_rows(chunks)
                     .enumerate()
                     .map(|(i, row)| (encode_value(&row[col]), i))
                     .collect();
@@ -363,10 +552,19 @@ impl Table {
         self.indexes_stale = false;
     }
 
+    /// In-memory chunks this table's writes have copied because a
+    /// [`Snapshot`] (or a clone of the table) still shared them.
+    pub fn cow_chunks(&self) -> u64 {
+        self.cow_chunks
+    }
+
     /// Row count.
     pub fn len(&self) -> usize {
         match &self.rows {
-            Rows::Mem(rows) => rows.len(),
+            // Every chunk but the last is full.
+            Rows::Mem(chunks) => chunks.last().map_or(0, |tail| {
+                (chunks.len() - 1) * CHUNK_ROWS + tail.len()
+            }),
             Rows::Paged { heap, .. } => heap.len(),
         }
     }
@@ -380,14 +578,14 @@ impl Table {
     /// decodes one page at a time, so memory stays bounded by the pool.
     pub fn for_each_row(
         &self,
-        mut f: impl FnMut(&Row) -> Result<(), SqlError>,
+        mut f: impl FnMut(&[Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
         match &self.rows {
-            Rows::Mem(rows) => rows.iter().try_for_each(f),
+            Rows::Mem(chunks) => mem_rows(chunks).try_for_each(f),
             Rows::Paged { heap, pager } => {
                 for i in 0..heap.page_count() {
                     for values in heap.read_page(&mut pager.pool(), i)? {
-                        f(&Row::new(values))?;
+                        f(&values)?;
                     }
                 }
                 Ok(())
@@ -400,24 +598,49 @@ impl Table {
     pub fn for_each_at(
         &self,
         ids: &[usize],
-        mut f: impl FnMut(&Row) -> Result<(), SqlError>,
+        mut f: impl FnMut(&[Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
         debug_assert!(ids.windows(2).all(|w| w[0] <= w[1]), "positions ascend");
         match &self.rows {
-            Rows::Mem(rows) => ids.iter().try_for_each(|&id| match rows.get(id) {
-                Some(row) => f(row),
-                None => Err(SqlError::Storage(format!(
-                    "row position {id} out of range (table has {} rows)",
-                    rows.len()
-                ))),
-            }),
+            Rows::Mem(chunks) => ids.iter().try_for_each(|&id| f(row_at(chunks, id)?)),
             Rows::Paged { heap, pager } => {
                 let fetched = heap.fetch_many(&mut pager.pool(), ids)?;
-                fetched
-                    .into_iter()
-                    .try_for_each(|values| f(&Row::new(values)))
+                fetched.iter().try_for_each(|values| f(values))
             }
         }
+    }
+
+    /// The rows a scan reads, taken under the caller's lock and read after
+    /// it: every row, or the ascending positions `ids` from
+    /// [`Table::probe`]. In memory this shares the chunks; the paged arm
+    /// copies the rows out.
+    pub fn snapshot(&self, ids: Option<Vec<usize>>) -> Result<Snapshot, SqlError> {
+        let (heap, pager) = match &self.rows {
+            Rows::Mem(chunks) => {
+                return Ok(Snapshot {
+                    schema: self.schema.clone(),
+                    rows: SnapshotRows::Shared {
+                        chunks: chunks.clone(),
+                        at: ids,
+                    },
+                })
+            }
+            Rows::Paged { heap, pager } => (heap, pager),
+        };
+        let values = match &ids {
+            Some(ids) => heap.fetch_many(&mut pager.pool(), ids)?,
+            None => {
+                let mut all = Vec::with_capacity(heap.len());
+                for i in 0..heap.page_count() {
+                    all.extend(heap.read_page(&mut pager.pool(), i)?);
+                }
+                all
+            }
+        };
+        Ok(Snapshot {
+            schema: self.schema.clone(),
+            rows: SnapshotRows::Owned(values),
+        })
     }
 
     /// Materialize every row as owned values (CSV export, maintenance
@@ -425,41 +648,45 @@ impl Table {
     pub fn all_rows(&self) -> Result<Vec<Vec<Value>>, SqlError> {
         let mut out = Vec::with_capacity(self.len());
         self.for_each_row(|row| {
-            out.push(row.values().to_vec());
+            out.push(row.to_vec());
             Ok(())
         })?;
         Ok(out)
     }
 
     /// Rewrite the table in one pass over its rows, in storage order.
-    /// `edit` may change each row in place and reports what it did; rows
-    /// it removes leave the table. In memory this is a `retain_mut`; the
-    /// paged arm streams the pages into a new heap and swaps it in, and on
-    /// a storage error frees the new heap and leaves the table as it was.
+    /// `edit` reads each row and says what to do with it. In memory,
+    /// changed rows are written in place (copying a chunk a snapshot
+    /// shares) and removals re-pack the chunks; the paged arm streams the
+    /// pages into a new heap and swaps it in, and on a storage error frees
+    /// the new heap and leaves the table as it was.
     ///
     /// As soon as any row changed or left, indexes and the columnar mirror
     /// go stale — also when the caller's statement goes on to fail.
     pub fn rewrite_rows(
         &mut self,
-        mut edit: impl FnMut(&mut Row) -> RowEdit,
+        mut edit: impl FnMut(&[Value]) -> RowEdit,
     ) -> Result<(), SqlError> {
         let mut touched = false;
-        let mut keep = |row: &mut Row| {
-            let e = edit(row);
-            touched |= e != RowEdit::Keep;
-            e != RowEdit::Remove
-        };
         match &mut self.rows {
-            Rows::Mem(rows) => rows.retain_mut(|row| keep(row)),
+            Rows::Mem(chunks) => touched = rewrite_chunks(chunks, &mut edit, &mut self.cow_chunks),
             Rows::Paged { heap, pager } => {
                 let mut pool = pager.pool();
                 let mut rewritten = TableHeap::new();
                 let copied = (0..heap.page_count()).try_for_each(|i| {
-                    for values in heap.read_page(&mut pool, i)? {
-                        let mut row = Row::new(values);
-                        if keep(&mut row) {
-                            rewritten.append_row(&mut pool, row.values())?;
+                    for mut row in heap.read_page(&mut pool, i)? {
+                        match edit(&row) {
+                            RowEdit::Keep => {}
+                            RowEdit::Set(cells) => {
+                                RowEdit::apply(cells, &mut row);
+                                touched = true;
+                            }
+                            RowEdit::Remove => {
+                                touched = true;
+                                continue;
+                            }
                         }
+                        rewritten.append_row(&mut pool, &row)?;
                     }
                     Ok(())
                 });
@@ -506,9 +733,10 @@ pub struct Database {
 }
 
 impl Clone for Database {
-    /// Deep copy. The paged arm deep-clones the buffer pool (flushing
-    /// first) and re-points every table at the clone's pager, so clones
-    /// never share mutable page state. A `File`-backed pager still aliases
+    /// Deep copy. In-memory tables share their row chunks copy-on-write.
+    /// The paged arm deep-clones the buffer pool (flushing first) and
+    /// re-points every table at the clone's pager, so clones never share
+    /// mutable page state. A `File`-backed pager still aliases
     /// the underlying file — see [`Pager::deep_clone`].
     fn clone(&self) -> Database {
         let pager = self
@@ -648,7 +876,7 @@ impl Database {
             // paged-arm storage error truncates the digest (and is reported
             // loudly everywhere else), so ignore it here.
             let _ = table.for_each_row(|row| {
-                for v in row.values() {
+                for v in row {
                     eat(v.to_string().as_bytes());
                 }
                 eat(b"|");
@@ -798,11 +1026,8 @@ mod tests {
         t.rewrite_rows(|_| RowEdit::Keep).unwrap();
         assert_eq!(t.columnar().unwrap().rows(), 3);
         // In-place mutation drops the cache even without an index.
-        t.rewrite_rows(|row| {
-            row.values_mut()[1] = Value::Text("z".into());
-            RowEdit::Changed
-        })
-        .unwrap();
+        t.rewrite_rows(|_| RowEdit::Set(vec![(1, Value::Text("z".into()))]))
+            .unwrap();
         assert!(t.columnar().is_none());
         t.refresh_columnar();
         assert_eq!(
@@ -820,6 +1045,176 @@ mod tests {
         assert!(t.columnar().is_none());
         t.refresh_columnar();
         assert_eq!(t.columnar().unwrap().rows(), 2);
+    }
+
+    /// A table of `n` rows `(i, "r{i}")`.
+    fn table_of(n: i64) -> Table {
+        let mut t = Table::new("t", schema());
+        let rows = (0..n).map(|i| vec![Value::Int(i), Value::Text(format!("r{i}"))]);
+        t.insert_rows(rows.collect()).unwrap();
+        t
+    }
+
+    fn mem_chunks(t: &Table) -> &[RowChunk] {
+        match &t.rows {
+            Rows::Mem(chunks) => chunks,
+            Rows::Paged { .. } => unreachable!("in-memory table"),
+        }
+    }
+
+    fn shared_chunks(s: &Snapshot) -> &[RowChunk] {
+        match &s.rows {
+            SnapshotRows::Shared { chunks, .. } => chunks,
+            SnapshotRows::Owned(_) => unreachable!("in-memory snapshot"),
+        }
+    }
+
+    /// Which of `t`'s chunks are still the snapshot's.
+    fn still_shared(t: &Table, s: &Snapshot) -> Vec<bool> {
+        let old = shared_chunks(s);
+        (0..mem_chunks(t).len())
+            .map(|i| old.get(i).is_some_and(|o| Arc::ptr_eq(o, &mem_chunks(t)[i])))
+            .collect()
+    }
+
+    fn ids(t: &Table) -> Vec<i64> {
+        let mut out = Vec::new();
+        t.for_each_row(|row| {
+            out.push(row[0].as_i64().unwrap());
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
+    fn snapshot_ids(s: &Snapshot) -> Vec<i64> {
+        let mut out = Vec::new();
+        s.for_each(|row| {
+            out.push(row[0].as_i64().unwrap());
+            Ok(())
+        })
+        .unwrap();
+        out
+    }
+
+    #[test]
+    fn chunks_are_full_except_the_last() {
+        let n = 3 * CHUNK_ROWS as i64 + 10;
+        let t = table_of(n);
+        let lens: Vec<usize> = mem_chunks(&t).iter().map(|c| c.len()).collect();
+        assert_eq!(lens, vec![CHUNK_ROWS, CHUNK_ROWS, CHUNK_ROWS, 10]);
+        assert_eq!(t.len(), n as usize);
+        let at = |p: usize| {
+            let mut got = None;
+            t.for_each_at(&[p], |row| {
+                got = row[0].as_i64();
+                Ok(())
+            })
+            .unwrap();
+            got
+        };
+        assert_eq!(at(CHUNK_ROWS + 5), Some(CHUNK_ROWS as i64 + 5));
+        assert!(t.for_each_at(&[n as usize], |_| Ok(())).is_err());
+    }
+
+    #[test]
+    fn writes_copy_only_the_chunks_a_snapshot_shares() {
+        let n = 3 * CHUNK_ROWS as i64 + 10;
+        let set_name = |k: i64| {
+            move |row: &[Value]| match row[0] == Value::Int(k) {
+                true => RowEdit::Set(vec![(1, Value::Text("new".into()))]),
+                false => RowEdit::Keep,
+            }
+        };
+
+        // No snapshot alive: every write works in place.
+        let mut t = table_of(n);
+        let addrs = |t: &Table| mem_chunks(t).iter().map(Arc::as_ptr).collect::<Vec<_>>();
+        let before = addrs(&t);
+        t.rewrite_rows(set_name(CHUNK_ROWS as i64 + 1)).unwrap();
+        t.insert_row(vec![Value::Int(n), Value::Null]).unwrap();
+        assert_eq!(addrs(&t), before);
+        assert_eq!(t.cow_chunks(), 0);
+
+        // An UPDATE hitting one row of a middle chunk copies that chunk
+        // only, and of its rows only the one it changes.
+        let mut t = table_of(n);
+        let snap = t.snapshot(None).unwrap();
+        t.rewrite_rows(set_name(CHUNK_ROWS as i64 + 1)).unwrap();
+        assert_eq!(still_shared(&t, &snap), vec![true, false, true, true]);
+        assert_eq!(t.cow_chunks(), 1);
+        let (old, new) = (&shared_chunks(&snap)[1], &mem_chunks(&t)[1]);
+        let same_rows: Vec<bool> = (0..3).map(|i| Arc::ptr_eq(&old[i], &new[i])).collect();
+        assert_eq!(same_rows, vec![true, false, true]);
+        assert_eq!(old[1][1], Value::Text(format!("r{}", CHUNK_ROWS + 1)));
+        // An UPDATE with no hit copies nothing.
+        t.rewrite_rows(set_name(-1)).unwrap();
+        assert_eq!(t.cow_chunks(), 1);
+
+        // An INSERT copies the tail chunk, and opens a new one unshared.
+        let mut t = table_of(n);
+        let snap = t.snapshot(None).unwrap();
+        t.insert_row(vec![Value::Int(n), Value::Null]).unwrap();
+        assert_eq!(still_shared(&t, &snap), vec![true, true, true, false]);
+        assert_eq!(t.cow_chunks(), 1);
+        let spill = (n + 1..4 * CHUNK_ROWS as i64 + 1).map(|i| vec![Value::Int(i), Value::Null]);
+        t.insert_rows(spill.collect()).unwrap();
+        assert_eq!(still_shared(&t, &snap), vec![true, true, true, false, false]);
+        assert_eq!(t.cow_chunks(), 1);
+        assert_eq!(snapshot_ids(&snap), (0..n).collect::<Vec<_>>());
+
+        // A DELETE re-packs from the chunk of its first removed row on.
+        let mut t = table_of(n);
+        let snap = t.snapshot(None).unwrap();
+        let gone = CHUNK_ROWS as i64 + 7;
+        t.rewrite_rows(|row| match row[0] == Value::Int(gone) {
+            true => RowEdit::Remove,
+            false => RowEdit::Keep,
+        })
+        .unwrap();
+        assert_eq!(still_shared(&t, &snap), vec![true, false, false, false]);
+        assert_eq!(t.cow_chunks(), 3);
+        let lens: Vec<usize> = mem_chunks(&t).iter().map(|c| c.len()).collect();
+        assert_eq!(lens, vec![CHUNK_ROWS, CHUNK_ROWS, CHUNK_ROWS, 9]);
+        let want: Vec<i64> = (0..n).filter(|&i| i != gone).collect();
+        assert_eq!(ids(&t), want);
+        assert_eq!(snapshot_ids(&snap), (0..n).collect::<Vec<_>>());
+        // Re-packing moves row handles, never copies a row.
+        assert!(Arc::ptr_eq(&shared_chunks(&snap)[2][0], &mem_chunks(&t)[1][CHUNK_ROWS - 1]));
+    }
+
+    #[test]
+    fn a_draining_scan_releases_the_chunks_it_has_read() {
+        let n = 3 * CHUNK_ROWS as i64 + 10;
+        let mut t = table_of(n);
+        let snap = t.snapshot(None).unwrap();
+        let set = |k: i64| {
+            move |row: &[Value]| match row[0] == Value::Int(k) {
+                true => RowEdit::Set(vec![(1, Value::Null)]),
+                false => RowEdit::Keep,
+            }
+        };
+        let mut read = Vec::new();
+        snap.drain(|row| {
+            let id = row[0].as_i64().unwrap();
+            read.push(id);
+            if id == n - 1 {
+                // Updated after the snapshot: the scan sees the old value.
+                assert_eq!(row[1], Value::Text(format!("r{id}")));
+            }
+            if id == 2 * CHUNK_ROWS as i64 {
+                // Chunks 0 and 1 are read and released; 2 and 3 are not.
+                t.rewrite_rows(set(1)).unwrap();
+                assert_eq!(t.cow_chunks(), 0);
+                t.rewrite_rows(set(n - 1)).unwrap();
+                assert_eq!(t.cow_chunks(), 1);
+            }
+            Ok(())
+        })
+        .unwrap();
+        // The scan still saw the rows as of the snapshot.
+        assert_eq!(read, (0..n).collect::<Vec<_>>());
+        assert_eq!(t.cow_chunks(), 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! interchange format at the engine boundary; [`ColumnTable::from_rows`]
 //! and [`Chunk::row`] convert between the two.
 
+use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::row::Row;
@@ -517,8 +518,17 @@ pub struct ColumnTable {
 impl ColumnTable {
     /// Build from row storage.
     pub fn from_rows(rows: &[Row], width: usize) -> ColumnTable {
+        ColumnTable::from_row_chunks(rows.chunks(CHUNK_ROWS.max(1)), width)
+    }
+
+    /// Build one chunk per slice of rows (the catalog's in-memory chunks,
+    /// each at most [`CHUNK_ROWS`] rows).
+    pub fn from_row_chunks<'a, R: Deref<Target = [Value]> + 'a>(
+        chunks: impl IntoIterator<Item = &'a [R]>,
+        width: usize,
+    ) -> ColumnTable {
         let mut t = ColumnTable::default();
-        for chunk_rows in rows.chunks(CHUNK_ROWS.max(1)) {
+        for chunk_rows in chunks {
             let mut columns = Vec::with_capacity(width);
             for c in 0..width {
                 columns.push(ColumnVec::from_values(

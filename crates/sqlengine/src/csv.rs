@@ -184,7 +184,6 @@ pub fn export_csv(db: &Database, name: &str) -> Result<String, SqlError> {
     out.push('\n');
     t.for_each_row(|row| {
         let cells: Vec<String> = row
-            .values()
             .iter()
             .map(|v| match v {
                 Value::Null => String::new(),

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use dbgpt_obs::Span;
 
-use crate::catalog::{Database, RowEdit, Table};
+use crate::catalog::{Database, RowEdit, Snapshot, Table};
 use crate::error::SqlError;
 use crate::exec::vectorized::{self, ExecStats};
 use crate::exec::{executor, ExecConfig, ExecMode};
@@ -12,7 +12,7 @@ use crate::expr::Expr;
 use crate::parser::{parse, Statement};
 use crate::plan::logical::{LogicalPlan, Planner};
 use crate::plan::optimizer::Optimizer;
-use crate::row::{Row, RowBatch};
+use crate::row::Row;
 use crate::schema::{Column, Schema, SchemaRef};
 use crate::storage::{PoolCounters, StorageConfig};
 use crate::value::Value;
@@ -203,13 +203,15 @@ impl Engine {
         }
     }
 
-    /// Parse and plan `sql`, then, for a SELECT, read its table scans.
+    /// Parse and plan `sql`, then, for a SELECT, snapshot its table scans.
     ///
     /// Needs only shared access: a server holds its read lock for this
-    /// call, releases it, and calls [`ScannedSelect::finish`] for joins,
-    /// aggregates, sorts and projections. Every scan of the statement
-    /// happens in this one call, so the result reflects a single state of
-    /// the catalog. Any other statement comes back as
+    /// call, releases it, and calls [`ScannedSelect::finish`] for filters,
+    /// joins, aggregates, sorts and projections. Under the row executor
+    /// an in-memory scan only takes a [`Snapshot`] of the table's chunks
+    /// here (the columnar executor copies its chunks out). Every scan of
+    /// the statement happens in this one call, so the result reflects a
+    /// single state of the catalog. Any other statement comes back as
     /// [`Prepared::Write`] for [`Engine::run_write`]. The `sql.execute`
     /// span opens under `parent` here and ends when the statement does.
     pub fn prepare(&self, sql: &str, parent: &Span) -> Result<Prepared, SqlError> {
@@ -282,9 +284,27 @@ impl Engine {
         let PendingWrite { stmt, span } = write;
         let exec_span = span.child("sql.exec", span.tick());
         let pool_before = self.db.pager().map(|p| p.counters());
+        let target = match &stmt {
+            Statement::Insert { table, .. }
+            | Statement::Update { table, .. }
+            | Statement::Delete { table, .. } => Some(table.clone()),
+            _ => None,
+        };
+        let cow_chunks = |db: &Database| {
+            let table = target.as_deref().and_then(|t| db.table(t).ok());
+            table.map_or(0, Table::cow_chunks)
+        };
+        let cow_before = cow_chunks(&self.db);
         let r = self.run_statement(stmt);
         if let Ok(q) = &r {
             exec_span.attr("rows_affected", q.rows_affected);
+        }
+        // Chunks copied because a prepared SELECT still shared them: what
+        // snapshots cost this writer. Recorded only when non-zero.
+        let copied = cow_chunks(&self.db) - cow_before;
+        if copied > 0 {
+            exec_span.attr("cow_chunks", copied);
+            exec_span.handle().counter("sql.cow_chunks", copied);
         }
         let pool = pool_before.zip(self.db.pager().map(|p| p.counters()));
         record_pool_deltas(&exec_span, pool);
@@ -379,10 +399,7 @@ impl Engine {
                         let ty = schema.columns()[idx].data_type;
                         new_vals.push((idx, e.eval(row, schema)?.coerce_to(ty)?));
                     }
-                    for (idx, v) in new_vals {
-                        row.values_mut()[idx] = v;
-                    }
-                    Ok(RowEdit::Changed)
+                    Ok(RowEdit::Set(new_vals))
                 })?;
                 Ok(QueryResult::affected(updated))
             }
@@ -442,12 +459,13 @@ enum Planned {
 
 /// Phase-1 output of either executor.
 enum Scans {
-    Row(Vec<RowBatch>),
+    Row(Vec<Snapshot>),
     Columnar(Vec<vectorized::ColBatch>),
 }
 
-/// A SELECT whose scans have run: owned rows plus the plan's operators.
-/// [`ScannedSelect::finish`] needs no access to the catalog.
+/// A SELECT whose scans have run: snapshots (row executor) or owned
+/// chunks (columnar) plus the plan's operators. [`ScannedSelect::finish`]
+/// needs no access to the catalog.
 pub struct ScannedSelect {
     plan: LogicalPlan,
     scans: Result<Scans, SqlError>,
@@ -460,8 +478,8 @@ pub struct ScannedSelect {
 }
 
 impl ScannedSelect {
-    /// Phase 2: run joins, aggregates, sorts and projections on the
-    /// scanned rows, then end the statement's spans.
+    /// Phase 2: run filters, joins, aggregates, sorts and projections on
+    /// the scanned rows, then end the statement's spans.
     pub fn finish(self) -> Result<QueryResult, SqlError> {
         let ScannedSelect {
             plan,
@@ -506,11 +524,15 @@ impl std::fmt::Debug for ScannedSelect {
     }
 }
 
-/// The one pass of UPDATE and DELETE: `hit` changes or removes each row
-/// `filter` accepts (every row without a filter), and the number of rows
-/// hit is returned. A filter or `hit` error leaves that row as it was. With
-/// `stop_at_error`, later rows are left alone too; otherwise the pass
-/// goes on. Either way the first error is returned after the rewrite, so
+/// What UPDATE or DELETE does to one row its filter accepts.
+type RowHit<'a> = dyn FnMut(&[Value], &Schema) -> Result<RowEdit, SqlError> + 'a;
+
+/// The one pass of UPDATE and DELETE: `hit` says how to change or remove
+/// each row `filter` accepts (every row without a filter), and the number
+/// of rows hit is returned. Both read the stored row, so a chunk with no
+/// hit is never copied. A filter or `hit` error leaves that row as it
+/// was. With `stop_at_error`, later rows are left alone too; otherwise
+/// the pass goes on. Either way the first error is returned after the rewrite, so
 /// the table's derived state already reflects the rows that did change.
 ///
 /// `hit` is a `dyn` callback so that the per-row closure stays small enough
@@ -520,7 +542,7 @@ fn rewrite_where(
     t: &mut Table,
     filter: Option<&Expr>,
     stop_at_error: bool,
-    hit: &mut dyn FnMut(&mut Row, &Schema) -> Result<RowEdit, SqlError>,
+    hit: &mut RowHit<'_>,
 ) -> Result<usize, SqlError> {
     let schema = t.schema.clone();
     let mut hits = 0;
@@ -529,7 +551,7 @@ fn rewrite_where(
         if stop_at_error && first_err.is_some() {
             return RowEdit::Keep;
         }
-        let edit = match filter.map(|f| f.eval(row, &schema)) {
+        let edit = match filter.map(|f| f.eval_ref(row, &schema)) {
             Some(Ok(v)) if !v.is_truthy() => return RowEdit::Keep,
             Some(Err(e)) => Err(e),
             _ => hit(row, &schema),

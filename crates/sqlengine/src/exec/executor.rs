@@ -5,88 +5,564 @@
 //! time: equi-join conjuncts in the `ON` clause trigger a **hash join**,
 //! anything else falls back to a nested-loop join.
 //!
-//! Execution runs in two phases: `scan_plan` reads every table scan
-//! from the catalog, then `finish_plan` runs the operators over the
-//! owned batches without touching the catalog.
+//! Execution runs in two phases. `scan_plan`, the only phase that touches
+//! the catalog, probes indexes and takes a [`Snapshot`] of every scanned
+//! table: in memory that shares the table's row chunks instead of copying
+//! rows. `finish_plan` then reads the rows in place, one pass per
+//! pipeline:
+//!
+//! - a scan runs its filter on each source row and copies only the
+//!   projected cells of the rows that pass;
+//! - an aggregate over a scan feeds each passing row into its sink (the
+//!   group table and its accumulators);
+//! - an aggregate over an inner equi-join of two scans builds the hash
+//!   table on the right scan's rows and streams each left row's matches
+//!   into the sink without building joined rows.
+//!
+//! Group keys, aggregate arguments and join keys are bound to row
+//! positions once per plan and read cells by reference. A single pass
+//! evaluates filters and aggregates row by row, so when both fail on
+//! different rows, the earlier row's error is the one reported (the
+//! columnar executor, which filters every row first, reports the
+//! filter's).
 
+use std::borrow::Cow;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
-use crate::catalog::{Database, Table};
+use crate::catalog::{Database, Snapshot, Table};
 use crate::error::SqlError;
 use crate::expr::{flip_cmp, BinOp, Expr};
 use crate::parser::JoinKind;
-use crate::plan::logical::LogicalPlan;
+use crate::plan::logical::{AggFunc, LogicalPlan};
 use crate::row::{Row, RowBatch};
-use crate::schema::SchemaRef;
+use crate::schema::{Schema, SchemaRef};
 use crate::value::{DataType, GroupKey, Value};
 
 use super::aggregate::Accumulator;
 
 /// Execute a logical plan to completion: `scan_plan`, then
-/// `finish_plan` over the scanned rows.
+/// `finish_plan` over the snapshots.
 pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
     finish_plan(plan, scan_plan(plan, db)?)
 }
 
-/// Phase 1: read every `Scan` node of `plan` from the catalog, in
-/// [`LogicalPlan::scans`] order. This is the only phase that touches `db`.
-pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<RowBatch>, SqlError> {
-    plan.scans().into_iter().map(|scan| scan_table(scan, db)).collect()
+/// Phase 1: snapshot every `Scan` node's table, narrowed by a fresh index
+/// when one applies, in [`LogicalPlan::scans`] order. This is the only
+/// phase that touches `db`, and it copies no in-memory row.
+pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<Snapshot>, SqlError> {
+    plan.scans()
+        .into_iter()
+        .map(|scan| {
+            let LogicalPlan::Scan {
+                table,
+                schema,
+                projection,
+                filter,
+                ..
+            } = scan
+            else {
+                unreachable!("scans() yields Scan nodes");
+            };
+            let t = db.table(table)?;
+            let ids = match filter {
+                Some(f) => index_candidates(t, schema, projection, f)?,
+                None => None,
+            };
+            t.snapshot(ids)
+        })
+        .collect()
 }
 
-/// Phase 2: run the plan's operators over batches from [`scan_plan`]. No
-/// catalog access, so a caller may run it after releasing its lock.
-pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<RowBatch>) -> Result<RowBatch, SqlError> {
+/// Phase 2: run the plan's operators over the snapshots from
+/// [`scan_plan`]. No catalog access, so a caller may run it after
+/// releasing its lock.
+pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<Snapshot>) -> Result<RowBatch, SqlError> {
     run(plan, &mut scans.into_iter())
 }
 
-/// Project and filter one table scan, narrowed by a fresh index when one
-/// applies.
-fn scan_table(scan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
-    let LogicalPlan::Scan {
-        table,
-        schema,
-        projection,
-        filter,
-        ..
-    } = scan
-    else {
-        unreachable!("scan_table takes Scan nodes");
-    };
-    let t = db.table(table)?;
-    let mut rows = Vec::new();
-    let mut emit = |row: &Row| -> Result<(), SqlError> {
-        let projected = match projection {
-            Some(idx) => Row::new(idx.iter().map(|&i| row[i].clone()).collect()),
-            None => row.clone(),
-        };
-        if let Some(f) = filter {
-            if !f.eval(&projected, schema)?.is_truthy() {
-                return Ok(());
-            }
-        }
-        rows.push(projected);
-        Ok(())
-    };
-    let candidates = match filter {
-        Some(f) => index_candidates(t, schema, projection, f)?,
-        None => None,
-    };
-    match candidates {
-        Some(ids) => t.for_each_at(&ids, &mut emit)?,
-        None => t.for_each_row(&mut emit)?,
-    }
-    Ok(RowBatch::new(schema.clone(), rows))
+/// The snapshots of a plan's scans, consumed in [`LogicalPlan::scans`]
+/// order.
+type Scans = std::vec::IntoIter<Snapshot>;
+
+/// One `Scan` node over its snapshot.
+struct ScanRows<'p> {
+    rows: Snapshot,
+    /// Schema of the source rows: the whole table under the scan's
+    /// qualifier (the scan's own schema when it keeps every column).
+    source: SchemaRef,
+    /// The scan's output schema.
+    schema: &'p SchemaRef,
+    projection: Option<&'p [usize]>,
+    filter: Option<&'p Expr>,
 }
 
-/// The operator tree over pre-scanned batches, consumed in scan order.
-fn run(
-    plan: &LogicalPlan,
-    scans: &mut std::vec::IntoIter<RowBatch>,
+impl<'p> ScanRows<'p> {
+    fn new(scan: &'p LogicalPlan, scans: &mut Scans) -> Self {
+        let LogicalPlan::Scan {
+            qualifier,
+            schema,
+            projection,
+            filter,
+            ..
+        } = scan
+        else {
+            unreachable!("ScanRows reads Scan nodes");
+        };
+        let rows = scans.next().expect("one snapshot per scan");
+        let source = match projection {
+            Some(_) => SchemaRef::new(rows.schema().qualify(qualifier)),
+            None => schema.clone(),
+        };
+        ScanRows {
+            rows,
+            source,
+            schema,
+            projection: projection.as_deref(),
+            filter: filter.as_ref(),
+        }
+    }
+
+    /// Stream the source rows that pass the scan's filter. Nothing is
+    /// copied, and the rows stay readable while `self` lives.
+    fn for_each<'a>(
+        &'a self,
+        mut f: impl FnMut(&'a [Value]) -> Result<(), SqlError>,
+    ) -> Result<(), SqlError> {
+        self.rows.for_each(|row| match passes(self.filter, row, &self.source)? {
+            true => f(row),
+            false => Ok(()),
+        })
+    }
+
+    /// Bind `e`, an expression over the scan's output, to the source rows.
+    fn bind(&self, e: &'p Expr) -> Binding<'p> {
+        Binding::new(e, self.schema, |i| Binding::Col(source_pos(self.projection, i)))
+    }
+
+    /// The scan's output: the projected cells of every passing row. Each
+    /// chunk is released once read, so a write racing the rest of the
+    /// scan need not copy it.
+    fn collect(self) -> Result<RowBatch, SqlError> {
+        let ScanRows {
+            rows: snapshot,
+            source,
+            schema,
+            projection,
+            filter,
+        } = self;
+        let mut rows = Vec::new();
+        snapshot.drain(|row| {
+            if passes(filter, row, &source)? {
+                rows.push(match projection {
+                    Some(idx) => Row::new(idx.iter().map(|&i| row[i].clone()).collect()),
+                    None => Row::new(row.to_vec()),
+                });
+            }
+            Ok(())
+        })?;
+        Ok(RowBatch::new(schema.clone(), rows))
+    }
+}
+
+/// A scan node's column projection (`None`: every column, in order).
+fn projection_of(scan: &LogicalPlan) -> Option<&[usize]> {
+    match scan {
+        LogicalPlan::Scan { projection, .. } => projection.as_deref(),
+        _ => unreachable!("projection_of reads Scan nodes"),
+    }
+}
+
+/// Source position of a scan's output column `i`.
+fn source_pos(projection: Option<&[usize]>, i: usize) -> usize {
+    projection.map_or(i, |p| p[i])
+}
+
+/// Whether `row` passes a scan's `filter`, read in place through `schema`.
+fn passes(filter: Option<&Expr>, row: &[Value], schema: &Schema) -> Result<bool, SqlError> {
+    match filter {
+        Some(p) => Ok(p.eval_ref(row, schema)?.is_truthy()),
+        None => Ok(true),
+    }
+}
+
+/// A pipeline's input: one row, or an inner-join pair (left, right) read
+/// in place, without building the joined row.
+#[derive(Clone, Copy)]
+struct Input<'r>(&'r [Value], Option<&'r [Value]>);
+
+/// An expression bound to the rows a pipeline reads.
+enum Binding<'p> {
+    /// A column, read in place at this position of the input row (the
+    /// left row of a join pair).
+    Col(usize),
+    /// A column of a join pair's right row.
+    Right(usize),
+    /// A literal.
+    Const(&'p Value),
+    /// Anything else, evaluated per row (single-row inputs only).
+    Eval(&'p Expr),
+}
+
+/// The value `COUNT(*)` folds per row (ignored by its accumulator).
+static COUNT_STAR: Value = Value::Int(1);
+
+impl<'p> Binding<'p> {
+    /// Bind `e`, an expression over `schema`; `place` says where column
+    /// `i` of `schema` sits in the input. A column that does not resolve
+    /// stays [`Binding::Eval`], so it fails per row as unbound.
+    fn new(e: &'p Expr, schema: &Schema, place: impl Fn(usize) -> Binding<'p>) -> Binding<'p> {
+        match e {
+            Expr::Column { table, name } => match schema.resolve(table.as_deref(), name) {
+                Ok(i) => place(i),
+                Err(_) => Binding::Eval(e),
+            },
+            Expr::Literal(v) => Binding::Const(v),
+            e => Binding::Eval(e),
+        }
+    }
+
+    /// [`Binding::new`] for an aggregate argument: `*` reads as a constant.
+    fn arg(e: &'p Expr, schema: &Schema, place: impl Fn(usize) -> Binding<'p>) -> Binding<'p> {
+        match e {
+            Expr::Wildcard => Binding::Const(&COUNT_STAR),
+            e => Binding::new(e, schema, place),
+        }
+    }
+
+    /// The value for `input`, borrowed unless computed; [`Binding::Eval`]
+    /// reads the row through `schema`.
+    fn value<'r>(&self, input: Input<'r>, schema: &Schema) -> Result<Cow<'r, Value>, SqlError>
+    where
+        'p: 'r,
+    {
+        match (self, input) {
+            (Binding::Col(i), Input(row, _)) => Ok(Cow::Borrowed(&row[*i])),
+            (Binding::Right(i), Input(_, Some(right))) => Ok(Cow::Borrowed(&right[*i])),
+            (Binding::Const(v), _) => Ok(Cow::Borrowed(*v)),
+            (Binding::Eval(e), Input(row, None)) => e.eval_ref(row, schema),
+            (Binding::Right(_), Input(_, None)) | (Binding::Eval(_), Input(_, Some(_))) => {
+                unreachable!("join pairs read bound columns only")
+            }
+        }
+    }
+}
+
+/// Evaluate `keys` on `row` into `out`. Stops with `false` at the first
+/// NULL: a NULL join key matches nothing.
+fn join_key<'p: 'r, 'r>(
+    keys: &[Binding<'p>],
+    row: &'r [Value],
+    schema: &Schema,
+    out: &mut Vec<Cow<'r, Value>>,
+) -> Result<bool, SqlError> {
+    out.clear();
+    for k in keys {
+        let v = k.value(Input(row, None), schema)?;
+        if v.is_null() {
+            return Ok(false);
+        }
+        out.push(v);
+    }
+    Ok(true)
+}
+
+/// Hashes a precomputed `u64` hash to itself.
+#[derive(Default)]
+struct PassHasher(u64);
+
+impl Hasher for PassHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PassHasher hashes u64 keys only")
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// Distinct keys in first-seen order, found by hashing the borrowed key
+/// under [`GroupKey`] identity. A key is cloned only when first inserted.
+#[derive(Default)]
+struct KeyIndex {
+    hasher: RandomState,
+    /// Key hash → the newest key with that hash.
+    heads: HashMap<u64, usize, BuildHasherDefault<PassHasher>>,
+    keys: Vec<Vec<Value>>,
+    /// The next older key with the same hash.
+    next: Vec<Option<usize>>,
+}
+
+impl KeyIndex {
+    fn hash(&self, key: &[Cow<'_, Value>]) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        for v in key {
+            v.group_key_ref().hash(&mut h);
+        }
+        h.finish()
+    }
+
+    fn find_hashed(&self, key: &[Cow<'_, Value>], hash: u64) -> Option<usize> {
+        let same = |stored: &[Value]| {
+            stored
+                .iter()
+                .zip(key)
+                .all(|(a, b)| a.group_key_ref() == b.group_key_ref())
+        };
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            if same(&self.keys[i]) {
+                return Some(i);
+            }
+            at = self.next[i];
+        }
+        None
+    }
+
+    /// The index of `key`, if present.
+    fn find(&self, key: &[Cow<'_, Value>]) -> Option<usize> {
+        self.find_hashed(key, self.hash(key))
+    }
+
+    /// The index of `key`, inserted (as the next index) when new.
+    fn find_or_insert(&mut self, key: &[Cow<'_, Value>]) -> usize {
+        let hash = self.hash(key);
+        if let Some(i) = self.find_hashed(key, hash) {
+            return i;
+        }
+        let i = self.keys.len();
+        self.keys.push(key.iter().map(|v| v.as_ref().clone()).collect());
+        self.next.push(self.heads.insert(hash, i));
+        i
+    }
+}
+
+/// The build side of a hash join: rows grouped by their join key, and the
+/// probe that streams each probe row's matches to a callback.
+struct JoinTable<'p, 'r> {
+    build_keys: Vec<Binding<'p>>,
+    build_schema: SchemaRef,
+    probe_keys: Vec<Binding<'p>>,
+    probe_schema: SchemaRef,
+    index: KeyIndex,
+    /// Build rows per key of `index`, in insertion order.
+    rows: Vec<Vec<&'r [Value]>>,
+    key: Vec<Cow<'r, Value>>,
+}
+
+impl<'p: 'r, 'r> JoinTable<'p, 'r> {
+    /// Add one build row; a row with a NULL key never matches and is
+    /// left out.
+    fn insert(&mut self, row: &'r [Value]) -> Result<(), SqlError> {
+        if join_key(&self.build_keys, row, &self.build_schema, &mut self.key)? {
+            let i = self.index.find_or_insert(&self.key);
+            if i == self.rows.len() {
+                self.rows.push(Vec::new());
+            }
+            self.rows[i].push(row);
+        }
+        Ok(())
+    }
+
+    /// Call `on_pair` with each build row whose key equals `row`'s, in
+    /// build order. Returns whether any call returned `true`.
+    fn probe(
+        &mut self,
+        row: &'r [Value],
+        mut on_pair: impl FnMut(&'r [Value]) -> Result<bool, SqlError>,
+    ) -> Result<bool, SqlError> {
+        if !join_key(&self.probe_keys, row, &self.probe_schema, &mut self.key)? {
+            return Ok(false);
+        }
+        let mut matched = false;
+        if let Some(i) = self.index.find(&self.key) {
+            for &build in &self.rows[i] {
+                matched |= on_pair(build)?;
+            }
+        }
+        Ok(matched)
+    }
+}
+
+/// Hash aggregation: the group table and its accumulators. Groups come
+/// out in first-seen order.
+struct AggSink<'p, 'r> {
+    keys: Vec<Binding<'p>>,
+    args: Vec<Binding<'p>>,
+    funcs: Vec<AggFunc>,
+    /// Schema [`Binding::Eval`] expressions read input rows through.
+    schema: SchemaRef,
+    groups: KeyIndex,
+    accs: Vec<Vec<Accumulator>>,
+    key: Vec<Cow<'r, Value>>,
+}
+
+impl<'p: 'r, 'r> AggSink<'p, 'r> {
+    /// Bind an `Aggregate` node's keys and arguments, expressions over
+    /// `input`, to input rows read through `schema`; `place` says where a
+    /// column of `input` sits in the input rows.
+    fn new(
+        group_exprs: &'p [(Expr, String)],
+        aggregates: &'p [(AggFunc, Expr, String)],
+        input: &Schema,
+        schema: SchemaRef,
+        place: impl Fn(usize) -> Binding<'p>,
+    ) -> Self {
+        let mut sink = AggSink {
+            keys: group_exprs.iter().map(|(e, _)| Binding::new(e, input, &place)).collect(),
+            args: aggregates.iter().map(|(_, e, _)| Binding::arg(e, input, &place)).collect(),
+            funcs: aggregates.iter().map(|(f, _, _)| *f).collect(),
+            schema,
+            groups: KeyIndex::default(),
+            accs: Vec::new(),
+            key: Vec::new(),
+        };
+        if sink.keys.is_empty() {
+            // A global aggregate has its one group, even over empty input.
+            sink.groups.find_or_insert(&[]);
+            sink.accs.push(sink.fresh_accumulators());
+        }
+        sink
+    }
+
+    fn fresh_accumulators(&self) -> Vec<Accumulator> {
+        self.funcs.iter().map(|f| Accumulator::new(*f)).collect()
+    }
+
+    /// Whether every key and argument reads bound columns or constants
+    /// (what a join pair requires).
+    fn all_bound(&self) -> bool {
+        self.keys.iter().chain(&self.args).all(|b| !matches!(b, Binding::Eval(_)))
+    }
+
+    /// Fold one input row into its group.
+    fn feed(&mut self, input: Input<'r>) -> Result<(), SqlError> {
+        self.key.clear();
+        for k in &self.keys {
+            self.key.push(k.value(input, &self.schema)?);
+        }
+        let g = match self.keys.is_empty() {
+            true => 0,
+            false => self.groups.find_or_insert(&self.key),
+        };
+        if g == self.accs.len() {
+            self.accs.push(self.fresh_accumulators());
+        }
+        for (arg, acc) in self.args.iter().zip(&mut self.accs[g]) {
+            acc.update(arg.value(input, &self.schema)?.as_ref())?;
+        }
+        Ok(())
+    }
+
+    /// One row per group: its key, then each aggregate.
+    fn finish(self, schema: SchemaRef) -> RowBatch {
+        let rows = self
+            .groups
+            .keys
+            .into_iter()
+            .zip(self.accs)
+            .map(|(mut vals, accs)| {
+                vals.extend(accs.iter().map(Accumulator::finish));
+                Row::new(vals)
+            })
+            .collect();
+        RowBatch::new(schema, rows)
+    }
+}
+
+/// An `Aggregate` node in one pass over its input. A scan, or an inner
+/// equi-join of two scans whose keys and arguments all bind to columns,
+/// feeds the sink straight from the snapshots; any other input is
+/// materialised first.
+fn aggregate(
+    input: &LogicalPlan,
+    group_exprs: &[(Expr, String)],
+    aggregates: &[(AggFunc, Expr, String)],
+    out_schema: SchemaRef,
+    scans: &mut Scans,
 ) -> Result<RowBatch, SqlError> {
+    match input {
+        LogicalPlan::Scan { .. } => {
+            let scan = ScanRows::new(input, scans);
+            let place = |i| Binding::Col(source_pos(scan.projection, i));
+            let source = scan.source.clone();
+            let mut sink = AggSink::new(group_exprs, aggregates, scan.schema, source, place);
+            scan.for_each(|row| sink.feed(Input(row, None)))?;
+            Ok(sink.finish(out_schema))
+        }
+        LogicalPlan::Join {
+            left,
+            right,
+            kind: JoinKind::Inner,
+            on,
+        } if matches!(
+            (left.as_ref(), right.as_ref()),
+            (LogicalPlan::Scan { .. }, LogicalPlan::Scan { .. })
+        ) =>
+        {
+            let (lschema, rschema) = (left.schema(), right.schema());
+            let keys = extract_equi_keys(on, &lschema, &rschema);
+            let (lproj, rproj) = (projection_of(left), projection_of(right));
+            let place = |i: usize| match i.checked_sub(lschema.len()) {
+                None => Binding::Col(source_pos(lproj, i)),
+                Some(j) => Binding::Right(source_pos(rproj, j)),
+            };
+            let joined = lschema.join(&rschema);
+            let schema = out_schema.clone();
+            let mut sink = AggSink::new(group_exprs, aggregates, &joined, schema, place);
+            if keys.left_exprs.is_empty() || keys.residual.is_some() || !sink.all_bound() {
+                let batch = run(input, scans)?;
+                return aggregate_batch(&batch, group_exprs, aggregates, out_schema);
+            }
+            let (l, r) = (ScanRows::new(left, scans), ScanRows::new(right, scans));
+            let mut table = JoinTable {
+                build_keys: keys.right_exprs.iter().map(|e| r.bind(e)).collect(),
+                build_schema: r.source.clone(),
+                probe_keys: keys.left_exprs.iter().map(|e| l.bind(e)).collect(),
+                probe_schema: l.source.clone(),
+                index: KeyIndex::default(),
+                rows: Vec::new(),
+                key: Vec::new(),
+            };
+            r.for_each(|row| table.insert(row))?;
+            l.for_each(|lrow| {
+                table.probe(lrow, |rrow| sink.feed(Input(lrow, Some(rrow))).map(|()| true))?;
+                Ok(())
+            })?;
+            Ok(sink.finish(out_schema))
+        }
+        _ => {
+            let batch = run(input, scans)?;
+            aggregate_batch(&batch, group_exprs, aggregates, out_schema)
+        }
+    }
+}
+
+/// An `Aggregate` node over materialised input.
+fn aggregate_batch(
+    batch: &RowBatch,
+    group_exprs: &[(Expr, String)],
+    aggregates: &[(AggFunc, Expr, String)],
+    out_schema: SchemaRef,
+) -> Result<RowBatch, SqlError> {
+    let schema = batch.schema.clone();
+    let mut sink = AggSink::new(group_exprs, aggregates, &batch.schema, schema, Binding::Col);
+    for row in &batch.rows {
+        sink.feed(Input(row, None))?;
+    }
+    Ok(sink.finish(out_schema))
+}
+
+/// The operator tree over the scans' snapshots, consumed in scan order.
+fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
     match plan {
-        LogicalPlan::Scan { .. } => Ok(scans.next().expect("one batch per scan")),
+        LogicalPlan::Scan { .. } => ScanRows::new(plan, scans).collect(),
 
         LogicalPlan::Union { inputs, dedupe } => {
             let schema = plan.schema();
@@ -123,7 +599,7 @@ fn run(
             let batch = run(input, scans)?;
             let mut rows = Vec::with_capacity(batch.rows.len());
             for row in batch.rows {
-                if predicate.eval(&row, &batch.schema)?.is_truthy() {
+                if predicate.eval_ref(&row, &batch.schema)?.is_truthy() {
                     rows.push(row);
                 }
             }
@@ -155,56 +631,7 @@ fn run(
             input,
             group_exprs,
             aggregates,
-        } => {
-            let batch = run(input, scans)?;
-            let out_schema = plan.schema();
-            // Group rows by key; keep first-seen order for determinism.
-            let mut order: Vec<Vec<GroupKey>> = Vec::new();
-            let mut groups: HashMap<Vec<GroupKey>, (Row, Vec<Accumulator>)> = HashMap::new();
-            for row in &batch.rows {
-                let mut key = Vec::with_capacity(group_exprs.len());
-                let mut key_vals = Vec::with_capacity(group_exprs.len());
-                for (e, _) in group_exprs {
-                    let v = e.eval(row, &batch.schema)?;
-                    key.push(v.group_key());
-                    key_vals.push(v);
-                }
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    order.push(key.clone());
-                    (
-                        Row::new(key_vals),
-                        aggregates
-                            .iter()
-                            .map(|(f, _, _)| Accumulator::new(*f))
-                            .collect(),
-                    )
-                });
-                for ((_, arg, _), acc) in aggregates.iter().zip(entry.1.iter_mut()) {
-                    let v = match arg {
-                        Expr::Wildcard => Value::Int(1), // ignored by COUNT(*)
-                        e => e.eval(row, &batch.schema)?,
-                    };
-                    acc.update(&v)?;
-                }
-            }
-            // Global aggregate over empty input still emits one row.
-            if groups.is_empty() && group_exprs.is_empty() {
-                let accs: Vec<Accumulator> = aggregates
-                    .iter()
-                    .map(|(f, _, _)| Accumulator::new(*f))
-                    .collect();
-                let vals: Vec<Value> = accs.iter().map(Accumulator::finish).collect();
-                return Ok(RowBatch::new(out_schema, vec![Row::new(vals)]));
-            }
-            let mut rows = Vec::with_capacity(order.len());
-            for key in order {
-                let (key_row, accs) = groups.remove(&key).expect("group vanished");
-                let mut vals = key_row.into_values();
-                vals.extend(accs.iter().map(Accumulator::finish));
-                rows.push(Row::new(vals));
-            }
-            Ok(RowBatch::new(out_schema, rows))
-        }
+        } => aggregate(input, group_exprs, aggregates, plan.schema(), scans),
 
         LogicalPlan::Sort { input, keys } => {
             let mut batch = run(input, scans)?;
@@ -457,61 +884,45 @@ fn execute_join(
     right: &LogicalPlan,
     kind: JoinKind,
     on: &Expr,
-    scans: &mut std::vec::IntoIter<RowBatch>,
+    scans: &mut Scans,
 ) -> Result<RowBatch, SqlError> {
     let lbatch = run(left, scans)?;
     let rbatch = run(right, scans)?;
     let out_schema = SchemaRef::new(lbatch.schema.join(&rbatch.schema));
     let keys = extract_equi_keys(on, &lbatch.schema, &rbatch.schema);
+    let pad = Row::new(vec![Value::Null; rbatch.schema.len()]);
 
     let mut rows = Vec::new();
     if !keys.left_exprs.is_empty() {
         // Hash join: build on the right side.
-        let mut table: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-        for (i, rrow) in rbatch.rows.iter().enumerate() {
-            let mut key = Vec::with_capacity(keys.right_exprs.len());
-            let mut null_key = false;
-            for e in &keys.right_exprs {
-                let v = e.eval(rrow, &rbatch.schema)?;
-                if v.is_null() {
-                    null_key = true;
-                    break;
-                }
-                key.push(v.group_key());
-            }
-            if !null_key {
-                table.entry(key).or_default().push(i);
-            }
+        fn bind<'p>(exprs: &'p [Expr], schema: &Schema) -> Vec<Binding<'p>> {
+            exprs.iter().map(|e| Binding::new(e, schema, Binding::Col)).collect()
+        }
+        let mut table = JoinTable {
+            build_keys: bind(&keys.right_exprs, &rbatch.schema),
+            build_schema: rbatch.schema.clone(),
+            probe_keys: bind(&keys.left_exprs, &lbatch.schema),
+            probe_schema: lbatch.schema.clone(),
+            index: KeyIndex::default(),
+            rows: Vec::new(),
+            key: Vec::new(),
+        };
+        for rrow in &rbatch.rows {
+            table.insert(rrow)?;
         }
         for lrow in &lbatch.rows {
-            let mut key = Vec::with_capacity(keys.left_exprs.len());
-            let mut null_key = false;
-            for e in &keys.left_exprs {
-                let v = e.eval(lrow, &lbatch.schema)?;
-                if v.is_null() {
-                    null_key = true;
-                    break;
+            let matched = table.probe(lrow, |rrow| {
+                let joined = lrow.join(rrow);
+                let keep = match &keys.residual {
+                    Some(p) => p.eval_ref(&joined, &out_schema)?.is_truthy(),
+                    None => true,
+                };
+                if keep {
+                    rows.push(joined);
                 }
-                key.push(v.group_key());
-            }
-            let mut matched = false;
-            if !null_key {
-                if let Some(candidates) = table.get(&key) {
-                    for &ri in candidates {
-                        let joined = lrow.join(&rbatch.rows[ri]);
-                        let ok = match &keys.residual {
-                            Some(p) => p.eval(&joined, &out_schema)?.is_truthy(),
-                            None => true,
-                        };
-                        if ok {
-                            rows.push(joined);
-                            matched = true;
-                        }
-                    }
-                }
-            }
+                Ok(keep)
+            })?;
             if !matched && kind == JoinKind::Left {
-                let pad = Row::new(vec![Value::Null; rbatch.schema.len()]);
                 rows.push(lrow.join(&pad));
             }
         }
@@ -521,13 +932,12 @@ fn execute_join(
             let mut matched = false;
             for rrow in &rbatch.rows {
                 let joined = lrow.join(rrow);
-                if on.eval(&joined, &out_schema)?.is_truthy() {
+                if on.eval_ref(&joined, &out_schema)?.is_truthy() {
                     rows.push(joined);
                     matched = true;
                 }
             }
             if !matched && kind == JoinKind::Left {
-                let pad = Row::new(vec![Value::Null; rbatch.schema.len()]);
                 rows.push(lrow.join(&pad));
             }
         }

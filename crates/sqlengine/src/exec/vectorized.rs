@@ -201,7 +201,7 @@ fn scan_table(
                 ct.chunks().iter().try_for_each(&mut scan_chunk)
             };
             t.for_each_row(|row| {
-                buf.push(row.clone());
+                buf.push(Row::new(row.to_vec()));
                 if buf.len() == CHUNK_ROWS {
                     flush(&mut buf)?;
                 }

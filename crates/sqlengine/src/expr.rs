@@ -9,12 +9,12 @@
 //! are only evaluated for rows where the row interpreter would evaluate
 //! them), so even side effects like division-by-zero errors agree.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::col::{Chunk, ColumnVec, NullMask};
 use crate::error::SqlError;
-use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -272,34 +272,38 @@ impl Expr {
 
     /// Evaluate against a row. Aggregate calls are an error here — the
     /// planner must have rewritten them into column references first.
-    pub fn eval(&self, row: &Row, schema: &Schema) -> Result<Value, SqlError> {
-        match self {
-            Expr::Literal(v) => Ok(v.clone()),
+    pub fn eval(&self, row: &[Value], schema: &Schema) -> Result<Value, SqlError> {
+        self.eval_ref(row, schema).map(Cow::into_owned)
+    }
+
+    /// [`Expr::eval`] that borrows the literals and cells it reads instead
+    /// of cloning them, so a filter such as `category = 'Books'` allocates
+    /// nothing per row.
+    pub fn eval_ref<'a>(
+        &'a self,
+        row: &'a [Value],
+        schema: &Schema,
+    ) -> Result<Cow<'a, Value>, SqlError> {
+        let v = match self {
+            Expr::Literal(v) => return Ok(Cow::Borrowed(v)),
             Expr::Column { table, name } => {
-                let idx = schema.resolve(table.as_deref(), name)?;
-                Ok(row[idx].clone())
+                return Ok(Cow::Borrowed(&row[schema.resolve(table.as_deref(), name)?]))
             }
             Expr::Binary { left, op, right } => {
-                eval_binary(left.eval(row, schema)?, *op, || right.eval(row, schema))
+                eval_binary(&*left.eval_ref(row, schema)?, *op, || right.eval_ref(row, schema))?
             }
-            Expr::Unary { op, expr } => {
-                let v = expr.eval(row, schema)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Float(f) => Ok(Value::Float(-f)),
-                        Value::Null => Ok(Value::Null),
-                        other => Err(SqlError::Execution(format!(
-                            "cannot negate {other:?}"
-                        ))),
-                    },
-                    UnOp::Not => match v {
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        Value::Null => Ok(Value::Null),
-                        other => Err(SqlError::Execution(format!("cannot NOT {other:?}"))),
-                    },
+            Expr::Unary { op, expr } => match (op, expr.eval_ref(row, schema)?.as_ref()) {
+                (UnOp::Neg, Value::Int(i)) => Value::Int(-i),
+                (UnOp::Neg, Value::Float(f)) => Value::Float(-f),
+                (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
+                (_, Value::Null) => Value::Null,
+                (UnOp::Neg, other) => {
+                    return Err(SqlError::Execution(format!("cannot negate {other:?}")))
                 }
-            }
+                (UnOp::Not, other) => {
+                    return Err(SqlError::Execution(format!("cannot NOT {other:?}")))
+                }
+            },
             Expr::Function { name, args } => {
                 if AGGREGATE_FUNCTIONS.contains(&name.as_str()) {
                     return Err(SqlError::Plan(format!(
@@ -310,25 +314,24 @@ impl Expr {
                     .iter()
                     .map(|a| a.eval(row, schema))
                     .collect::<Result<_, _>>()?;
-                eval_scalar_function(name, &vals)
+                eval_scalar_function(name, &vals)?
             }
             Expr::IsNull { expr, negated } => {
-                let v = expr.eval(row, schema)?;
-                Ok(Value::Bool(v.is_null() != *negated))
+                Value::Bool(expr.eval_ref(row, schema)?.is_null() != *negated)
             }
             Expr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
-                let v = expr.eval(row, schema)?;
-                let p = pattern.eval(row, schema)?;
-                match (&v, &p) {
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+                let v = expr.eval_ref(row, schema)?;
+                let p = pattern.eval_ref(row, schema)?;
+                match (v.as_ref(), p.as_ref()) {
+                    (Value::Null, _) | (_, Value::Null) => Value::Null,
                     (Value::Text(s), Value::Text(pat)) => {
-                        Ok(Value::Bool(like_match(s, pat) != *negated))
+                        Value::Bool(like_match(s, pat) != *negated)
                     }
-                    _ => Err(SqlError::Execution("LIKE requires text operands".into())),
+                    _ => return Err(SqlError::Execution("LIKE requires text operands".into())),
                 }
             }
             Expr::InList {
@@ -336,25 +339,25 @@ impl Expr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row, schema)?;
+                let v = expr.eval_ref(row, schema)?;
                 if v.is_null() {
-                    return Ok(Value::Null);
+                    return Ok(Cow::Owned(Value::Null));
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let iv = item.eval(row, schema)?;
+                    let iv = item.eval_ref(row, schema)?;
                     if iv.is_null() {
                         saw_null = true;
                         continue;
                     }
                     if v.group_eq(&iv) {
-                        return Ok(Value::Bool(!*negated));
+                        return Ok(Cow::Owned(Value::Bool(!*negated)));
                     }
                 }
                 if saw_null {
-                    Ok(Value::Null)
+                    Value::Null
                 } else {
-                    Ok(Value::Bool(*negated))
+                    Value::Bool(*negated)
                 }
             }
             Expr::Between {
@@ -363,40 +366,41 @@ impl Expr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row, schema)?;
-                let lo = low.eval(row, schema)?;
-                let hi = high.eval(row, schema)?;
+                let v = expr.eval_ref(row, schema)?;
+                let lo = low.eval_ref(row, schema)?;
+                let hi = high.eval_ref(row, schema)?;
                 match (v.sql_cmp(&lo), v.sql_cmp(&hi)) {
                     (Some(a), Some(b)) => {
                         let inside = a != std::cmp::Ordering::Less
                             && b != std::cmp::Ordering::Greater;
-                        Ok(Value::Bool(inside != *negated))
+                        Value::Bool(inside != *negated)
                     }
-                    _ => Ok(Value::Null),
+                    _ => Value::Null,
                 }
             }
-            Expr::Wildcard => Err(SqlError::Plan("`*` is not a value expression".into())),
-        }
+            Expr::Wildcard => return Err(SqlError::Plan("`*` is not a value expression".into())),
+        };
+        Ok(Cow::Owned(v))
     }
 }
 
 /// Evaluate a binary operation with SQL NULL semantics and short-circuiting
 /// AND/OR. `right` is lazy so `false AND err()` does not error.
-fn eval_binary(
-    left: Value,
+fn eval_binary<'a>(
+    left: &Value,
     op: BinOp,
-    right: impl FnOnce() -> Result<Value, SqlError>,
+    right: impl FnOnce() -> Result<Cow<'a, Value>, SqlError>,
 ) -> Result<Value, SqlError> {
     use std::cmp::Ordering;
     match op {
         BinOp::And => match left {
             Value::Bool(false) => Ok(Value::Bool(false)),
-            Value::Bool(true) => match right()? {
-                Value::Bool(b) => Ok(Value::Bool(b)),
+            Value::Bool(true) => match right()?.as_ref() {
+                Value::Bool(b) => Ok(Value::Bool(*b)),
                 Value::Null => Ok(Value::Null),
                 other => Err(SqlError::Execution(format!("AND with {other:?}"))),
             },
-            Value::Null => match right()? {
+            Value::Null => match right()?.as_ref() {
                 Value::Bool(false) => Ok(Value::Bool(false)),
                 Value::Bool(true) | Value::Null => Ok(Value::Null),
                 other => Err(SqlError::Execution(format!("AND with {other:?}"))),
@@ -405,12 +409,12 @@ fn eval_binary(
         },
         BinOp::Or => match left {
             Value::Bool(true) => Ok(Value::Bool(true)),
-            Value::Bool(false) => match right()? {
-                Value::Bool(b) => Ok(Value::Bool(b)),
+            Value::Bool(false) => match right()?.as_ref() {
+                Value::Bool(b) => Ok(Value::Bool(*b)),
                 Value::Null => Ok(Value::Null),
                 other => Err(SqlError::Execution(format!("OR with {other:?}"))),
             },
-            Value::Null => match right()? {
+            Value::Null => match right()?.as_ref() {
                 Value::Bool(true) => Ok(Value::Bool(true)),
                 Value::Bool(false) | Value::Null => Ok(Value::Null),
                 other => Err(SqlError::Execution(format!("OR with {other:?}"))),
@@ -419,10 +423,11 @@ fn eval_binary(
         },
         BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
             let right = right()?;
+            let right = right.as_ref();
             if left.is_null() || right.is_null() {
                 return Ok(Value::Null);
             }
-            let ord = left.sql_cmp(&right).ok_or_else(|| {
+            let ord = left.sql_cmp(right).ok_or_else(|| {
                 SqlError::Execution(format!(
                     "cannot compare {:?} with {:?}",
                     left.data_type(),
@@ -442,11 +447,12 @@ fn eval_binary(
         }
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             let right = right()?;
+            let right = right.as_ref();
             if left.is_null() || right.is_null() {
                 return Ok(Value::Null);
             }
             // String concatenation via `+` (convenient for Text-to-SQL output).
-            if let (Value::Text(a), Value::Text(b), BinOp::Add) = (&left, &right, op) {
+            if let (Value::Text(a), Value::Text(b), BinOp::Add) = (left, right, op) {
                 return Ok(Value::Text(format!("{a}{b}")));
             }
             match (left.as_i64(), right.as_i64()) {
@@ -1192,7 +1198,7 @@ fn generic_binary_batch(l: &BVal, op: BinOp, r: &BVal, n: usize) -> Result<BVal,
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let rv = r.value_at(i);
-        out.push(eval_binary(l.value_at(i), op, || Ok(rv))?);
+        out.push(eval_binary(&l.value_at(i), op, || Ok(Cow::Owned(rv)))?);
     }
     Ok(BVal::Col(ColumnVec::from_values(out)))
 }
@@ -1267,6 +1273,7 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
     use crate::schema::Column;
     use crate::value::DataType;
 

@@ -37,15 +37,20 @@
 //!
 //! ## Concurrency: two-phase SELECT
 //!
-//! [`Engine::prepare`] needs only `&Engine`: it parses, plans and reads
-//! every table scan of a SELECT into owned batches (phase 1), returning an
-//! [`engine::ScannedSelect`] whose `finish` runs joins, aggregates, sorts
-//! and projections without the catalog (phase 2). A server holding the
-//! engine in a read-write lock scans under the shared lock and finishes
-//! after releasing it; DDL and DML ([`engine::Prepared::Write`]) take the
-//! exclusive lock for [`Engine::run_write`]. [`Engine::execute`] runs the
-//! same two phases back to back, after refreshing the scanned tables'
-//! index and columnar caches.
+//! [`Engine::prepare`] needs only `&Engine`: it parses and plans a SELECT,
+//! probes indexes, and takes a [`catalog::Snapshot`] of every scanned
+//! table (phase 1). In memory a snapshot shares the table's copy-on-write
+//! row chunks: phase 1 copies no row, only one handle per chunk. The
+//! returned [`engine::ScannedSelect`]'s `finish` runs after the lock is
+//! released (phase 2): it filters, aggregates and joins the snapshot's
+//! rows in place, one pass per pipeline, and copies only the cells that
+//! reach the result. DDL and
+//! DML ([`engine::Prepared::Write`]) take the exclusive lock for
+//! [`Engine::run_write`]; a write copies only the chunks it changes that a
+//! live snapshot still shares (the `sql.cow_chunks` counter).
+//! [`Engine::execute`] runs the same two phases back to back, after
+//! refreshing the scanned tables' index and columnar caches. The columnar
+//! executor's scans still copy their chunks out in phase 1.
 //!
 //! ## Storage: one interface, two arms
 //!

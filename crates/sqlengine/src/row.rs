@@ -6,7 +6,7 @@
 //! ([`crate::col::Chunk`]/[`crate::col::ColumnTable`]) internally and
 //! converts back to rows at the result boundary.
 
-use std::ops::Index;
+use std::ops::{Deref, Index};
 
 use serde::{Deserialize, Serialize};
 
@@ -51,10 +51,10 @@ impl Row {
     }
 
     /// Concatenate two rows (join output).
-    pub fn join(&self, right: &Row) -> Row {
+    pub fn join(&self, right: &[Value]) -> Row {
         let mut values = Vec::with_capacity(self.len() + right.len());
         values.extend_from_slice(&self.values);
-        values.extend_from_slice(&right.values);
+        values.extend_from_slice(right);
         Row { values }
     }
 
@@ -68,6 +68,16 @@ impl Index<usize> for Row {
     type Output = Value;
     fn index(&self, idx: usize) -> &Value {
         &self.values[idx]
+    }
+}
+
+/// A row reads as its values, so code that only reads cells (expression
+/// evaluation, the executors' pipelines) takes `&[Value]` and serves both
+/// rows and the catalog's stored cells.
+impl Deref for Row {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        &self.values
     }
 }
 

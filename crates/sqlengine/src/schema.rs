@@ -104,17 +104,23 @@ impl Schema {
     /// `table` restricts the search to columns carrying that qualifier.
     /// Unqualified lookups that match more than one column are ambiguous.
     pub fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize, SqlError> {
-        let name = name.to_lowercase();
-        let table = table.map(str::to_lowercase);
+        // Parsed identifiers are lowercase already: compare them in place,
+        // and lowercase (allocating) only what is not.
+        let lower = |s: &str| s.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase());
+        if lower(name) && table.is_none_or(lower) {
+            self.resolve_lowercase(table, name)
+        } else {
+            let table = table.map(str::to_lowercase);
+            self.resolve_lowercase(table.as_deref(), &name.to_lowercase())
+        }
+    }
+
+    /// [`Schema::resolve`] for a lowercase name and qualifier.
+    fn resolve_lowercase(&self, table: Option<&str>, name: &str) -> Result<usize, SqlError> {
         let mut found: Option<usize> = None;
         for (i, c) in self.columns.iter().enumerate() {
-            if c.name != name {
+            if c.name != name || table.is_some_and(|t| c.table.as_deref() != Some(t)) {
                 continue;
-            }
-            if let Some(t) = &table {
-                if c.table.as_deref() != Some(t.as_str()) {
-                    continue;
-                }
             }
             if found.is_some() {
                 return Err(SqlError::Plan(format!("ambiguous column `{name}`")));
@@ -122,11 +128,10 @@ impl Schema {
             found = Some(i);
         }
         found.ok_or_else(|| {
-            let full = match &table {
+            SqlError::ColumnNotFound(match table {
                 Some(t) => format!("{t}.{name}"),
-                None => name.clone(),
-            };
-            SqlError::ColumnNotFound(full)
+                None => name.to_string(),
+            })
         })
     }
 
@@ -224,6 +229,51 @@ mod tests {
             Err(SqlError::Plan(_))
         ));
         assert_eq!(joined.resolve(Some("b"), "id").unwrap(), 2);
+    }
+
+    #[test]
+    fn resolve_mixed_case_and_non_ascii_names() {
+        let s = Schema::new(vec![
+            Column::new("Straße", DataType::Text),
+            Column::new("ÉTÉ", DataType::Int),
+        ])
+        .unwrap()
+        .qualify("Größe");
+        // Stored lowercase; any spelling resolves, qualified or not.
+        assert_eq!(s.columns()[1].name, "été");
+        for (table, name, want) in [
+            (None, "straße", 0),
+            (None, "STRAßE", 0),
+            (None, "été", 1),
+            (None, "Été", 1),
+            (Some("größe"), "ÉTÉ", 1),
+            (Some("GRÖßE"), "Straße", 0),
+        ] {
+            assert_eq!(s.resolve(table, name).unwrap(), want, "{table:?}.{name}");
+        }
+        // Unicode lowercasing, not ASCII folding: `SS` does not become `ß`.
+        assert!(matches!(
+            s.resolve(Some("GRÖSSE"), "Été"),
+            Err(SqlError::ColumnNotFound(c)) if c == "grösse.été"
+        ));
+        // Error texts name the lowercased reference either way.
+        let err = |t: Option<&str>, n: &str| schema().resolve(t, n).unwrap_err();
+        assert!(matches!(err(None, "Ghost"), SqlError::ColumnNotFound(c) if c == "ghost"));
+        assert!(matches!(err(Some("Users"), "ID"), SqlError::ColumnNotFound(c) if c == "users.id"));
+        assert!(matches!(err(Some("users"), "id"), SqlError::ColumnNotFound(c) if c == "users.id"));
+    }
+
+    #[test]
+    fn resolve_ambiguous_after_join_in_any_case() {
+        let joined = schema().qualify("a").join(&schema().qualify("b"));
+        for name in ["id", "ID", "Id"] {
+            assert!(matches!(
+                joined.resolve(None, name),
+                Err(SqlError::Plan(m)) if m == "ambiguous column `id`"
+            ));
+        }
+        assert_eq!(joined.resolve(Some("A"), "Id").unwrap(), 0);
+        assert_eq!(joined.resolve(Some("b"), "NAME").unwrap(), 3);
     }
 
     #[test]

@@ -215,6 +215,17 @@ impl Value {
         }
     }
 
+    /// [`Value::group_key`] without the copy.
+    pub fn group_key_ref(&self) -> GroupKeyRef<'_> {
+        match self {
+            Value::Null => GroupKeyRef::Null,
+            Value::Int(i) => GroupKeyRef::Int(*i),
+            Value::Float(f) => GroupKeyRef::Float(f.to_bits()),
+            Value::Text(s) => GroupKeyRef::Text(s),
+            Value::Bool(b) => GroupKeyRef::Bool(*b),
+        }
+    }
+
     /// A hashable group key. Floats are keyed by their bit pattern.
     pub fn group_key(&self) -> GroupKey {
         match self {
@@ -225,6 +236,23 @@ impl Value {
             Value::Bool(b) => GroupKey::Bool(*b),
         }
     }
+}
+
+/// [`GroupKey`] borrowed from a [`Value`]: the same identity (floats by
+/// bit pattern, INT `1` apart from FLOAT `1.0`, all NULLs equal) without
+/// cloning text, for hashing a row's key before deciding to keep it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GroupKeyRef<'a> {
+    /// NULL key (groups together).
+    Null,
+    /// Integer key.
+    Int(i64),
+    /// Float key by bit pattern.
+    Float(u64),
+    /// Text key.
+    Text(&'a str),
+    /// Bool key.
+    Bool(bool),
 }
 
 /// Hashable projection of a [`Value`] for hash aggregation and DISTINCT.

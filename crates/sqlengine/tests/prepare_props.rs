@@ -10,7 +10,9 @@
 //!   under the columnar executor its scans re-batch rows per query, while
 //!   `execute` reads the refreshed columnar mirror.
 //! - Isolation: a prepared SELECT reflects the catalog at `prepare` time,
-//!   whatever runs between `prepare` and `finish`.
+//!   whatever runs between `prepare` and `finish`, also on tables of
+//!   several copy-on-write chunks whose writes copy, fill, spill into and
+//!   re-pack chunks.
 //! - Tracing: the prepared path records the same span tree as
 //!   `execute_under`.
 
@@ -19,6 +21,7 @@ mod common;
 use common::{compare, dml, query, seed_stmts, Rng, INDEXES};
 use dbgpt_obs::{Obs, ObsConfig, Span};
 use dbgpt_sqlengine::engine::Prepared;
+use dbgpt_sqlengine::col::CHUNK_ROWS;
 use dbgpt_sqlengine::{Engine, ExecConfig, QueryResult, SqlError, StorageConfig};
 
 /// Run a SELECT through `&Engine`: prepare, then finish.
@@ -123,6 +126,114 @@ fn prepared_select_sees_the_catalog_as_of_prepare() {
         assert_eq!(after_writes.rows, before.rows, "{exec:?}");
         assert_ne!(e.execute(sql).unwrap().rows, before.rows, "{exec:?}");
     }
+}
+
+/// Rows of `a` in the multi-chunk tests: three full chunks and a partial
+/// fourth.
+const BIG: usize = 3 * CHUNK_ROWS + 500;
+
+fn multi_chunk_engine(exec: ExecConfig) -> Engine {
+    let mut e = Engine::with_exec(exec);
+    e.execute("CREATE TABLE a (k INT, grp TEXT, v INT)").unwrap();
+    e.execute("CREATE TABLE b (k INT, label TEXT)").unwrap();
+    let rows: Vec<String> = (0..BIG)
+        .map(|k| format!("({k}, 'g{}', {})", k % 5, k % 97))
+        .collect();
+    for batch in rows.chunks(700) {
+        e.execute(&format!("INSERT INTO a VALUES {}", batch.join(", ")))
+            .unwrap();
+    }
+    let labels: Vec<String> = (0..BIG)
+        .step_by(3)
+        .map(|k| format!("({k}, 'l{}')", k % 4))
+        .collect();
+    e.execute(&format!("INSERT INTO b VALUES {}", labels.join(", ")))
+        .unwrap();
+    e.execute("CREATE INDEX a_k ON a (k)").unwrap();
+    e
+}
+
+#[test]
+fn prepared_selects_keep_their_answer_across_chunk_writes() {
+    let middle = CHUNK_ROWS + CHUNK_ROWS / 2;
+    let selects = [
+        "SELECT COUNT(*), SUM(v) FROM a WHERE grp = 'g1'".to_string(),
+        "SELECT grp, COUNT(*), SUM(v), MIN(k), MAX(k) FROM a GROUP BY grp".to_string(),
+        "SELECT b.label, COUNT(*), SUM(a.v) FROM a JOIN b ON a.k = b.k GROUP BY b.label"
+            .to_string(),
+        "SELECT k, grp, v FROM a".to_string(),
+        format!("SELECT k, v FROM a WHERE k = {middle}"),
+    ];
+    let spill: Vec<String> = (0..CHUNK_ROWS)
+        .map(|i| format!("({}, 'g1', 1)", BIG + i))
+        .collect();
+    // (write, whether it succeeds)
+    let writes = [
+        // Fills the tail chunk and spills into a new one.
+        (format!("INSERT INTO a VALUES {}", spill.join(", ")), true),
+        // One row in a middle chunk.
+        (format!("UPDATE a SET v = v + 1000, grp = 'g1' WHERE k = {middle}"), true),
+        // Re-packs every chunk from the first.
+        ("DELETE FROM a WHERE k % 7 = 3".to_string(), true),
+        // Hits k = 1990..1999, then divides by zero at k = 2000.
+        ("UPDATE a SET v = v + 1 WHERE 10 / (2000 - k) > 0".to_string(), false),
+        // Removes k = 1990..1999 and fails at k = 2000.
+        ("DELETE FROM a WHERE 10 / (2000 - k) > 0".to_string(), false),
+    ];
+    for exec in [ExecConfig::row(), ExecConfig::columnar()] {
+        for (write, ok) in &writes {
+            let mut e = multi_chunk_engine(exec);
+            let before: Vec<QueryResult> = selects
+                .iter()
+                .map(|sql| prepared(&e, sql, &Span::noop()).unwrap())
+                .collect();
+            let pending: Vec<_> = selects
+                .iter()
+                .map(|sql| match e.prepare(sql, &Span::noop()).unwrap() {
+                    Prepared::Read(select) => select,
+                    Prepared::Write(_) => unreachable!(),
+                })
+                .collect();
+            let fingerprint = e.database().fingerprint();
+            assert_eq!(e.execute(write).is_ok(), *ok, "{exec:?}: {write}");
+            assert_ne!(e.database().fingerprint(), fingerprint, "{write} changes `a`");
+            for ((sql, select), want) in selects.iter().zip(pending).zip(&before) {
+                let got = select.finish().unwrap();
+                let ctx = format!("{exec:?} after {write}");
+                compare(sql, &Ok(got), &Ok(want.clone()), &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn writes_report_the_chunks_a_prepared_select_made_them_copy() {
+    let traced = |with_snapshot: bool| {
+        let mut e = multi_chunk_engine(ExecConfig::row());
+        let obs = Obs::new(ObsConfig::enabled(5));
+        let root = obs.span("request", obs.tick());
+        let snapshot = with_snapshot.then(|| e.prepare("SELECT COUNT(*) FROM a", &root).unwrap());
+        let middle = CHUNK_ROWS + 1;
+        e.execute_under(&format!("UPDATE a SET v = 0 WHERE k = {middle}"), &root)
+            .unwrap();
+        e.execute_under("INSERT INTO a VALUES (-1, 'g0', 0)", &root)
+            .unwrap();
+        if let Some(Prepared::Read(select)) = snapshot {
+            assert_eq!(select.finish().unwrap().rows[0][0].to_string(), BIG.to_string());
+        }
+        root.end(obs.tick());
+        (obs.counter_value("sql.cow_chunks"), obs.trace_json(), obs.metrics_json())
+    };
+    // The UPDATE copies its middle chunk, the INSERT the tail chunk.
+    let (copied, trace, metrics) = traced(true);
+    assert_eq!(copied, 2);
+    assert!(trace.contains("cow_chunks"), "{trace}");
+    assert!(metrics.contains("sql.cow_chunks"), "{metrics}");
+    // With no snapshot alive nothing is copied, and nothing is recorded.
+    let (copied, trace, metrics) = traced(false);
+    assert_eq!(copied, 0);
+    assert!(!trace.contains("cow_chunks"), "{trace}");
+    assert!(!metrics.contains("cow_chunks"), "{metrics}");
 }
 
 #[test]
