@@ -4,10 +4,9 @@
 //! hides which of two storage arms, selected by
 //! [`crate::storage::StorageConfig`], holds the rows: in memory (the
 //! default) or a [`crate::storage::TableHeap`] of pages behind a shared
-//! buffer pool. Every scan ([`Table::for_each_row`]), positional fetch
-//! ([`Table::for_each_at`]), snapshot ([`Table::snapshot`]), index probe
-//! ([`Table::probe`]) and row rewrite ([`Table::rewrite_rows`]) has one
-//! entry point that serves both arms.
+//! buffer pool. Every full pass ([`Table::for_each_row`]), query scan
+//! ([`Table::scan`]), index probe ([`Table::probe`]) and row rewrite
+//! ([`Table::rewrite_rows`]) has one entry point that serves both arms.
 //!
 //! In memory, rows sit in copy-on-write chunks of [`CHUNK_ROWS`] shared
 //! rows (each an `Arc<[Value]>`, no larger than a [`Row`]), every chunk
@@ -23,7 +22,10 @@
 //! rows it changes. (Chunks that owned their rows had to be copied whole;
 //! on an OLTP table that moved the rows from the loading thread's
 //! allocator arena into the writers' arenas and grew the process by about
-//! the table's size.) The paged arm's snapshot copies its rows out.
+//! the table's size.) The paged arm takes no snapshot: a query scan
+//! streams its pages through the caller's filter under the lock, so only
+//! the rows the caller keeps are copied and memory stays bounded by the
+//! pool.
 //!
 //! Secondary indexes key rows by [`encode_value`] on either arm: the
 //! in-memory arm holds the B+-tree's leaf level as an ordered map, the
@@ -93,25 +95,15 @@ impl RowEdit {
 /// copying the chunk copies handles only.
 type RowChunk = Arc<Vec<StoredRow>>;
 
-/// A table's rows as [`Table::snapshot`] saw them, readable after the
-/// table's lock is released.
+/// An in-memory table's rows as [`Table::scan`] saw them, readable after
+/// the table's lock is released: the table's chunks, shared.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// The table's schema (unqualified).
     schema: SchemaRef,
-    rows: SnapshotRows,
-}
-
-#[derive(Debug, Clone)]
-enum SnapshotRows {
-    /// In-memory chunks shared with the table, and the ascending row
-    /// positions to read (`None`: every row).
-    Shared {
-        chunks: Vec<RowChunk>,
-        at: Option<Vec<usize>>,
-    },
-    /// The paged arm's rows, copied out.
-    Owned(Vec<Vec<Value>>),
+    chunks: Vec<RowChunk>,
+    /// The ascending row positions to read (`None`: every row).
+    at: Option<Vec<usize>>,
 }
 
 impl Snapshot {
@@ -126,28 +118,25 @@ impl Snapshot {
         &'a self,
         mut f: impl FnMut(&'a [Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
-        match &self.rows {
-            SnapshotRows::Shared { chunks, at: None } => mem_rows(chunks).try_for_each(f),
-            SnapshotRows::Shared {
-                chunks,
-                at: Some(ids),
-            } => ids.iter().try_for_each(|&id| f(row_at(chunks, id)?)),
-            SnapshotRows::Owned(rows) => rows.iter().try_for_each(|row| f(row)),
+        match &self.at {
+            None => mem_rows(&self.chunks).try_for_each(f),
+            Some(ids) => ids.iter().try_for_each(|&id| f(row_at(&self.chunks, id)?)),
         }
     }
 
-    /// [`Snapshot::for_each`] that releases each in-memory chunk as soon as
-    /// its rows are read, so a write racing the rest of the scan does not
-    /// have to copy the chunks already read.
+    /// [`Snapshot::for_each`] that releases each chunk as soon as its rows
+    /// are read, so a write racing the rest of the scan does not have to
+    /// copy the chunks already read.
     pub fn drain(
         self,
         mut f: impl FnMut(&[Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
-        match self.rows {
-            SnapshotRows::Shared { chunks, at: None } => chunks
+        match self.at {
+            None => self
+                .chunks
                 .into_iter()
                 .try_for_each(|chunk| chunk.iter().try_for_each(|row| f(row))),
-            _ => self.for_each(f),
+            Some(_) => self.for_each(f),
         }
     }
 }
@@ -593,54 +582,36 @@ impl Table {
         }
     }
 
-    /// Stream the rows at ascending positions `ids` (from
-    /// [`Table::probe`]) through `f`.
-    pub fn for_each_at(
+    /// Read the rows a scan reads, under the caller's lock: every row, or
+    /// the ascending positions `ids` from [`Table::probe`]. In memory this
+    /// copies no row: it returns a [`Snapshot`] sharing the chunks, to read
+    /// after the lock is released. The paged arm streams the rows through
+    /// `copy` now, one page at a time, and returns `None`, so the caller
+    /// holds only what it copies.
+    pub fn scan(
         &self,
-        ids: &[usize],
-        mut f: impl FnMut(&[Value]) -> Result<(), SqlError>,
-    ) -> Result<(), SqlError> {
-        debug_assert!(ids.windows(2).all(|w| w[0] <= w[1]), "positions ascend");
-        match &self.rows {
-            Rows::Mem(chunks) => ids.iter().try_for_each(|&id| f(row_at(chunks, id)?)),
-            Rows::Paged { heap, pager } => {
-                let fetched = heap.fetch_many(&mut pager.pool(), ids)?;
-                fetched.iter().try_for_each(|values| f(values))
-            }
-        }
-    }
-
-    /// The rows a scan reads, taken under the caller's lock and read after
-    /// it: every row, or the ascending positions `ids` from
-    /// [`Table::probe`]. In memory this shares the chunks; the paged arm
-    /// copies the rows out.
-    pub fn snapshot(&self, ids: Option<Vec<usize>>) -> Result<Snapshot, SqlError> {
+        ids: Option<Vec<usize>>,
+        mut copy: impl FnMut(&[Value]) -> Result<(), SqlError>,
+    ) -> Result<Option<Snapshot>, SqlError> {
         let (heap, pager) = match &self.rows {
             Rows::Mem(chunks) => {
-                return Ok(Snapshot {
+                return Ok(Some(Snapshot {
                     schema: self.schema.clone(),
-                    rows: SnapshotRows::Shared {
-                        chunks: chunks.clone(),
-                        at: ids,
-                    },
-                })
+                    chunks: chunks.clone(),
+                    at: ids,
+                }))
             }
             Rows::Paged { heap, pager } => (heap, pager),
         };
-        let values = match &ids {
-            Some(ids) => heap.fetch_many(&mut pager.pool(), ids)?,
-            None => {
-                let mut all = Vec::with_capacity(heap.len());
-                for i in 0..heap.page_count() {
-                    all.extend(heap.read_page(&mut pager.pool(), i)?);
-                }
-                all
+        match ids {
+            Some(ids) => {
+                debug_assert!(ids.windows(2).all(|w| w[0] <= w[1]), "positions ascend");
+                let fetched = heap.fetch_many(&mut pager.pool(), &ids)?;
+                fetched.iter().try_for_each(|values| copy(values))?;
             }
-        };
-        Ok(Snapshot {
-            schema: self.schema.clone(),
-            rows: SnapshotRows::Owned(values),
-        })
+            None => self.for_each_row(copy)?,
+        }
+        Ok(None)
     }
 
     /// Materialize every row as owned values (CSV export, maintenance
@@ -1063,10 +1034,13 @@ mod tests {
     }
 
     fn shared_chunks(s: &Snapshot) -> &[RowChunk] {
-        match &s.rows {
-            SnapshotRows::Shared { chunks, .. } => chunks,
-            SnapshotRows::Owned(_) => unreachable!("in-memory snapshot"),
-        }
+        &s.chunks
+    }
+
+    /// An in-memory table's snapshot, at positions `ids` or of every row.
+    fn snapshot(t: &Table, ids: Option<Vec<usize>>) -> Snapshot {
+        let copy = |_: &[Value]| unreachable!("in-memory scans copy nothing");
+        t.scan(ids, copy).unwrap().expect("an in-memory snapshot")
     }
 
     /// Which of `t`'s chunks are still the snapshot's.
@@ -1104,17 +1078,10 @@ mod tests {
         let lens: Vec<usize> = mem_chunks(&t).iter().map(|c| c.len()).collect();
         assert_eq!(lens, vec![CHUNK_ROWS, CHUNK_ROWS, CHUNK_ROWS, 10]);
         assert_eq!(t.len(), n as usize);
-        let at = |p: usize| {
-            let mut got = None;
-            t.for_each_at(&[p], |row| {
-                got = row[0].as_i64();
-                Ok(())
-            })
-            .unwrap();
-            got
-        };
-        assert_eq!(at(CHUNK_ROWS + 5), Some(CHUNK_ROWS as i64 + 5));
-        assert!(t.for_each_at(&[n as usize], |_| Ok(())).is_err());
+        let p = CHUNK_ROWS + 5;
+        assert_eq!(snapshot_ids(&snapshot(&t, Some(vec![p]))), vec![p as i64]);
+        let past_the_end = snapshot(&t, Some(vec![n as usize]));
+        assert!(past_the_end.for_each(|_| Ok(())).is_err());
     }
 
     #[test]
@@ -1139,7 +1106,7 @@ mod tests {
         // An UPDATE hitting one row of a middle chunk copies that chunk
         // only, and of its rows only the one it changes.
         let mut t = table_of(n);
-        let snap = t.snapshot(None).unwrap();
+        let snap = snapshot(&t, None);
         t.rewrite_rows(set_name(CHUNK_ROWS as i64 + 1)).unwrap();
         assert_eq!(still_shared(&t, &snap), vec![true, false, true, true]);
         assert_eq!(t.cow_chunks(), 1);
@@ -1153,7 +1120,7 @@ mod tests {
 
         // An INSERT copies the tail chunk, and opens a new one unshared.
         let mut t = table_of(n);
-        let snap = t.snapshot(None).unwrap();
+        let snap = snapshot(&t, None);
         t.insert_row(vec![Value::Int(n), Value::Null]).unwrap();
         assert_eq!(still_shared(&t, &snap), vec![true, true, true, false]);
         assert_eq!(t.cow_chunks(), 1);
@@ -1165,7 +1132,7 @@ mod tests {
 
         // A DELETE re-packs from the chunk of its first removed row on.
         let mut t = table_of(n);
-        let snap = t.snapshot(None).unwrap();
+        let snap = snapshot(&t, None);
         let gone = CHUNK_ROWS as i64 + 7;
         t.rewrite_rows(|row| match row[0] == Value::Int(gone) {
             true => RowEdit::Remove,
@@ -1187,7 +1154,7 @@ mod tests {
     fn a_draining_scan_releases_the_chunks_it_has_read() {
         let n = 3 * CHUNK_ROWS as i64 + 10;
         let mut t = table_of(n);
-        let snap = t.snapshot(None).unwrap();
+        let snap = snapshot(&t, None);
         let set = |k: i64| {
             move |row: &[Value]| match row[0] == Value::Int(k) {
                 true => RowEdit::Set(vec![(1, Value::Null)]),

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use dbgpt_obs::Span;
 
-use crate::catalog::{Database, RowEdit, Snapshot, Table};
+use crate::catalog::{Database, RowEdit, Table};
 use crate::error::SqlError;
 use crate::exec::vectorized::{self, ExecStats};
 use crate::exec::{executor, ExecConfig, ExecMode};
@@ -208,8 +208,9 @@ impl Engine {
     /// Needs only shared access: a server holds its read lock for this
     /// call, releases it, and calls [`ScannedSelect::finish`] for filters,
     /// joins, aggregates, sorts and projections. Under the row executor
-    /// an in-memory scan only takes a [`Snapshot`] of the table's chunks
-    /// here (the columnar executor copies its chunks out). Every scan of
+    /// an in-memory scan only takes a [`crate::catalog::Snapshot`] of the
+    /// table's chunks here; a paged scan copies out the rows that pass its
+    /// filter, and the columnar executor copies its chunks out. Every scan of
     /// the statement happens in this one call, so the result reflects a
     /// single state of the catalog. Any other statement comes back as
     /// [`Prepared::Write`] for [`Engine::run_write`]. The `sql.execute`
@@ -459,13 +460,13 @@ enum Planned {
 
 /// Phase-1 output of either executor.
 enum Scans {
-    Row(Vec<Snapshot>),
+    Row(Vec<executor::ScanInput>),
     Columnar(Vec<vectorized::ColBatch>),
 }
 
-/// A SELECT whose scans have run: snapshots (row executor) or owned
-/// chunks (columnar) plus the plan's operators. [`ScannedSelect::finish`]
-/// needs no access to the catalog.
+/// A SELECT whose scans have run: snapshots or filtered rows (row
+/// executor) or owned chunks (columnar), plus the plan's operators.
+/// [`ScannedSelect::finish`] needs no access to the catalog.
 pub struct ScannedSelect {
     plan: LogicalPlan,
     scans: Result<Scans, SqlError>,

@@ -6,10 +6,12 @@
 //! anything else falls back to a nested-loop join.
 //!
 //! Execution runs in two phases. `scan_plan`, the only phase that touches
-//! the catalog, probes indexes and takes a [`Snapshot`] of every scanned
-//! table: in memory that shares the table's row chunks instead of copying
-//! rows. `finish_plan` then reads the rows in place, one pass per
-//! pipeline:
+//! the catalog, probes indexes and reads every scanned table through
+//! [`Table::scan`]. In memory that takes a [`Snapshot`] sharing the
+//! table's row chunks, and copies no row. A paged table has no snapshot:
+//! its scan filters and projects the rows page by page under the lock, as
+//! the one copy it makes. `finish_plan` then reads the rows in place, one
+//! pass per pipeline:
 //!
 //! - a scan runs its filter on each source row and copies only the
 //!   projected cells of the rows that pass;
@@ -20,11 +22,15 @@
 //!   into the sink without building joined rows.
 //!
 //! Group keys, aggregate arguments and join keys are bound to row
-//! positions once per plan and read cells by reference. A single pass
-//! evaluates filters and aggregates row by row, so when both fail on
-//! different rows, the earlier row's error is the one reported (the
-//! columnar executor, which filters every row first, reports the
-//! filter's).
+//! positions once per plan and read cells by reference.
+//!
+//! Which error a failing statement reports: a single pass evaluates an
+//! in-memory scan's filter and the aggregate row by row, so when both
+//! fail on different rows, the earlier row's error is reported. A paged
+//! scan, and the columnar executor, filter every row first, so there the
+//! filter's error wins. Across the two scans of a join, a failing left
+//! filter is reported before any error on the right side, as when the
+//! left input is materialised first.
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
@@ -44,15 +50,16 @@ use crate::value::{DataType, GroupKey, Value};
 use super::aggregate::Accumulator;
 
 /// Execute a logical plan to completion: `scan_plan`, then
-/// `finish_plan` over the snapshots.
+/// `finish_plan` over its scans.
 pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
     finish_plan(plan, scan_plan(plan, db)?)
 }
 
-/// Phase 1: snapshot every `Scan` node's table, narrowed by a fresh index
+/// Phase 1: read every `Scan` node's table, narrowed by a fresh index
 /// when one applies, in [`LogicalPlan::scans`] order. This is the only
-/// phase that touches `db`, and it copies no in-memory row.
-pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<Snapshot>, SqlError> {
+/// phase that touches `db`. It copies no in-memory row; a paged scan
+/// copies the projected cells of the rows that pass its filter.
+pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<ScanInput>, SqlError> {
     plan.scans()
         .into_iter()
         .map(|scan| {
@@ -71,30 +78,44 @@ pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<Snapsho
                 Some(f) => index_candidates(t, schema, projection, f)?,
                 None => None,
             };
-            t.snapshot(ids)
+            let source = source_schema(scan, &t.schema);
+            let mut copied = Vec::new();
+            let copy = |row: &[Value]| copy_passing(scan, &source, row, &mut copied);
+            Ok(match t.scan(ids, copy)? {
+                Some(snapshot) => ScanInput::Shared(snapshot),
+                None => ScanInput::Copied(copied),
+            })
         })
         .collect()
 }
 
-/// Phase 2: run the plan's operators over the snapshots from
-/// [`scan_plan`]. No catalog access, so a caller may run it after
-/// releasing its lock.
-pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<Snapshot>) -> Result<RowBatch, SqlError> {
+/// Phase 2: run the plan's operators over the scans from [`scan_plan`].
+/// No catalog access, so a caller may run it after releasing its lock.
+pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<ScanInput>) -> Result<RowBatch, SqlError> {
     run(plan, &mut scans.into_iter())
 }
 
-/// The snapshots of a plan's scans, consumed in [`LogicalPlan::scans`]
-/// order.
-type Scans = std::vec::IntoIter<Snapshot>;
+/// What [`scan_plan`] hands [`finish_plan`] for one `Scan` node.
+pub(crate) enum ScanInput {
+    /// An in-memory table's rows, shared; phase 2 filters and projects
+    /// them.
+    Shared(Snapshot),
+    /// A paged scan's output, filtered and projected under the lock.
+    Copied(Vec<Row>),
+}
 
-/// One `Scan` node over its snapshot.
+/// The scans of a plan, consumed in [`LogicalPlan::scans`] order.
+type Scans = std::vec::IntoIter<ScanInput>;
+
+/// One `Scan` node over its input.
 struct ScanRows<'p> {
-    rows: Snapshot,
-    /// Schema of the source rows: the whole table under the scan's
-    /// qualifier (the scan's own schema when it keeps every column).
+    scan: &'p LogicalPlan,
+    rows: ScanInput,
+    /// Schema the filter reads the input rows through.
     source: SchemaRef,
     /// The scan's output schema.
     schema: &'p SchemaRef,
+    /// Filter and projection still to apply (`None` on copied rows).
     projection: Option<&'p [usize]>,
     filter: Option<&'p Expr>,
 }
@@ -102,7 +123,6 @@ struct ScanRows<'p> {
 impl<'p> ScanRows<'p> {
     fn new(scan: &'p LogicalPlan, scans: &mut Scans) -> Self {
         let LogicalPlan::Scan {
-            qualifier,
             schema,
             projection,
             filter,
@@ -111,33 +131,43 @@ impl<'p> ScanRows<'p> {
         else {
             unreachable!("ScanRows reads Scan nodes");
         };
-        let rows = scans.next().expect("one snapshot per scan");
-        let source = match projection {
-            Some(_) => SchemaRef::new(rows.schema().qualify(qualifier)),
-            None => schema.clone(),
+        let rows = scans.next().expect("one input per scan");
+        let (source, projection, filter) = match &rows {
+            ScanInput::Shared(snapshot) => (
+                source_schema(scan, snapshot.schema()),
+                projection.as_deref(),
+                filter.as_ref(),
+            ),
+            ScanInput::Copied(_) => (schema.clone(), None, None),
         };
         ScanRows {
+            scan,
             rows,
             source,
             schema,
-            projection: projection.as_deref(),
-            filter: filter.as_ref(),
+            projection,
+            filter,
         }
     }
 
-    /// Stream the source rows that pass the scan's filter. Nothing is
+    /// Stream the input rows that pass the scan's filter. Nothing is
     /// copied, and the rows stay readable while `self` lives.
     fn for_each<'a>(
         &'a self,
         mut f: impl FnMut(&'a [Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
-        self.rows.for_each(|row| match passes(self.filter, row, &self.source)? {
-            true => f(row),
-            false => Ok(()),
-        })
+        match &self.rows {
+            ScanInput::Shared(snapshot) => {
+                snapshot.for_each(|row| match passes(self.filter, row, &self.source)? {
+                    true => f(row),
+                    false => Ok(()),
+                })
+            }
+            ScanInput::Copied(rows) => rows.iter().try_for_each(|row| f(row)),
+        }
     }
 
-    /// Bind `e`, an expression over the scan's output, to the source rows.
+    /// Bind `e`, an expression over the scan's output, to the input rows.
     fn bind(&self, e: &'p Expr) -> Binding<'p> {
         Binding::new(e, self.schema, |i| Binding::Col(source_pos(self.projection, i)))
     }
@@ -146,33 +176,54 @@ impl<'p> ScanRows<'p> {
     /// chunk is released once read, so a write racing the rest of the
     /// scan need not copy it.
     fn collect(self) -> Result<RowBatch, SqlError> {
-        let ScanRows {
-            rows: snapshot,
-            source,
-            schema,
-            projection,
-            filter,
-        } = self;
-        let mut rows = Vec::new();
-        snapshot.drain(|row| {
-            if passes(filter, row, &source)? {
-                rows.push(match projection {
-                    Some(idx) => Row::new(idx.iter().map(|&i| row[i].clone()).collect()),
-                    None => Row::new(row.to_vec()),
-                });
+        let rows = match self.rows {
+            ScanInput::Shared(snapshot) => {
+                let mut rows = Vec::new();
+                snapshot.drain(|row| copy_passing(self.scan, &self.source, row, &mut rows))?;
+                rows
             }
-            Ok(())
-        })?;
-        Ok(RowBatch::new(schema.clone(), rows))
+            ScanInput::Copied(rows) => rows,
+        };
+        Ok(RowBatch::new(self.schema.clone(), rows))
     }
 }
 
-/// A scan node's column projection (`None`: every column, in order).
-fn projection_of(scan: &LogicalPlan) -> Option<&[usize]> {
+/// Schema a scan's filter reads its source rows through: the whole table
+/// (schema `table`) under the scan's qualifier, or the scan's own schema
+/// when it keeps every column.
+fn source_schema(scan: &LogicalPlan, table: &Schema) -> SchemaRef {
     match scan {
-        LogicalPlan::Scan { projection, .. } => projection.as_deref(),
-        _ => unreachable!("projection_of reads Scan nodes"),
+        LogicalPlan::Scan {
+            projection: Some(_),
+            qualifier,
+            ..
+        } => SchemaRef::new(table.qualify(qualifier)),
+        LogicalPlan::Scan { schema, .. } => schema.clone(),
+        _ => unreachable!("source_schema reads Scan nodes"),
     }
+}
+
+/// If source `row` passes `scan`'s filter (read through `source`), push
+/// its projected cells onto `out`.
+fn copy_passing(
+    scan: &LogicalPlan,
+    source: &Schema,
+    row: &[Value],
+    out: &mut Vec<Row>,
+) -> Result<(), SqlError> {
+    let LogicalPlan::Scan {
+        projection, filter, ..
+    } = scan
+    else {
+        unreachable!("copy_passing reads Scan nodes");
+    };
+    if passes(filter.as_ref(), row, source)? {
+        out.push(Row::new(match projection {
+            Some(idx) => idx.iter().map(|&i| row[i].clone()).collect(),
+            None => row.to_vec(),
+        }));
+    }
+    Ok(())
 }
 
 /// Source position of a scan's output column `i`.
@@ -478,7 +529,7 @@ impl<'p: 'r, 'r> AggSink<'p, 'r> {
 
 /// An `Aggregate` node in one pass over its input. A scan, or an inner
 /// equi-join of two scans whose keys and arguments all bind to columns,
-/// feeds the sink straight from the snapshots; any other input is
+/// feeds the sink straight from the scans' rows; any other input is
 /// materialised first.
 fn aggregate(
     input: &LogicalPlan,
@@ -508,7 +559,8 @@ fn aggregate(
         {
             let (lschema, rschema) = (left.schema(), right.schema());
             let keys = extract_equi_keys(on, &lschema, &rschema);
-            let (lproj, rproj) = (projection_of(left), projection_of(right));
+            let (l, r) = (ScanRows::new(left, scans), ScanRows::new(right, scans));
+            let (lproj, rproj) = (l.projection, r.projection);
             let place = |i: usize| match i.checked_sub(lschema.len()) {
                 None => Binding::Col(source_pos(lproj, i)),
                 Some(j) => Binding::Right(source_pos(rproj, j)),
@@ -517,10 +569,10 @@ fn aggregate(
             let schema = out_schema.clone();
             let mut sink = AggSink::new(group_exprs, aggregates, &joined, schema, place);
             if keys.left_exprs.is_empty() || keys.residual.is_some() || !sink.all_bound() {
-                let batch = run(input, scans)?;
+                let (lbatch, rbatch) = (l.collect()?, r.collect()?);
+                let batch = execute_join(lbatch, rbatch, JoinKind::Inner, on)?;
                 return aggregate_batch(&batch, group_exprs, aggregates, out_schema);
             }
-            let (l, r) = (ScanRows::new(left, scans), ScanRows::new(right, scans));
             let mut table = JoinTable {
                 build_keys: keys.right_exprs.iter().map(|e| r.bind(e)).collect(),
                 build_schema: r.source.clone(),
@@ -530,7 +582,12 @@ fn aggregate(
                 rows: Vec::new(),
                 key: Vec::new(),
             };
-            r.for_each(|row| table.insert(row))?;
+            if let Err(e) = r.for_each(|row| table.insert(row)) {
+                // Materialising left before right reports a failing left
+                // filter first; so does this pass.
+                l.for_each(|_| Ok(()))?;
+                return Err(e);
+            }
             l.for_each(|lrow| {
                 table.probe(lrow, |rrow| sink.feed(Input(lrow, Some(rrow))).map(|()| true))?;
                 Ok(())
@@ -625,7 +682,7 @@ fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
             right,
             kind,
             on,
-        } => execute_join(left, right, *kind, on, scans),
+        } => execute_join(run(left, scans)?, run(right, scans)?, *kind, on),
 
         LogicalPlan::Aggregate {
             input,
@@ -879,15 +936,13 @@ pub(super) fn extract_equi_keys(on: &Expr, lschema: &SchemaRef, rschema: &Schema
     keys
 }
 
+/// Join two materialised inputs.
 fn execute_join(
-    left: &LogicalPlan,
-    right: &LogicalPlan,
+    lbatch: RowBatch,
+    rbatch: RowBatch,
     kind: JoinKind,
     on: &Expr,
-    scans: &mut Scans,
 ) -> Result<RowBatch, SqlError> {
-    let lbatch = run(left, scans)?;
-    let rbatch = run(right, scans)?;
     let out_schema = SchemaRef::new(lbatch.schema.join(&rbatch.schema));
     let keys = extract_equi_keys(on, &lbatch.schema, &rbatch.schema);
     let pad = Row::new(vec![Value::Null; rbatch.schema.len()]);
@@ -1019,6 +1074,56 @@ mod tests {
 
     fn cell(b: &RowBatch, r: usize, c: usize) -> String {
         b.rows[r][c].to_string()
+    }
+
+    fn plan(sql: &str, db: &Database) -> LogicalPlan {
+        let Statement::Select(stmt) = parse(sql).unwrap() else {
+            panic!("not a SELECT: {sql}");
+        };
+        let plan = Planner::new(db).plan_select(&stmt).unwrap();
+        Optimizer::new().optimize(plan).unwrap()
+    }
+
+    #[test]
+    fn a_selective_paged_scan_copies_only_what_it_keeps() {
+        let orders = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("user_id", DataType::Int),
+            Column::new("amount", DataType::Float),
+            Column::new("category", DataType::Text),
+        ])
+        .unwrap();
+        let mut mem = Database::new();
+        let mut paged = Database::with_storage(crate::storage::StorageConfig::paged(4, 512));
+        for db in [&mut mem, &mut paged] {
+            db.create_table("orders", orders.clone(), false).unwrap();
+            let rows = (0..600).map(|i| {
+                let cat = Value::Text(format!("c{}", i % 60));
+                vec![Value::Int(i), Value::Int(i % 7), Value::Float(i as f64), cat]
+            });
+            db.table_mut("orders").unwrap().insert_rows(rows.collect()).unwrap();
+        }
+        for sql in [
+            "SELECT id FROM orders WHERE category = 'c7'",
+            "SELECT category, SUM(amount) FROM orders WHERE id < 30 GROUP BY category",
+            "SELECT COUNT(*) FROM orders o JOIN orders p ON o.id = p.user_id \
+             WHERE o.category = 'c3' AND p.category = 'c3'",
+        ] {
+            let plan = plan(sql, &paged);
+            let scans = scan_plan(&plan, &paged).unwrap();
+            for (node, input) in plan.scans().into_iter().zip(&scans) {
+                let ScanInput::Copied(rows) = input else {
+                    panic!("a paged scan takes no snapshot: {sql}");
+                };
+                // Only the passing rows' projected cells left the pool.
+                assert!(rows.len() <= 30, "{sql}: {} rows copied", rows.len());
+                let width = node.schema().len();
+                assert!(width < orders.len(), "{sql}: the scan keeps every column");
+                assert!(rows.iter().all(|r| r.len() == width), "{sql}");
+            }
+            let want = execute_plan(&plan, &mem).unwrap();
+            assert_eq!(finish_plan(&plan, scans).unwrap().rows, want.rows, "{sql}");
+        }
     }
 
     #[test]

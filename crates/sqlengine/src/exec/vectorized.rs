@@ -165,8 +165,10 @@ fn scan_table(
     let mut scan_chunk = |chunk: &Chunk| -> Result<(), SqlError> {
         stats.chunks += 1;
         stats.rows_scanned += chunk.len as u64;
-        // Match the row executor: project first, filter on the
-        // projected row shape.
+        // Project first, then filter on the projected row shape. (The
+        // row executor filters the source row through the whole table's
+        // qualified schema; both resolve the filter's columns to the same
+        // cells.)
         let projected = match projection {
             Some(idx) => chunk.project(idx),
             None => chunk.clone(),

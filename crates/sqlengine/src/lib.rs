@@ -38,13 +38,15 @@
 //! ## Concurrency: two-phase SELECT
 //!
 //! [`Engine::prepare`] needs only `&Engine`: it parses and plans a SELECT,
-//! probes indexes, and takes a [`catalog::Snapshot`] of every scanned
-//! table (phase 1). In memory a snapshot shares the table's copy-on-write
-//! row chunks: phase 1 copies no row, only one handle per chunk. The
-//! returned [`engine::ScannedSelect`]'s `finish` runs after the lock is
-//! released (phase 2): it filters, aggregates and joins the snapshot's
-//! rows in place, one pass per pipeline, and copies only the cells that
-//! reach the result. DDL and
+//! probes indexes, and reads every scanned table through
+//! [`catalog::Table::scan`] (phase 1). In memory that takes a
+//! [`catalog::Snapshot`] sharing the table's copy-on-write row chunks:
+//! phase 1 copies no row, only one handle per chunk. (A paged table
+//! filters and projects its rows page by page instead, so phase 1 holds
+//! only the scan's result.) The returned [`engine::ScannedSelect`]'s
+//! `finish` runs after the lock is released (phase 2): it filters,
+//! aggregates and joins the snapshot's rows in place, one pass per
+//! pipeline, and copies only the cells that reach the result. DDL and
 //! DML ([`engine::Prepared::Write`]) take the exclusive lock for
 //! [`Engine::run_write`]; a write copies only the chunks it changes that a
 //! live snapshot still shares (the `sql.cow_chunks` counter).

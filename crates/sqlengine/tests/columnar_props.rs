@@ -17,7 +17,7 @@
 mod common;
 
 use common::{compare, dml, query, seed_stmts, Rng, INDEXES};
-use dbgpt_sqlengine::{Engine, ExecConfig};
+use dbgpt_sqlengine::{Engine, ExecConfig, StorageConfig};
 
 #[test]
 fn row_and_columnar_executors_agree() {
@@ -157,20 +157,47 @@ fn aggregate_and_join_edge_cases_match_columnar() {
     assert!(empty.rows[0][1].is_null());
 }
 
-/// One pass evaluates a scan's filter and its aggregate row by row, so
-/// when both fail, the row executor reports the first failing row's error
-/// while the columnar executor, which filters every row first, reports
-/// the filter's. Either way the statement fails.
+/// One pass evaluates an in-memory scan's filter and its aggregate row by
+/// row, so when both fail, the row executor reports the first failing
+/// row's error. A paged scan filters under the lock and the columnar
+/// executor filters every row first, so both report the filter's. Either
+/// way the statement fails.
 #[test]
 fn failing_filter_and_aggregate_report_the_earlier_rows_error() {
     let sql = "SELECT SUM(s) FROM e WHERE 10 / d > 0";
-    let err = |exec: ExecConfig| {
-        let mut e = Engine::with_exec(exec);
+    let err = |mut e: Engine| {
         e.execute("CREATE TABLE e (s TEXT, d INT)").unwrap();
         // Row 1 passes the filter and fails SUM; row 2 fails the filter.
         e.execute("INSERT INTO e VALUES ('x', 1), ('y', 0)").unwrap();
         e.execute(sql).unwrap_err().to_string()
     };
-    assert!(err(ExecConfig::row()).contains("SUM over non-numeric"));
-    assert!(err(ExecConfig::columnar()).contains("division by zero"));
+    let paged = StorageConfig::paged(8, 512);
+    assert!(err(Engine::with_exec(ExecConfig::row())).contains("SUM over non-numeric"));
+    assert!(err(Engine::with_storage(paged)).contains("division by zero"));
+    assert!(err(Engine::with_exec(ExecConfig::columnar())).contains("division by zero"));
+}
+
+/// When both scans of a fused join-aggregate fail their filters, the left
+/// scan's error is reported, as when the left input is materialised
+/// before the right one is built.
+#[test]
+fn failing_join_filters_report_the_left_scans_error() {
+    let sql = "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k \
+               WHERE 10 / a.d > 0 AND UPPER(b.k) = 'X'";
+    let err = |mut e: Engine| {
+        e.execute("CREATE TABLE a (k INT, d INT)").unwrap();
+        e.execute("CREATE TABLE b (k INT)").unwrap();
+        e.execute("INSERT INTO a VALUES (1, 1), (2, 0)").unwrap();
+        e.execute("INSERT INTO b VALUES (1), (2)").unwrap();
+        e.execute(sql).unwrap_err().to_string()
+    };
+    let paged = StorageConfig::paged(8, 512);
+    for e in [
+        Engine::with_exec(ExecConfig::row()),
+        Engine::with_storage(paged),
+        Engine::with_exec(ExecConfig::columnar()),
+    ] {
+        let got = err(e);
+        assert!(got.contains("division by zero"), "{got}");
+    }
 }
