@@ -57,21 +57,16 @@ impl TcpServer {
         self.local_addr
     }
 
-    /// Stop accepting and join the accept thread. In-flight connections
-    /// finish on their own threads.
-    pub fn shutdown(mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock accept with a no-op connection.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-    }
+    /// Stop accepting and join the accept thread (what dropping the
+    /// server does). In-flight connections finish on their own threads.
+    pub fn shutdown(self) {}
 }
 
 impl Drop for TcpServer {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Unblock accept with a no-op connection, while the listener still
+        // holds the port.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
@@ -96,11 +91,9 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
             "frame too large",
         ));
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    let mut frame = Vec::with_capacity(4 + len);
-    frame.extend_from_slice(&len_buf);
-    frame.extend_from_slice(&body);
+    let mut frame = vec![0u8; 4 + len];
+    frame[..4].copy_from_slice(&len_buf);
+    stream.read_exact(&mut frame[4..])?;
     Ok(Some(frame))
 }
 
@@ -250,5 +243,29 @@ mod tests {
             s.read_exact(&mut buf)
         });
         assert!(result.is_err());
+    }
+
+    #[test]
+    fn a_port_rebound_after_shutdown_gets_no_connection() {
+        let server = spawn_server();
+        let addr = server.local_addr();
+        // Take the port back the moment the server's listener lets go of
+        // it, so a connection sent there after that reaches this listener.
+        let rebind = std::thread::spawn(move || {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            loop {
+                match TcpListener::bind(addr) {
+                    Ok(listener) => return Ok(listener),
+                    Err(_) if std::time::Instant::now() < deadline => std::thread::yield_now(),
+                    Err(e) => return Err(e),
+                }
+            }
+        });
+        server.shutdown();
+        let listener = rebind.join().unwrap().expect("the released port binds again");
+        listener.set_nonblocking(true).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let err = listener.accept().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
     }
 }

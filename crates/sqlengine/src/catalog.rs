@@ -31,8 +31,8 @@
 //! in-memory arm holds the B+-tree's leaf level as an ordered map, the
 //! paged arm a [`crate::storage::BTreeIndex`]. INSERTs keep in-memory
 //! indexes current. Any other change to the rows marks the table's indexes
-//! stale (and drops the in-memory columnar mirror) until
-//! [`Table::refresh_indexes`] rebuilds them; probes need fresh indexes.
+//! stale until [`Table::refresh_indexes`] rebuilds them; probes need fresh
+//! indexes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -40,13 +40,16 @@ use std::sync::Arc;
 
 use dbgpt_obs::hash::Fnv1a;
 
-use crate::col::{ColumnTable, CHUNK_ROWS};
 use crate::error::SqlError;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
 use crate::storage::btree::encode_value;
 use crate::storage::{BTreeIndex, Pager, StorageConfig, TableHeap};
 use crate::value::Value;
+
+/// Rows per in-memory chunk: the unit a [`Snapshot`] shares and a write
+/// copies when a snapshot still holds it.
+pub const CHUNK_ROWS: usize = 1024;
 
 /// Where a table's rows live.
 #[derive(Debug, Clone)]
@@ -246,9 +249,6 @@ pub struct Table {
     /// Set when rows changed under the indexes; probes then refuse to
     /// answer until [`Table::refresh_indexes`].
     indexes_stale: bool,
-    /// Columnar mirror of in-memory rows: appended to on insert, dropped
-    /// by every other change, rebuilt by [`Table::refresh_columnar`].
-    columnar: Option<ColumnTable>,
     /// In-memory chunks copied by writes because a snapshot shared them.
     cow_chunks: u64,
 }
@@ -273,7 +273,6 @@ impl Table {
             indexes: HashMap::new(),
             index_names: HashMap::new(),
             indexes_stale: false,
-            columnar: None,
             cow_chunks: 0,
         }
     }
@@ -322,8 +321,7 @@ impl Table {
         Ok(n)
     }
 
-    /// Append one coerced row, keeping in-memory indexes and the columnar
-    /// mirror current.
+    /// Append one coerced row, keeping in-memory indexes current.
     fn append(&mut self, row: Row) -> Result<(), SqlError> {
         let pos = self.len();
         if !self.indexes_stale {
@@ -337,9 +335,6 @@ impl Table {
         }
         match &mut self.rows {
             Rows::Mem(chunks) => {
-                if let Some(ct) = &mut self.columnar {
-                    ct.append_row(&row);
-                }
                 if chunks.last().is_none_or(|c| c.len() == CHUNK_ROWS) {
                     chunks.push(Arc::default());
                 }
@@ -351,20 +346,6 @@ impl Table {
             }
         }
         Ok(())
-    }
-
-    /// The columnar mirror of the in-memory rows, when it is fresh. Paged
-    /// tables never have one.
-    pub fn columnar(&self) -> Option<&ColumnTable> {
-        self.columnar.as_ref()
-    }
-
-    /// Build the columnar mirror if it is missing. No-op on paged tables.
-    pub fn refresh_columnar(&mut self) {
-        if let (Rows::Mem(chunks), None) = (&self.rows, &self.columnar) {
-            let chunks = chunks.iter().map(|c| c.as_slice());
-            self.columnar = Some(ColumnTable::from_row_chunks(chunks, self.schema.len()));
-        }
     }
 
     /// Build an index over column `col` from the current rows.
@@ -513,16 +494,6 @@ impl Table {
         }
     }
 
-    /// Mark derived state stale after rows changed or left: indexes until
-    /// [`Table::refresh_indexes`], the columnar mirror until
-    /// [`Table::refresh_columnar`].
-    fn mark_stale(&mut self) {
-        if !self.indexes.is_empty() {
-            self.indexes_stale = true;
-        }
-        self.columnar = None;
-    }
-
     /// Rebuild stale indexes. A failed build leaves the table stale, so
     /// probes keep falling back to scans.
     pub fn refresh_indexes(&mut self) {
@@ -632,8 +603,9 @@ impl Table {
     /// pages into a new heap and swaps it in, and on a storage error frees
     /// the new heap and leaves the table as it was.
     ///
-    /// As soon as any row changed or left, indexes and the columnar mirror
-    /// go stale — also when the caller's statement goes on to fail.
+    /// As soon as any row changed or left, the indexes go stale (until
+    /// [`Table::refresh_indexes`]) — also when the caller's statement goes
+    /// on to fail.
     pub fn rewrite_rows(
         &mut self,
         mut edit: impl FnMut(&[Value]) -> RowEdit,
@@ -668,8 +640,8 @@ impl Table {
                 std::mem::replace(heap, rewritten).free(&mut pool)?;
             }
         }
-        if touched {
-            self.mark_stale();
+        if touched && !self.indexes.is_empty() {
+            self.indexes_stale = true;
         }
         Ok(())
     }
@@ -977,45 +949,6 @@ mod tests {
         let a = Value::Text("a".into());
         let probe = t.probe(1, Bound::Included(&a), Bound::Included(&a));
         assert_eq!(probe.unwrap(), vec![0, 1]);
-    }
-
-    #[test]
-    fn columnar_cache_lifecycle() {
-        let mut t = Table::new("t", schema());
-        t.insert_row(vec![Value::Int(1), Value::Text("a".into())]).unwrap();
-        assert!(t.columnar().is_none()); // not built yet
-        t.refresh_columnar();
-        assert_eq!(t.columnar().unwrap().rows(), 1);
-        // Maintained incrementally across both insert paths.
-        t.insert_row(vec![Value::Int(2), Value::Null]).unwrap();
-        t.insert_rows(vec![vec![Value::Int(3), Value::Text("c".into())]])
-            .unwrap();
-        let ct = t.columnar().unwrap();
-        assert_eq!(ct.rows(), 3);
-        assert_eq!(ct.chunks()[0].row(2).values(), t.all_rows().unwrap()[2]);
-        // A rewrite that changes nothing keeps the cache.
-        t.rewrite_rows(|_| RowEdit::Keep).unwrap();
-        assert_eq!(t.columnar().unwrap().rows(), 3);
-        // In-place mutation drops the cache even without an index.
-        t.rewrite_rows(|_| RowEdit::Set(vec![(1, Value::Text("z".into()))]))
-            .unwrap();
-        assert!(t.columnar().is_none());
-        t.refresh_columnar();
-        assert_eq!(
-            t.columnar().unwrap().chunks()[0].row(1)[1],
-            Value::Text("z".into())
-        );
-        t.rewrite_rows(|row| {
-            if row[0] == Value::Int(1) {
-                RowEdit::Remove
-            } else {
-                RowEdit::Keep
-            }
-        })
-        .unwrap();
-        assert!(t.columnar().is_none());
-        t.refresh_columnar();
-        assert_eq!(t.columnar().unwrap().rows(), 2);
     }
 
     /// A table of `n` rows `(i, "r{i}")`.

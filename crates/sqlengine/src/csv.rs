@@ -161,8 +161,8 @@ pub fn load_csv(db: &mut Database, name: &str, text: &str) -> Result<usize, SqlE
     db.drop_table(name, true)?;
     db.create_table(name, Schema::new(columns)?, false)?;
     let table = db.table_mut(name)?;
-    // One bulk append instead of per-row inserts: a single validation +
-    // index/columnar maintenance pass over the whole file.
+    // One bulk append instead of per-row inserts: every row is validated
+    // before any is appended.
     let rows: Vec<Vec<Value>> = records
         .iter()
         .map(|r| {

@@ -6,8 +6,7 @@ use dbgpt_obs::Span;
 
 use crate::catalog::{Database, RowEdit, Table};
 use crate::error::SqlError;
-use crate::exec::vectorized::{self, ExecStats};
-use crate::exec::{executor, ExecConfig, ExecMode};
+use crate::exec::executor;
 use crate::expr::Expr;
 use crate::parser::{parse, Statement};
 use crate::plan::logical::{LogicalPlan, Planner};
@@ -98,17 +97,12 @@ impl QueryResult {
 pub struct Engine {
     db: Database,
     optimizer: Optimizer,
-    exec: ExecConfig,
 }
 
 impl Engine {
-    /// Empty engine with the optimizer on and the row executor (default).
+    /// Empty engine with the optimizer on.
     pub fn new() -> Self {
-        Engine {
-            db: Database::new(),
-            optimizer: Optimizer::new(),
-            exec: ExecConfig::default(),
-        }
+        Engine::with_optimizer(Optimizer::new())
     }
 
     /// Engine with a custom optimizer configuration (for ablations).
@@ -116,59 +110,28 @@ impl Engine {
         Engine {
             db: Database::new(),
             optimizer,
-            exec: ExecConfig::default(),
-        }
-    }
-
-    /// Engine with a custom executor selection.
-    pub fn with_exec(exec: ExecConfig) -> Self {
-        Engine {
-            db: Database::new(),
-            optimizer: Optimizer::new(),
-            exec,
         }
     }
 
     /// Engine on the given storage arm (see [`StorageConfig`]); the
     /// default [`StorageConfig::InMemory`] is exactly [`Engine::new`].
     pub fn with_storage(storage: StorageConfig) -> Self {
-        Engine::with_exec_and_storage(ExecConfig::default(), storage)
-    }
-
-    /// Engine with both an executor selection and a storage arm.
-    pub fn with_exec_and_storage(exec: ExecConfig, storage: StorageConfig) -> Self {
         Engine {
             db: Database::with_storage(storage),
             optimizer: Optimizer::new(),
-            exec,
         }
     }
 
-    /// Switch executor at runtime (queries only; DML is unaffected).
-    pub fn set_exec_config(&mut self, exec: ExecConfig) {
-        self.exec = exec;
-    }
-
-    /// The current executor selection.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.exec
-    }
-
-    /// Bring every table a plan scans up to date: rebuild stale indexes
-    /// and, in columnar mode, the columnar mirror, so reads through
-    /// [`Engine::execute`] probe and scan the caches. [`Engine::prepare`]
-    /// skips this step and scans stale tables in full.
-    fn refresh_scan_caches(&mut self, plan: &LogicalPlan) {
-        let columnar = self.exec.mode == ExecMode::Columnar;
+    /// Rebuild the stale indexes of every table a plan scans, so reads
+    /// through [`Engine::execute`] probe them. [`Engine::prepare`] skips
+    /// this step and scans stale tables in full.
+    fn refresh_indexes(&mut self, plan: &LogicalPlan) {
         for scan in plan.scans() {
             let LogicalPlan::Scan { table, .. } = scan else {
                 continue;
             };
             if let Ok(t) = self.db.table_mut(table) {
                 t.refresh_indexes();
-                if columnar {
-                    t.refresh_columnar();
-                }
             }
         }
     }
@@ -190,13 +153,13 @@ impl Engine {
 
     /// [`Engine::execute`] with `sql.parse` / `sql.plan` / `sql.exec`
     /// stage spans joined to `parent`'s trace, row counts as attributes.
-    /// Refreshes the scanned tables' caches, then runs the statement the
-    /// way [`Engine::prepare`] and [`ScannedSelect::finish`] /
+    /// Rebuilds the scanned tables' stale indexes, then runs the statement
+    /// the way [`Engine::prepare`] and [`ScannedSelect::finish`] /
     /// [`Engine::run_write`] do.
     pub fn execute_under(&mut self, sql: &str, parent: &Span) -> Result<QueryResult, SqlError> {
         match self.plan(sql, parent)? {
             Planned::Select { plan, span } => {
-                self.refresh_scan_caches(&plan);
+                self.refresh_indexes(&plan);
                 self.scan(plan, span).finish()
             }
             Planned::Write(write) => self.run_write(write),
@@ -207,10 +170,9 @@ impl Engine {
     ///
     /// Needs only shared access: a server holds its read lock for this
     /// call, releases it, and calls [`ScannedSelect::finish`] for filters,
-    /// joins, aggregates, sorts and projections. Under the row executor
-    /// an in-memory scan only takes a [`crate::catalog::Snapshot`] of the
-    /// table's chunks here; a paged scan copies out the rows that pass its
-    /// filter, and the columnar executor copies its chunks out. Every scan of
+    /// joins, aggregates, sorts and projections. An in-memory scan only
+    /// takes a [`crate::catalog::Snapshot`] of the table's chunks here; a
+    /// paged scan copies out the rows that pass its filter. Every scan of
     /// the statement happens in this one call, so the result reflects a
     /// single state of the catalog. Any other statement comes back as
     /// [`Prepared::Write`] for [`Engine::run_write`]. The `sql.execute`
@@ -255,24 +217,16 @@ impl Engine {
         }
     }
 
-    /// Open `sql.exec` and run phase 1 of the configured executor. A scan
-    /// error is kept and surfaces from [`ScannedSelect::finish`].
+    /// Open `sql.exec` and run phase 1 of the executor. A scan error is
+    /// kept and surfaces from [`ScannedSelect::finish`].
     fn scan(&self, plan: LogicalPlan, span: Span) -> ScannedSelect {
         let exec_span = span.child("sql.exec", span.tick());
         let pool_before = self.db.pager().map(|p| p.counters());
-        let (scans, stats) = match self.exec.mode {
-            ExecMode::Row => (executor::scan_plan(&plan, &self.db).map(Scans::Row), None),
-            ExecMode::Columnar => {
-                let mut stats = ExecStats::default();
-                let scans = vectorized::scan_plan(&plan, &self.db, &mut stats);
-                (scans.map(Scans::Columnar), Some(stats))
-            }
-        };
+        let scans = executor::scan_plan(&plan, &self.db);
         let pool = pool_before.zip(self.db.pager().map(|p| p.counters()));
         ScannedSelect {
             plan,
             scans,
-            stats,
             pool,
             span,
             exec_span,
@@ -458,20 +412,12 @@ enum Planned {
     Write(PendingWrite),
 }
 
-/// Phase-1 output of either executor.
-enum Scans {
-    Row(Vec<executor::ScanInput>),
-    Columnar(Vec<vectorized::ColBatch>),
-}
-
-/// A SELECT whose scans have run: snapshots or filtered rows (row
-/// executor) or owned chunks (columnar), plus the plan's operators.
+/// A SELECT whose scans have run: a snapshot (in memory) or the filtered
+/// rows (paged) per scan, plus the plan's operators.
 /// [`ScannedSelect::finish`] needs no access to the catalog.
 pub struct ScannedSelect {
     plan: LogicalPlan,
-    scans: Result<Scans, SqlError>,
-    /// Columnar scan counters (`None` under the row executor).
-    stats: Option<ExecStats>,
+    scans: Result<Vec<executor::ScanInput>, SqlError>,
     /// Buffer-pool counters around the scans (paged storage only).
     pool: Option<(PoolCounters, PoolCounters)>,
     span: Span,
@@ -485,24 +431,13 @@ impl ScannedSelect {
         let ScannedSelect {
             plan,
             scans,
-            stats,
             pool,
             span,
             exec_span,
         } = self;
-        let batch = scans.and_then(|scans| match scans {
-            Scans::Row(b) => executor::finish_plan(&plan, b),
-            Scans::Columnar(b) => vectorized::finish_plan(&plan, b),
-        });
+        let batch = scans.and_then(|scans| executor::finish_plan(&plan, scans));
         if let Ok(b) = &batch {
             exec_span.attr("rows", b.rows.len());
-        }
-        if let Some(stats) = stats {
-            let obs = exec_span.handle();
-            exec_span.attr("chunks", stats.chunks);
-            exec_span.attr("rows_scanned", stats.rows_scanned);
-            obs.counter("sql.chunks_scanned", stats.chunks);
-            obs.counter("sql.rows_scanned", stats.rows_scanned);
         }
         record_pool_deltas(&exec_span, pool);
         exec_span.end(span.tick());
@@ -649,28 +584,25 @@ mod tests {
     fn long_flat_expression_chains_return_an_error() {
         // A flat `1+1+…+1` parses in a loop but used to build a tree as
         // deep as the chain, whose later walks aborted the process. Run on
-        // a 2 MiB stack (the default for spawned threads) under both
-        // executors.
+        // a 2 MiB stack (the default for spawned threads).
         let chain = |terms: usize| vec!["1"; terms].join("+");
         let nested = format!("{})+", chain(100)).repeat(100);
         let nested = format!("{}{}", "(".repeat(100), nested.trim_end_matches('+'));
-        for exec in [ExecConfig::row(), ExecConfig::columnar()] {
-            let (long, nested) = (chain(10_000), nested.clone());
-            std::thread::Builder::new()
-                .stack_size(2 << 20)
-                .spawn(move || {
-                    let mut e = Engine::with_exec(exec);
-                    for sql in [format!("SELECT {long}"), format!("SELECT {nested}")] {
-                        let err = e.execute(&sql).unwrap_err();
-                        assert!(matches!(err, SqlError::Parse(_)), "{err}");
-                    }
-                    let r = e.execute(&format!("SELECT {}", chain(128))).unwrap();
-                    assert_eq!(r.rows[0][0].to_string(), "128");
-                })
-                .unwrap()
-                .join()
-                .unwrap();
-        }
+        let long = chain(10_000);
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let mut e = Engine::new();
+                for sql in [format!("SELECT {long}"), format!("SELECT {nested}")] {
+                    let err = e.execute(&sql).unwrap_err();
+                    assert!(matches!(err, SqlError::Parse(_)), "{err}");
+                }
+                let r = e.execute(&format!("SELECT {}", chain(128))).unwrap();
+                assert_eq!(r.rows[0][0].to_string(), "128");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]
@@ -776,6 +708,24 @@ mod tests {
     fn error_propagates_from_parser() {
         let mut e = engine();
         assert!(matches!(e.execute("SELEC 1"), Err(SqlError::Parse(_))));
+    }
+
+    #[test]
+    fn traced_paged_exec_reports_pool_counters() {
+        use dbgpt_obs::{Obs, ObsConfig};
+        let mut e = Engine::with_storage(crate::StorageConfig::paged(4, 128));
+        e.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        let vals: Vec<String> = (0..200).map(|i| format!("({i}, 'x{i}')")).collect();
+        e.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
+            .unwrap();
+        let obs = Obs::new(ObsConfig::enabled(7));
+        let root = obs.span("request", obs.tick());
+        let r = e.execute_under("SELECT COUNT(*) FROM t", &root).unwrap();
+        assert_eq!(r.rows[0][0], Value::Int(200));
+        // A 200-row table behind a 4-frame pool cannot scan without
+        // missing in the pool; the deltas must reach the metrics.
+        assert!(obs.counter_value("sql.pool.misses") > 0);
+        assert!(obs.counter_value("sql.pool.evictions") > 0);
     }
 
     #[test]
@@ -897,86 +847,6 @@ mod union_tests {
         raw.execute("INSERT INTO a VALUES (1, 'one'), (2, 'two'), (3, 'three')").unwrap();
         raw.execute("INSERT INTO b VALUES (2, 'two'), (4, 'four')").unwrap();
         assert_eq!(opt.execute(sql).unwrap().rows, raw.execute(sql).unwrap().rows);
-    }
-}
-
-#[cfg(test)]
-mod columnar_engine_tests {
-    use super::*;
-
-    fn pair() -> (Engine, Engine) {
-        let mut row = Engine::new();
-        let mut col = Engine::with_exec(ExecConfig::columnar());
-        for e in [&mut row, &mut col] {
-            e.execute("CREATE TABLE t (id INT, grp TEXT, v FLOAT)").unwrap();
-            e.execute(
-                "INSERT INTO t VALUES (1, 'a', 1.5), (2, 'b', 2.5), \
-                 (3, 'a', 3.5), (4, NULL, NULL)",
-            )
-            .unwrap();
-        }
-        (row, col)
-    }
-
-    #[test]
-    fn columnar_engine_matches_row_engine_through_dml() {
-        let (mut row, mut col) = pair();
-        let check = |row: &mut Engine, col: &mut Engine, sql: &str| {
-            let a = row.execute(sql).unwrap();
-            let b = col.execute(sql).unwrap();
-            assert_eq!(a.rows, b.rows, "{sql}");
-        };
-        check(&mut row, &mut col, "SELECT grp, COUNT(*), SUM(v) FROM t GROUP BY grp ORDER BY grp");
-        // DML through both engines, cache invalidation included.
-        for e in [&mut row, &mut col] {
-            e.execute("UPDATE t SET v = v * 2 WHERE id > 2").unwrap();
-            e.execute("DELETE FROM t WHERE id = 1").unwrap();
-            e.execute("INSERT INTO t VALUES (5, 'c', 9.0)").unwrap();
-        }
-        check(&mut row, &mut col, "SELECT id, grp, v FROM t ORDER BY id");
-        check(&mut row, &mut col, "SELECT grp FROM t WHERE v > 4 ORDER BY id");
-    }
-
-    #[test]
-    fn exec_config_is_switchable() {
-        let (_, mut col) = pair();
-        assert_eq!(col.exec_config(), ExecConfig::columnar());
-        let a = col.execute("SELECT COUNT(*) FROM t").unwrap();
-        col.set_exec_config(ExecConfig::row());
-        let b = col.execute("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(a.rows, b.rows);
-    }
-
-    #[test]
-    fn traced_columnar_exec_reports_scan_counters() {
-        use dbgpt_obs::{Obs, ObsConfig};
-        let (_, mut col) = pair();
-        let obs = Obs::new(ObsConfig::enabled(7));
-        let root = obs.span("request", obs.tick());
-        let r = col
-            .execute_under("SELECT COUNT(*) FROM t", &root)
-            .unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(4));
-        assert_eq!(obs.counter_value("sql.rows_scanned"), 4);
-        assert_eq!(obs.counter_value("sql.chunks_scanned"), 1);
-    }
-
-    #[test]
-    fn traced_paged_exec_reports_pool_counters() {
-        use dbgpt_obs::{Obs, ObsConfig};
-        let mut e = Engine::with_storage(crate::StorageConfig::paged(4, 128));
-        e.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-        let vals: Vec<String> = (0..200).map(|i| format!("({i}, 'x{i}')")).collect();
-        e.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
-            .unwrap();
-        let obs = Obs::new(ObsConfig::enabled(7));
-        let root = obs.span("request", obs.tick());
-        let r = e.execute_under("SELECT COUNT(*) FROM t", &root).unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(200));
-        // A 200-row table behind a 4-frame pool cannot scan without
-        // missing in the pool; the deltas must reach the metrics.
-        assert!(obs.counter_value("sql.pool.misses") > 0);
-        assert!(obs.counter_value("sql.pool.evictions") > 0);
     }
 }
 

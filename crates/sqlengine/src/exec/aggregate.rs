@@ -2,7 +2,6 @@
 
 use std::collections::HashSet;
 
-use crate::col::ColumnVec;
 use crate::error::SqlError;
 use crate::plan::logical::AggFunc;
 use crate::value::{GroupKey, Value};
@@ -135,81 +134,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Fold position `i` of a column. Typed fast paths avoid materialising
-    /// a [`Value`] for the hot Int/Float cases; everything else defers to
-    /// [`Accumulator::update`].
-    pub fn update_col(&mut self, col: &ColumnVec, i: usize) -> Result<(), SqlError> {
-        match (&mut *self, col) {
-            (Accumulator::CountStar(n), _) => {
-                *n += 1;
-                Ok(())
-            }
-            (Accumulator::Count(n), c) => {
-                if !c.is_null(i) {
-                    *n += 1;
-                }
-                Ok(())
-            }
-            (Accumulator::Sum(state), ColumnVec::Int { data, nulls }) => {
-                if !nulls.is_null(i) {
-                    let v = data[i];
-                    *state = match *state {
-                        SumState::Empty => SumState::Int(v),
-                        SumState::Int(s) => SumState::Int(s.wrapping_add(v)),
-                        SumState::Float(s) => SumState::Float(s + v as f64),
-                    };
-                }
-                Ok(())
-            }
-            (Accumulator::Sum(state), ColumnVec::Float { data, nulls }) => {
-                if !nulls.is_null(i) {
-                    let v = data[i];
-                    *state = match *state {
-                        SumState::Empty => SumState::Float(v),
-                        SumState::Int(s) => SumState::Float(s as f64 + v),
-                        SumState::Float(s) => SumState::Float(s + v),
-                    };
-                }
-                Ok(())
-            }
-            (Accumulator::Avg { sum, n }, ColumnVec::Int { data, nulls }) => {
-                if !nulls.is_null(i) {
-                    *sum += data[i] as f64;
-                    *n += 1;
-                }
-                Ok(())
-            }
-            (Accumulator::Avg { sum, n }, ColumnVec::Float { data, nulls }) => {
-                if !nulls.is_null(i) {
-                    *sum += data[i];
-                    *n += 1;
-                }
-                Ok(())
-            }
-            (Accumulator::Min(best), ColumnVec::Int { data, nulls }) => {
-                if !nulls.is_null(i) {
-                    let v = data[i];
-                    match best {
-                        Some(Value::Int(b)) if v >= *b => {}
-                        _ => return self.update(&Value::Int(v)),
-                    }
-                }
-                Ok(())
-            }
-            (Accumulator::Max(best), ColumnVec::Int { data, nulls }) => {
-                if !nulls.is_null(i) {
-                    let v = data[i];
-                    match best {
-                        Some(Value::Int(b)) if v <= *b => {}
-                        _ => return self.update(&Value::Int(v)),
-                    }
-                }
-                Ok(())
-            }
-            _ => self.update(&col.value_at(i)),
-        }
-    }
-
     /// Final value of the aggregate.
     pub fn finish(&self) -> Value {
         match self {
@@ -298,35 +222,6 @@ mod tests {
         assert_eq!(run(AggFunc::Min, &vals), Value::Int(1));
         assert_eq!(run(AggFunc::Max, &vals), Value::Int(3));
         assert_eq!(run(AggFunc::Min, &[Value::Null]), Value::Null);
-    }
-
-    #[test]
-    fn update_col_matches_update() {
-        let vals = vec![
-            Value::Int(3),
-            Value::Null,
-            Value::Int(-1),
-            Value::Int(7),
-            Value::Int(7),
-        ];
-        let col = ColumnVec::from_values(vals.clone());
-        for func in [
-            AggFunc::CountStar,
-            AggFunc::Count,
-            AggFunc::CountDistinct,
-            AggFunc::Sum,
-            AggFunc::Avg,
-            AggFunc::Min,
-            AggFunc::Max,
-        ] {
-            let mut row_acc = Accumulator::new(func);
-            let mut col_acc = Accumulator::new(func);
-            for (i, v) in vals.iter().enumerate() {
-                row_acc.update(v).unwrap();
-                col_acc.update_col(&col, i).unwrap();
-            }
-            assert_eq!(row_acc.finish(), col_acc.finish(), "{func:?}");
-        }
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //! Which error a failing statement reports: a single pass evaluates an
 //! in-memory scan's filter and the aggregate row by row, so when both
 //! fail on different rows, the earlier row's error is reported. A paged
-//! scan, and the columnar executor, filter every row first, so there the
-//! filter's error wins. Across the two scans of a join, a failing left
+//! scan filters every row first, so there the filter's error wins. Across the two scans of a join, a failing left
 //! filter is reported before any error on the right side, as when the
 //! left input is materialised first.
 
@@ -888,16 +887,15 @@ fn index_candidates(
 }
 
 /// Equi-join key pairs extracted from an ON conjunction, plus the residual
-/// predicate that must still be evaluated per candidate pair. Shared with
-/// the vectorized executor so both pick the same physical join.
-pub(super) struct JoinKeys {
-    pub(super) left_exprs: Vec<Expr>,
-    pub(super) right_exprs: Vec<Expr>,
-    pub(super) residual: Option<Expr>,
+/// predicate that must still be evaluated per candidate pair.
+struct JoinKeys {
+    left_exprs: Vec<Expr>,
+    right_exprs: Vec<Expr>,
+    residual: Option<Expr>,
 }
 
 /// Pull `l.x = r.y` style conjuncts out of `on`.
-pub(super) fn extract_equi_keys(on: &Expr, lschema: &SchemaRef, rschema: &SchemaRef) -> JoinKeys {
+fn extract_equi_keys(on: &Expr, lschema: &SchemaRef, rschema: &SchemaRef) -> JoinKeys {
     fn bound_by(e: &Expr, schema: &SchemaRef) -> bool {
         let mut cols = Vec::new();
         e.referenced_columns(&mut cols);

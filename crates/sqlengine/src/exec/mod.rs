@@ -1,57 +1,12 @@
 //! Physical execution of logical plans.
 //!
-//! Two interchangeable executors live here:
-//!
-//! - [`executor`] — the original row-at-a-time interpreter (one
-//!   [`crate::row::Row`] at a time through every operator).
-//! - [`vectorized`] — the columnar executor: scans read
-//!   [`crate::col::Chunk`]s from the catalog's column cache, filters
-//!   produce selection vectors, and aggregation/join/sort run over
-//!   [`crate::col::ColumnVec`]s.
-//!
-//! [`ExecConfig`] picks between them; the default is the row executor,
-//! and the columnar path is required (and property-tested) to produce
-//! identical results.
+//! [`executor`] interprets every SELECT plan a row at a time: the scan
+//! phase reads the catalog under the caller's lock, and the finish phase
+//! runs filters, joins, aggregates and sorts over the scanned rows.
+//! [`aggregate`] holds the per-group accumulators.
 
 pub mod aggregate;
 pub mod executor;
-pub mod vectorized;
 
 pub use aggregate::Accumulator;
 pub use executor::execute_plan;
-pub use vectorized::{execute_plan_columnar, ExecStats};
-
-/// Which physical executor runs SELECT plans.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Row-at-a-time interpreter (the original executor).
-    #[default]
-    Row,
-    /// Columnar chunk-at-a-time executor with vectorized kernels.
-    Columnar,
-}
-
-/// Executor selection for an [`crate::engine::Engine`].
-///
-/// The default reproduces the row executor exactly, so existing callers
-/// see no behaviour change; [`ExecConfig::columnar`] opts into the
-/// vectorized path, which must return identical results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecConfig {
-    /// Selected executor.
-    pub mode: ExecMode,
-}
-
-impl ExecConfig {
-    /// Row-at-a-time execution (the default).
-    pub fn row() -> ExecConfig {
-        ExecConfig { mode: ExecMode::Row }
-    }
-
-    /// Columnar vectorized execution.
-    pub fn columnar() -> ExecConfig {
-        ExecConfig {
-            mode: ExecMode::Columnar,
-        }
-    }
-}

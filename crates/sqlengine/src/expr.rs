@@ -1,19 +1,14 @@
 //! Expression AST and evaluation.
 //!
-//! Expressions evaluate two ways: row-at-a-time via [`Expr::eval`] (the
-//! original interpreter) and chunk-at-a-time via [`Expr::eval_batch`] (the
-//! vectorized path, which resolves column references once per chunk and
-//! runs typed kernels over [`crate::col::ColumnVec`]s). Both produce
-//! identical results for identical inputs; the batch path preserves the
-//! row path's lazy-evaluation set (AND/OR right operands and IN-list items
-//! are only evaluated for rows where the row interpreter would evaluate
-//! them), so even side effects like division-by-zero errors agree.
+//! Expressions evaluate one row at a time: [`Expr::eval`] returns an owned
+//! [`Value`], [`Expr::eval_ref`] borrows the literals and cells it reads.
+//! AND/OR evaluate their right operand only when the left one has not
+//! decided the result, so `FALSE AND 1 / 0` does not error, and an IN list
+//! stops at its first match.
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
 
-use crate::col::{Chunk, ColumnVec, NullMask};
 use crate::error::SqlError;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -636,85 +631,6 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Vectorized (chunk-at-a-time) evaluation.
-// ---------------------------------------------------------------------------
-
-/// A batch evaluation result: a full column, or an unexpanded scalar
-/// (literals stay scalar so column⊗scalar kernels can specialise).
-enum BVal {
-    Col(ColumnVec),
-    Scalar(Value),
-}
-
-impl BVal {
-    fn into_column(self, n: usize) -> ColumnVec {
-        match self {
-            BVal::Col(c) => c,
-            BVal::Scalar(v) => ColumnVec::from_values(vec![v; n]),
-        }
-    }
-
-    fn value_at(&self, i: usize) -> Value {
-        match self {
-            BVal::Col(c) => c.value_at(i),
-            BVal::Scalar(v) => v.clone(),
-        }
-    }
-
-    fn is_null_at(&self, i: usize) -> bool {
-        match self {
-            BVal::Col(c) => c.is_null(i),
-            BVal::Scalar(v) => v.is_null(),
-        }
-    }
-}
-
-/// Three-valued-logic class of one position of a boolean operand.
-#[derive(Clone, Copy, PartialEq)]
-enum Tri {
-    False,
-    True,
-    Null,
-    /// Non-boolean, non-NULL value (a type error for AND/OR).
-    Other,
-}
-
-fn tri_at(v: &BVal, i: usize) -> Tri {
-    match v {
-        BVal::Col(ColumnVec::Bool { data, nulls }) => {
-            if nulls.is_null(i) {
-                Tri::Null
-            } else if data[i] {
-                Tri::True
-            } else {
-                Tri::False
-            }
-        }
-        other => match other.value_at(i) {
-            Value::Bool(true) => Tri::True,
-            Value::Bool(false) => Tri::False,
-            Value::Null => Tri::Null,
-            _ => Tri::Other,
-        },
-    }
-}
-
-/// Map `op` over a comparison outcome.
-#[inline]
-fn cmp_result(op: BinOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering;
-    match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::Neq => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::Le => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::Ge => ord != Ordering::Less,
-        _ => unreachable!("cmp_result on non-comparison"),
-    }
-}
-
 /// Mirror a comparison operator so `scalar op col` becomes `col op' scalar`.
 pub(crate) fn flip_cmp(op: BinOp) -> BinOp {
     match op {
@@ -724,483 +640,6 @@ pub(crate) fn flip_cmp(op: BinOp) -> BinOp {
         BinOp::Ge => BinOp::Le,
         other => other,
     }
-}
-
-fn bool_col(data: Vec<bool>, nulls: NullMask) -> BVal {
-    BVal::Col(ColumnVec::Bool {
-        data: Arc::new(data),
-        nulls,
-    })
-}
-
-fn float_cmp_err() -> SqlError {
-    // Same message the row path produces for an uncomparable float pair
-    // (NaN reaches here only via overflow arithmetic).
-    SqlError::Execution(format!(
-        "cannot compare {:?} with {:?}",
-        Some(crate::value::DataType::Float),
-        Some(crate::value::DataType::Float)
-    ))
-}
-
-impl Expr {
-    /// Evaluate this expression over a chunk.
-    ///
-    /// `sel` optionally restricts evaluation to the given chunk row ids;
-    /// the result is dense over `sel` (output position `k` corresponds to
-    /// chunk row `sel[k]`). Without `sel`, the result aligns with the
-    /// chunk. Semantics match [`Expr::eval`] applied row-by-row.
-    pub fn eval_batch(
-        &self,
-        chunk: &Chunk,
-        schema: &Schema,
-        sel: Option<&[u32]>,
-    ) -> Result<ColumnVec, SqlError> {
-        let n = sel.map(|s| s.len()).unwrap_or(chunk.len);
-        Ok(eval_bval(self, chunk, schema, sel)?.into_column(n))
-    }
-}
-
-fn eval_bval(
-    e: &Expr,
-    chunk: &Chunk,
-    schema: &Schema,
-    sel: Option<&[u32]>,
-) -> Result<BVal, SqlError> {
-    let n = sel.map(|s| s.len()).unwrap_or(chunk.len);
-    match e {
-        Expr::Literal(v) => Ok(BVal::Scalar(v.clone())),
-        Expr::Column { table, name } => {
-            let idx = schema.resolve(table.as_deref(), name)?;
-            let col = &chunk.columns[idx];
-            Ok(BVal::Col(match sel {
-                Some(s) => col.gather(s),
-                None => col.clone(),
-            }))
-        }
-        Expr::Binary { left, op, right } => match op {
-            BinOp::And | BinOp::Or => {
-                eval_logical_batch(left, *op, right, chunk, schema, sel, n)
-            }
-            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let l = eval_bval(left, chunk, schema, sel)?;
-                let r = eval_bval(right, chunk, schema, sel)?;
-                eval_cmp_batch(&l, *op, &r, n)
-            }
-            _ => {
-                let l = eval_bval(left, chunk, schema, sel)?;
-                let r = eval_bval(right, chunk, schema, sel)?;
-                generic_binary_batch(&l, *op, &r, n)
-            }
-        },
-        Expr::Unary { op, expr } => {
-            let v = eval_bval(expr, chunk, schema, sel)?;
-            eval_unary_batch(*op, v, n)
-        }
-        Expr::Function { name, args } => {
-            if AGGREGATE_FUNCTIONS.contains(&name.as_str()) {
-                return Err(SqlError::Plan(format!(
-                    "aggregate {name} not allowed in this context"
-                )));
-            }
-            let arg_cols: Vec<BVal> = args
-                .iter()
-                .map(|a| eval_bval(a, chunk, schema, sel))
-                .collect::<Result<_, _>>()?;
-            let mut out = Vec::with_capacity(n);
-            let mut scratch = Vec::with_capacity(arg_cols.len());
-            for i in 0..n {
-                scratch.clear();
-                scratch.extend(arg_cols.iter().map(|c| c.value_at(i)));
-                out.push(eval_scalar_function(name, &scratch)?);
-            }
-            Ok(BVal::Col(ColumnVec::from_values(out)))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval_bval(expr, chunk, schema, sel)?;
-            let data: Vec<bool> = (0..n).map(|i| v.is_null_at(i) != *negated).collect();
-            Ok(bool_col(data, NullMask::new_valid(n)))
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval_bval(expr, chunk, schema, sel)?;
-            let p = eval_bval(pattern, chunk, schema, sel)?;
-            let mut data = vec![false; n];
-            let mut nulls = NullMask::new_valid(n);
-            // Fast path: text column against one scalar pattern.
-            if let (BVal::Col(ColumnVec::Text { data: td, nulls: tn }), BVal::Scalar(pv)) =
-                (&v, &p)
-            {
-                match pv {
-                    Value::Null => {
-                        for i in 0..n {
-                            nulls.set_null(i);
-                        }
-                        return Ok(bool_col(data, nulls));
-                    }
-                    Value::Text(pat) => {
-                        for (i, s) in td.iter().enumerate() {
-                            if tn.is_null(i) {
-                                nulls.set_null(i);
-                            } else {
-                                data[i] = like_match(s, pat) != *negated;
-                            }
-                        }
-                        return Ok(bool_col(data, nulls));
-                    }
-                    _ => {}
-                }
-            }
-            for (i, d) in data.iter_mut().enumerate() {
-                match (v.value_at(i), p.value_at(i)) {
-                    (Value::Null, _) | (_, Value::Null) => nulls.set_null(i),
-                    (Value::Text(s), Value::Text(pat)) => {
-                        *d = like_match(&s, &pat) != *negated;
-                    }
-                    _ => {
-                        return Err(SqlError::Execution(
-                            "LIKE requires text operands".into(),
-                        ))
-                    }
-                }
-            }
-            Ok(bool_col(data, nulls))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => eval_in_list_batch(expr, list, *negated, chunk, schema, sel, n),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_bval(expr, chunk, schema, sel)?;
-            let lo = eval_bval(low, chunk, schema, sel)?;
-            let hi = eval_bval(high, chunk, schema, sel)?;
-            let mut data = vec![false; n];
-            let mut nulls = NullMask::new_valid(n);
-            for (i, d) in data.iter_mut().enumerate() {
-                let vv = v.value_at(i);
-                match (vv.sql_cmp(&lo.value_at(i)), vv.sql_cmp(&hi.value_at(i))) {
-                    (Some(a), Some(b)) => {
-                        let inside = a != std::cmp::Ordering::Less
-                            && b != std::cmp::Ordering::Greater;
-                        *d = inside != *negated;
-                    }
-                    _ => nulls.set_null(i),
-                }
-            }
-            Ok(bool_col(data, nulls))
-        }
-        Expr::Wildcard => Err(SqlError::Plan("`*` is not a value expression".into())),
-    }
-}
-
-/// AND/OR with short-circuit laziness: the right operand is evaluated only
-/// over rows where the row interpreter would evaluate it.
-#[allow(clippy::too_many_arguments)]
-fn eval_logical_batch(
-    left: &Expr,
-    op: BinOp,
-    right: &Expr,
-    chunk: &Chunk,
-    schema: &Schema,
-    sel: Option<&[u32]>,
-    n: usize,
-) -> Result<BVal, SqlError> {
-    let l = eval_bval(left, chunk, schema, sel)?;
-    let mut data = vec![false; n];
-    let mut nulls = NullMask::new_valid(n);
-    let mut need: Vec<u32> = Vec::new(); // chunk coordinates
-    let mut need_pos: Vec<u32> = Vec::new(); // dense coordinates
-    let mut bad: Option<SqlError> = None;
-    for k in 0..n {
-        let class = tri_at(&l, k);
-        match (op, class) {
-            (BinOp::And, Tri::False) => {}
-            (BinOp::Or, Tri::True) => data[k] = true,
-            (_, Tri::Other) => {
-                // The row interpreter stops here; later rows are never
-                // evaluated, so stop collecting `need` positions.
-                bad = Some(SqlError::Execution(format!(
-                    "{} with {:?}",
-                    op.as_str(),
-                    l.value_at(k)
-                )));
-                break;
-            }
-            _ => {
-                need.push(match sel {
-                    Some(s) => s[k],
-                    None => k as u32,
-                });
-                need_pos.push(k as u32);
-            }
-        }
-    }
-    if !need.is_empty() {
-        let r = eval_bval(right, chunk, schema, Some(&need))?;
-        for (j, &k) in need_pos.iter().enumerate() {
-            let k = k as usize;
-            let lv = tri_at(&l, k);
-            let rv = tri_at(&r, j);
-            if rv == Tri::Other {
-                return Err(SqlError::Execution(format!(
-                    "{} with {:?}",
-                    op.as_str(),
-                    r.value_at(j)
-                )));
-            }
-            match op {
-                BinOp::And => match (lv, rv) {
-                    (Tri::True, Tri::True) => data[k] = true,
-                    (Tri::True, Tri::False) | (Tri::Null, Tri::False) => {}
-                    _ => nulls.set_null(k),
-                },
-                BinOp::Or => match (lv, rv) {
-                    (Tri::False, Tri::False) => {}
-                    (Tri::False, Tri::True) | (Tri::Null, Tri::True) => data[k] = true,
-                    _ => nulls.set_null(k),
-                },
-                _ => unreachable!(),
-            }
-        }
-    }
-    if let Some(e) = bad {
-        return Err(e);
-    }
-    Ok(bool_col(data, nulls))
-}
-
-/// `expr IN (…)` with the row path's lazy item evaluation: each list item
-/// is evaluated only for rows still unresolved after the previous items.
-fn eval_in_list_batch(
-    expr: &Expr,
-    list: &[Expr],
-    negated: bool,
-    chunk: &Chunk,
-    schema: &Schema,
-    sel: Option<&[u32]>,
-    n: usize,
-) -> Result<BVal, SqlError> {
-    let v = eval_bval(expr, chunk, schema, sel)?;
-    let mut data = vec![false; n];
-    let mut nulls = NullMask::new_valid(n);
-    let mut saw_null = vec![false; n];
-    let mut matched = vec![false; n];
-    // (dense position, chunk coordinate) pairs still unresolved.
-    let mut pending: Vec<(u32, u32)> = Vec::with_capacity(n);
-    for k in 0..n {
-        if v.is_null_at(k) {
-            nulls.set_null(k);
-        } else {
-            pending.push((
-                k as u32,
-                match sel {
-                    Some(s) => s[k],
-                    None => k as u32,
-                },
-            ));
-        }
-    }
-    for item in list {
-        if pending.is_empty() {
-            break;
-        }
-        let isel: Vec<u32> = pending.iter().map(|&(_, c)| c).collect();
-        let icol = eval_bval(item, chunk, schema, Some(&isel))?;
-        let mut next = Vec::with_capacity(pending.len());
-        for (j, &(k, c)) in pending.iter().enumerate() {
-            let iv = icol.value_at(j);
-            if iv.is_null() {
-                saw_null[k as usize] = true;
-                next.push((k, c));
-            } else if v.value_at(k as usize).group_eq(&iv) {
-                matched[k as usize] = true;
-            } else {
-                next.push((k, c));
-            }
-        }
-        pending = next;
-    }
-    for k in 0..n {
-        if v.is_null_at(k) {
-            continue; // already NULL
-        }
-        if matched[k] {
-            data[k] = !negated;
-        } else if saw_null[k] {
-            nulls.set_null(k);
-        } else {
-            data[k] = negated;
-        }
-    }
-    Ok(bool_col(data, nulls))
-}
-
-fn eval_unary_batch(op: UnOp, v: BVal, n: usize) -> Result<BVal, SqlError> {
-    match (op, &v) {
-        (UnOp::Neg, BVal::Col(ColumnVec::Int { data, nulls })) => {
-            Ok(BVal::Col(ColumnVec::Int {
-                data: Arc::new(data.iter().map(|&i| i.wrapping_neg()).collect()),
-                nulls: nulls.clone(),
-            }))
-        }
-        (UnOp::Neg, BVal::Col(ColumnVec::Float { data, nulls })) => {
-            Ok(BVal::Col(ColumnVec::Float {
-                data: Arc::new(data.iter().map(|&f| -f).collect()),
-                nulls: nulls.clone(),
-            }))
-        }
-        (UnOp::Not, BVal::Col(ColumnVec::Bool { data, nulls })) => {
-            Ok(BVal::Col(ColumnVec::Bool {
-                data: Arc::new(data.iter().map(|&b| !b).collect()),
-                nulls: nulls.clone(),
-            }))
-        }
-        _ => {
-            let mut out = Vec::with_capacity(n);
-            for i in 0..n {
-                let val = v.value_at(i);
-                out.push(match op {
-                    UnOp::Neg => match val {
-                        Value::Int(i) => Value::Int(-i),
-                        Value::Float(f) => Value::Float(-f),
-                        Value::Null => Value::Null,
-                        other => {
-                            return Err(SqlError::Execution(format!(
-                                "cannot negate {other:?}"
-                            )))
-                        }
-                    },
-                    UnOp::Not => match val {
-                        Value::Bool(b) => Value::Bool(!b),
-                        Value::Null => Value::Null,
-                        other => {
-                            return Err(SqlError::Execution(format!("cannot NOT {other:?}")))
-                        }
-                    },
-                });
-            }
-            Ok(BVal::Col(ColumnVec::from_values(out)))
-        }
-    }
-}
-
-/// Comparison kernels with typed fast paths; the generic tail defers to
-/// [`eval_binary`] per row, so semantics cannot drift.
-fn eval_cmp_batch(l: &BVal, op: BinOp, r: &BVal, n: usize) -> Result<BVal, SqlError> {
-    use ColumnVec as C;
-    // Normalise `scalar op col` to `col op' scalar`.
-    if matches!((l, r), (BVal::Scalar(_), BVal::Col(_))) {
-        return eval_cmp_batch(r, flip_cmp(op), l, n);
-    }
-    // NULL scalar operand: the whole result is NULL.
-    if let BVal::Scalar(Value::Null) = r {
-        let mut nulls = NullMask::new_valid(n);
-        for i in 0..n {
-            nulls.set_null(i);
-        }
-        return Ok(bool_col(vec![false; n], nulls));
-    }
-    match (l, r) {
-        (BVal::Col(C::Int { data, nulls }), BVal::Scalar(Value::Int(b))) => {
-            let mut out = vec![false; n];
-            for (i, a) in data.iter().enumerate() {
-                out[i] = cmp_result(op, a.cmp(b));
-            }
-            Ok(bool_col(out, nulls.clone()))
-        }
-        (BVal::Col(C::Int { data, nulls }), BVal::Scalar(Value::Float(b))) => {
-            let mut out = vec![false; n];
-            for (i, &a) in data.iter().enumerate() {
-                match (a as f64).partial_cmp(b) {
-                    Some(ord) => out[i] = cmp_result(op, ord),
-                    None => {
-                        if !nulls.is_null(i) {
-                            return Err(float_cmp_err());
-                        }
-                    }
-                }
-            }
-            Ok(bool_col(out, nulls.clone()))
-        }
-        (BVal::Col(C::Float { data, nulls }), BVal::Scalar(sv))
-            if sv.as_f64().is_some() =>
-        {
-            let b = sv.as_f64().expect("checked numeric");
-            let mut out = vec![false; n];
-            for (i, a) in data.iter().enumerate() {
-                match a.partial_cmp(&b) {
-                    Some(ord) => out[i] = cmp_result(op, ord),
-                    None => {
-                        if !nulls.is_null(i) {
-                            return Err(float_cmp_err());
-                        }
-                    }
-                }
-            }
-            Ok(bool_col(out, nulls.clone()))
-        }
-        (BVal::Col(C::Text { data, nulls }), BVal::Scalar(Value::Text(b))) => {
-            let mut out = vec![false; n];
-            for (i, a) in data.iter().enumerate() {
-                out[i] = cmp_result(op, a.as_str().cmp(b.as_str()));
-            }
-            Ok(bool_col(out, nulls.clone()))
-        }
-        (
-            BVal::Col(C::Int { data: la, nulls: ln }),
-            BVal::Col(C::Int { data: ra, nulls: rn }),
-        ) => {
-            let mut out = vec![false; n];
-            let mut nulls = NullMask::new_valid(n);
-            for i in 0..n {
-                if ln.is_null(i) || rn.is_null(i) {
-                    nulls.set_null(i);
-                } else {
-                    out[i] = cmp_result(op, la[i].cmp(&ra[i]));
-                }
-            }
-            Ok(bool_col(out, nulls))
-        }
-        (
-            BVal::Col(C::Float { data: la, nulls: ln }),
-            BVal::Col(C::Float { data: ra, nulls: rn }),
-        ) => {
-            let mut out = vec![false; n];
-            let mut nulls = NullMask::new_valid(n);
-            for i in 0..n {
-                if ln.is_null(i) || rn.is_null(i) {
-                    nulls.set_null(i);
-                } else {
-                    match la[i].partial_cmp(&ra[i]) {
-                        Some(ord) => out[i] = cmp_result(op, ord),
-                        None => return Err(float_cmp_err()),
-                    }
-                }
-            }
-            Ok(bool_col(out, nulls))
-        }
-        _ => generic_binary_batch(l, op, r, n),
-    }
-}
-
-/// Row-by-row fallback for binary operators: defers to [`eval_binary`] so
-/// NULL/error semantics are exactly the row interpreter's.
-fn generic_binary_batch(l: &BVal, op: BinOp, r: &BVal, n: usize) -> Result<BVal, SqlError> {
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let rv = r.value_at(i);
-        out.push(eval_binary(&l.value_at(i), op, || Ok(Cow::Owned(rv)))?);
-    }
-    Ok(BVal::Col(ColumnVec::from_values(out)))
 }
 
 impl fmt::Display for Expr {

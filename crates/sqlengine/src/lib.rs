@@ -14,26 +14,15 @@
 //!     ──executor──▶ rows
 //! ```
 //!
-//! ## Execution: row and columnar
+//! ## Execution
 //!
-//! Two physical executors interpret the same logical plans, selected per
-//! engine via [`exec::ExecConfig`]:
-//!
-//! - **Row** (default): the original row-at-a-time interpreter. Every
-//!   operator pulls `Vec<Row>` from its child and evaluates expressions
-//!   one row at a time.
-//! - **Columnar** ([`exec::ExecConfig::columnar`]): a vectorized batch
-//!   pipeline. The catalog keeps a column-chunked mirror of each in-memory
-//!   table
-//!   ([`col::ColumnTable`]: typed [`col::ColumnVec`]s with null bitmaps
-//!   in [`col::CHUNK_ROWS`]-row [`col::Chunk`]s). Scans stream chunks,
-//!   predicates evaluate whole chunks at once ([`expr::Expr::eval_batch`])
-//!   into selection vectors, aggregation folds typed columns directly
-//!   ([`exec::Accumulator::update_col`]), and joins hash on vectorized
-//!   key columns. Results are identical to the row executor — enforced
-//!   by a randomized differential property test — at a multiple of its
-//!   scan/filter/aggregate throughput (see `results/BENCH_sql_columnar
-//!   .json`).
+//! One executor ([`exec::executor`]) interprets the logical plans a row
+//! at a time. Group keys, aggregate arguments and join keys are bound to
+//! row positions once per plan, and a scan's filter, an aggregate over a
+//! scan, and an aggregate over an inner equi-join of two scans each run as
+//! one pass over the scanned rows. The optimizer's rewrites are checked
+//! against the unoptimized plan ([`plan::optimizer::Optimizer::disabled`])
+//! by a randomized differential property test.
 //!
 //! ## Concurrency: two-phase SELECT
 //!
@@ -51,14 +40,13 @@
 //! [`Engine::run_write`]; a write copies only the chunks it changes that a
 //! live snapshot still shares (the `sql.cow_chunks` counter).
 //! [`Engine::execute`] runs the same two phases back to back, after
-//! refreshing the scanned tables' index and columnar caches. The columnar
-//! executor's scans still copy their chunks out in phase 1.
+//! rebuilding the scanned tables' stale indexes.
 //!
 //! ## Storage: one interface, two arms
 //!
 //! [`catalog::Table`] stores rows either in memory (the default) or in
 //! heap pages behind a buffer pool ([`storage::StorageConfig::paged`]).
-//! Executors and DML never see the difference: they scan, fetch index
+//! The executor and DML never see the difference: they scan, fetch index
 //! hits, probe indexes and rewrite rows through `Table` alone. Secondary
 //! indexes on both arms key values by the same order-preserving encoding
 //! ([`storage::btree::encode_value`]) and answer equality and range
@@ -87,7 +75,6 @@
 //! ```
 
 pub mod catalog;
-pub mod col;
 pub mod csv;
 pub mod engine;
 pub mod error;
@@ -103,7 +90,6 @@ pub mod value;
 
 pub use catalog::Database;
 pub use engine::{Engine, QueryResult};
-pub use exec::{ExecConfig, ExecMode};
 pub use error::SqlError;
 pub use row::Row;
 pub use schema::{Column, Schema};

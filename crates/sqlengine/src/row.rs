@@ -1,10 +1,7 @@
 //! Rows and row batches — the row-major data representation.
 //!
-//! [`Row`] is the engine's interchange format: DML, the row executor, and
-//! [`crate::engine::QueryResult`] all traffic in rows. The vectorized
-//! executor uses the column-major counterpart in [`crate::col`]
-//! ([`crate::col::Chunk`]/[`crate::col::ColumnTable`]) internally and
-//! converts back to rows at the result boundary.
+//! [`Row`] is the engine's interchange format: DML, the executor, and
+//! [`crate::engine::QueryResult`] all traffic in rows.
 
 use std::ops::{Deref, Index};
 

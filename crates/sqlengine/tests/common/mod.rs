@@ -1,8 +1,8 @@
 //! Shared differential-test harness: a deterministic RNG, random SQL
 //! generators over a fixed two-table schema, and an equivalence checker.
 //!
-//! Used by `columnar_props.rs` (row vs. columnar executor),
-//! `storage_props.rs` (in-memory vs. paged storage, both executors) and
+//! Used by `executor_props.rs` (indexed vs. index-free engine),
+//! `storage_props.rs` (in-memory vs. paged storage) and
 //! `prepare_props.rs` (two-phase SELECT vs. `execute`). In each, the
 //! reference engine runs [`seed_stmts`] alone; the engines compared with it
 //! also run [`INDEXES`], so every index probe is checked against an
@@ -275,8 +275,8 @@ pub fn check(sql: &str, a: &mut Engine, b: &mut Engine, ctx: &str) {
 /// Demand identical outcomes from two already-executed results: same
 /// column names, per-cell-identical rows in the same order, same
 /// `rows_affected` — or an error on both paths (messages may differ).
-/// Split from [`check`] so a statement can be executed exactly once per
-/// engine when more than two engines are under comparison.
+/// Split from [`check`] for results that do not come from
+/// `Engine::execute`, such as a prepared SELECT's.
 pub fn compare(
     sql: &str,
     x: &Result<dbgpt_sqlengine::QueryResult, dbgpt_sqlengine::SqlError>,

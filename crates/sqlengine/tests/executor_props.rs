@@ -1,0 +1,206 @@
+//! Executor properties, checked against index-free engines and against
+//! hand-written expected results.
+//!
+//! - Differential: two engines are fed identical DDL/DML streams, an
+//!   index-free one (the reference) and one carrying the corpus indexes.
+//!   Hundreds of generated queries (filters, joins, group-by, order-by,
+//!   DISTINCT, UNION, NULLs) must produce an identical `QueryResult` (same
+//!   schema, same rows, same order), or an error on both. DML, including
+//!   writes that fail part-way, is interleaved so the indexes are
+//!   repeatedly invalidated and rebuilt mid-stream.
+//! - Group and join keys: signed zeros, NaN, NULL and INT-vs-FLOAT keys
+//!   fold together or stay apart exactly as each expected result says.
+//! - Error order: which of two failing rows or scans a statement reports.
+//!
+//! Randomness comes from a tiny deterministic xorshift generator (in
+//! `tests/common/`), so a failure reproduces exactly from the seed in the
+//! panic message.
+
+mod common;
+
+use common::{check, dml, query, seed_stmts, Rng, INDEXES};
+use dbgpt_sqlengine::{Engine, QueryResult, StorageConfig, Value};
+
+#[test]
+fn indexed_and_index_free_engines_agree() {
+    for seed in [7, 42, 1234] {
+        let mut rng = Rng::new(seed);
+        // > CHUNK_ROWS rows in t1 so scans span multiple chunks.
+        let stmts = seed_stmts(&mut rng, 1500, 300);
+        let mut reference = Engine::new();
+        let mut indexed = Engine::new();
+        for s in &stmts {
+            reference.execute(s).unwrap();
+            indexed.execute(s).unwrap();
+        }
+        for s in INDEXES {
+            indexed.execute(s).unwrap();
+        }
+        let mut next_id = 1_000_000;
+        let ctx = format!("seed {seed}, indexed vs index-free");
+        let mut step = |sql: &str| check(sql, &mut reference, &mut indexed, &ctx);
+        for i in 0..220 {
+            let sql = if i % 9 == 8 {
+                dml(&mut rng, &mut next_id)
+            } else {
+                query(&mut rng)
+            };
+            step(&sql);
+        }
+        // Final full-table sweep: storage must agree exactly at the end.
+        step("SELECT id, grp, v, f, b FROM t1");
+        step("SELECT id, t1_id, w, tag FROM t2");
+    }
+}
+
+/// Rows joined by `"; "`, cells by `", "`: floats in `{:?}` form, so
+/// `-0.0` differs from `0.0`, NaN shows as `NaN` and FLOAT `1.0` differs
+/// from INT `1`; TEXT quoted.
+fn render(r: &QueryResult) -> String {
+    let cell = |v: &Value| match v {
+        Value::Float(f) => format!("{f:?}"),
+        Value::Text(s) => format!("'{s}'"),
+        other => other.to_string(),
+    };
+    let row = |row: &[Value]| row.iter().map(cell).collect::<Vec<_>>().join(", ");
+    r.rows.iter().map(|r| row(r.values())).collect::<Vec<_>>().join("; ")
+}
+
+/// Group and join keys the hash tables must tell apart or fold together,
+/// with rows in first-seen order: floats by bit pattern (so `-0.0` and
+/// `0.0` are two keys and NaN meets NaN), INT `1` apart from FLOAT `1.0`,
+/// NULLs in one group but never a join match.
+#[test]
+fn aggregate_and_join_key_edge_cases() {
+    let setup = [
+        "CREATE TABLE k (id INT, f FLOAT, i INT, s TEXT)",
+        "INSERT INTO k VALUES (1, 0.0, 1, 'x'), (2, -0.0, NULL, 'y'), (3, 1.0, NULL, NULL), \
+         (4, NULL, 1, 'x'), (5, -0.0, 2, NULL), (6, 0.0, NULL, 'y'), (7, NULL, NULL, NULL)",
+        "CREATE TABLE l (id INT, key INT, fk FLOAT, v INT)",
+        "INSERT INTO l VALUES (1, 1, 0.0, 10), (2, 1, -0.0, 20), (3, NULL, NULL, 30), \
+         (4, 2, 1.0, 40), (5, 3, 0.0, 50), (6, 2, NULL, 60)",
+        "CREATE TABLE r (key INT, fk FLOAT, w TEXT)",
+        "INSERT INTO r VALUES (1, 0.0, 'a'), (1, -0.0, 'b'), (NULL, NULL, 'c'), (2, 1.0, 'a'), \
+         (2, NULL, 'd'), (4, 0.0, 'e')",
+    ];
+    let mut e = Engine::new();
+    for s in setup {
+        e.execute(s).unwrap();
+    }
+    // NaN has no SQL literal: insert it through the catalog.
+    let t = e.database_mut().table_mut("k").unwrap();
+    for id in [8, 9] {
+        let s = Value::Text("nan".into());
+        t.insert_row(vec![Value::Int(id), Value::Float(f64::NAN), Value::Null, s])
+            .unwrap();
+    }
+    let cases: [(&str, &str); 17] = [
+        // -0.0 / 0.0 / NaN / NULL float keys, first-seen order.
+        (
+            "SELECT f, COUNT(*), SUM(id), MIN(s) FROM k GROUP BY f",
+            "0.0, 2, 7, 'x'; -0.0, 2, 7, 'y'; 1.0, 1, 3, NULL; NULL, 2, 11, 'x'; NaN, 2, 17, 'nan'",
+        ),
+        // INT 1 and FLOAT 1.0 in one key column stay apart.
+        (
+            "SELECT COALESCE(i, f), COUNT(*) FROM k GROUP BY COALESCE(i, f)",
+            "1, 2; -0.0, 1; 1.0, 1; 2, 1; 0.0, 1; NULL, 1; NaN, 2",
+        ),
+        // NULLs group together; multi-column keys.
+        (
+            "SELECT s, i, COUNT(*), COUNT(i), COUNT(DISTINCT f) FROM k GROUP BY s, i",
+            "'x', 1, 2, 2, 1; 'y', NULL, 2, 0, 2; NULL, NULL, 2, 0, 1; NULL, 2, 1, 1, 1; 'nan', NULL, 2, 0, 1",
+        ),
+        (
+            "SELECT s, AVG(f), MAX(id) FROM k WHERE id > 1 GROUP BY s",
+            "'y', 0.0, 6; NULL, 0.5, 7; 'x', NULL, 4; 'nan', NaN, 9",
+        ),
+        // Repeated and NULL join keys on both sides, fused join-aggregate.
+        (
+            "SELECT r.w, COUNT(*), SUM(l.v) FROM l JOIN r ON l.key = r.key GROUP BY r.w",
+            "'a', 4, 130; 'b', 2, 30; 'd', 2, 100",
+        ),
+        (
+            "SELECT l.key, COUNT(*), MIN(r.w) FROM l JOIN r ON l.key = r.key GROUP BY l.key",
+            "1, 4, 'a'; 2, 4, 'a'",
+        ),
+        // Float join keys: by bit pattern, -0.0 does not meet 0.0.
+        (
+            "SELECT r.w, COUNT(*) FROM l JOIN r ON l.fk = r.fk GROUP BY r.w",
+            "'a', 3; 'e', 2; 'b', 1",
+        ),
+        (
+            "SELECT l.id, r.w FROM l JOIN r ON l.fk = r.fk ORDER BY l.id, r.w",
+            "1, 'a'; 1, 'e'; 2, 'b'; 4, 'a'; 5, 'a'; 5, 'e'",
+        ),
+        // Two-column keys, materialised joins, LEFT padding.
+        (
+            "SELECT r.w, SUM(l.v) FROM l JOIN r ON l.key = r.key AND l.fk = r.fk GROUP BY r.w",
+            "'a', 50; 'b', 20",
+        ),
+        (
+            "SELECT l.id, r.w FROM l JOIN r ON l.key = r.key ORDER BY l.id, r.w",
+            "1, 'a'; 1, 'b'; 2, 'a'; 2, 'b'; 4, 'a'; 4, 'd'; 6, 'a'; 6, 'd'",
+        ),
+        (
+            "SELECT l.id, r.w FROM l LEFT JOIN r ON l.key = r.key ORDER BY l.id, r.w",
+            "1, 'a'; 1, 'b'; 2, 'a'; 2, 'b'; 3, NULL; 4, 'a'; 4, 'd'; 5, NULL; 6, 'a'; 6, 'd'",
+        ),
+        (
+            "SELECT r.w, COUNT(*) FROM l LEFT JOIN r ON l.key = r.key GROUP BY r.w",
+            "'a', 4; 'b', 2; NULL, 2; 'd', 2",
+        ),
+        // A residual keeps the join-aggregate on the materialised path.
+        (
+            "SELECT r.w, COUNT(*) FROM l JOIN r ON l.key = r.key AND l.v > 15 GROUP BY r.w",
+            "'a', 3; 'b', 1; 'd', 2",
+        ),
+        // Empty input: one row for a global aggregate, none when grouped.
+        ("SELECT COUNT(*), SUM(v), MIN(v) FROM l WHERE v > 1000", "0, NULL, NULL"),
+        ("SELECT COUNT(*), SUM(l.v) FROM l JOIN r ON l.key = r.key WHERE l.v > 1000", "0, NULL"),
+        ("SELECT key, COUNT(*) FROM l WHERE v > 1000 GROUP BY key", ""),
+        ("SELECT COUNT(*) FROM l JOIN r ON l.key = r.key WHERE r.w = 'zzz'", "0"),
+    ];
+    for (sql, want) in cases {
+        let got = e.execute(sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
+        assert_eq!(render(&got), want, "{sql}");
+    }
+}
+
+/// One pass evaluates an in-memory scan's filter and its aggregate row by
+/// row, so when both fail, the executor reports the first failing row's
+/// error. A paged scan filters under the lock, so it reports the filter's.
+/// Either way the statement fails.
+#[test]
+fn failing_filter_and_aggregate_report_the_earlier_rows_error() {
+    let sql = "SELECT SUM(s) FROM e WHERE 10 / d > 0";
+    let err = |mut e: Engine| {
+        e.execute("CREATE TABLE e (s TEXT, d INT)").unwrap();
+        // Row 1 passes the filter and fails SUM; row 2 fails the filter.
+        e.execute("INSERT INTO e VALUES ('x', 1), ('y', 0)").unwrap();
+        e.execute(sql).unwrap_err().to_string()
+    };
+    let paged = StorageConfig::paged(8, 512);
+    assert!(err(Engine::new()).contains("SUM over non-numeric"));
+    assert!(err(Engine::with_storage(paged)).contains("division by zero"));
+}
+
+/// When both scans of a fused join-aggregate fail their filters, the left
+/// scan's error is reported, as when the left input is materialised
+/// before the right one is built.
+#[test]
+fn failing_join_filters_report_the_left_scans_error() {
+    let sql = "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k \
+               WHERE 10 / a.d > 0 AND UPPER(b.k) = 'X'";
+    let err = |mut e: Engine| {
+        e.execute("CREATE TABLE a (k INT, d INT)").unwrap();
+        e.execute("CREATE TABLE b (k INT)").unwrap();
+        e.execute("INSERT INTO a VALUES (1, 1), (2, 0)").unwrap();
+        e.execute("INSERT INTO b VALUES (1), (2)").unwrap();
+        e.execute(sql).unwrap_err().to_string()
+    };
+    let paged = StorageConfig::paged(8, 512);
+    for e in [Engine::new(), Engine::with_storage(paged)] {
+        let got = err(e);
+        assert!(got.contains("division by zero"), "{got}");
+    }
+}

@@ -1,8 +1,7 @@
 //! Index probes and index freshness, checked against index-free engines.
 //!
 //! - A statement that fails part-way may already have changed rows. The
-//!   indexes and the columnar mirror must not keep answering from the old
-//!   rows afterwards.
+//!   indexes must not keep answering from the old rows afterwards.
 //! - A probe must find every row the filter accepts: literals of the other
 //!   numeric type, signed zeros, inverted and fractional ranges, and INT
 //!   values past 2^53.
@@ -13,19 +12,16 @@
 mod common;
 
 use common::check;
-use dbgpt_sqlengine::{Engine, ExecConfig, StorageConfig};
+use dbgpt_sqlengine::{Engine, StorageConfig};
 
 /// A labelled engine constructor.
 type Cell = (&'static str, fn() -> Engine);
 
-/// The storage/executor cells that read through indexes or the mirror.
-fn cells() -> [Cell; 3] {
+/// The storage arms, each reading through its own index form.
+fn cells() -> [Cell; 2] {
     [
-        ("in-memory/row", Engine::new),
-        ("in-memory/columnar", || {
-            Engine::with_exec(ExecConfig::columnar())
-        }),
-        ("paged/row", || {
+        ("in-memory", Engine::new),
+        ("paged", || {
             Engine::with_storage(StorageConfig::paged(8, 256))
         }),
     ]
@@ -52,7 +48,7 @@ fn failed_update_leaves_no_stale_answers() {
     ];
     for (cell, make) in cells() {
         let (mut indexed, mut plain) = pair(make, &setup, &["CREATE INDEX t_id ON t (id)"]);
-        // Warm the mirror so a stale one would be read.
+        // Probe the fresh index before the failing write.
         check("SELECT SUM(id) FROM t", &mut indexed, &mut plain, cell);
         // Row 10 is updated to 100, then row 3 divides by zero.
         let sql = "UPDATE t SET id = 100 WHERE 10 / (id - 3) > 0";

@@ -1,18 +1,17 @@
 //! Two-phase SELECT: `Engine::prepare` scans under shared access and
 //! `ScannedSelect::finish` runs the operators on owned rows.
 //!
-//! - Differential: over the seeded corpus in `tests/common/`, under both
-//!   executors, `prepare` + `finish` through `&Engine` returns what
+//! - Differential: over the seeded corpus in `tests/common/`, in memory
+//!   and paged, `prepare` + `finish` through `&Engine` returns what
 //!   `execute` returns on an index-free engine, per cell, with DML
 //!   (including writes that fail part-way) interleaved. The prepared
-//!   engine carries the corpus indexes but never refreshes its caches:
-//!   it probes indexes only while INSERTs alone have touched them, and
-//!   under the columnar executor its scans re-batch rows per query, while
-//!   `execute` reads the refreshed columnar mirror.
+//!   engine carries the corpus indexes but never refreshes them: it
+//!   probes indexes only while INSERTs alone have touched them.
 //! - Isolation: a prepared SELECT reflects the catalog at `prepare` time,
 //!   whatever runs between `prepare` and `finish`, also on tables of
 //!   several copy-on-write chunks whose writes copy, fill, spill into and
-//!   re-pack chunks.
+//!   re-pack chunks. This covers the three Chat2Data shapes (filtered
+//!   aggregate, GROUP BY, join-aggregate) on multi-chunk tables.
 //! - Tracing: the prepared path records the same span tree as
 //!   `execute_under`.
 
@@ -20,9 +19,9 @@ mod common;
 
 use common::{compare, dml, query, seed_stmts, Rng, INDEXES};
 use dbgpt_obs::{Obs, ObsConfig, Span};
+use dbgpt_sqlengine::catalog::CHUNK_ROWS;
 use dbgpt_sqlengine::engine::Prepared;
-use dbgpt_sqlengine::col::CHUNK_ROWS;
-use dbgpt_sqlengine::{Engine, ExecConfig, QueryResult, SqlError, StorageConfig};
+use dbgpt_sqlengine::{Engine, QueryResult, SqlError, StorageConfig};
 
 /// Run a SELECT through `&Engine`: prepare, then finish.
 fn prepared(engine: &Engine, sql: &str, span: &Span) -> Result<QueryResult, SqlError> {
@@ -80,24 +79,16 @@ fn differential(make: impl Fn() -> Engine, label: &str) {
 
 #[test]
 fn prepare_finish_matches_execute_row_executor() {
-    differential(Engine::new, "row");
-}
-
-#[test]
-fn prepare_finish_matches_execute_columnar_executor() {
-    differential(|| Engine::with_exec(ExecConfig::columnar()), "columnar");
+    differential(Engine::new, "in-memory");
 }
 
 #[test]
 fn prepare_finish_matches_execute_on_paged_storage() {
-    differential(
-        || Engine::with_exec_and_storage(ExecConfig::columnar(), StorageConfig::paged(16, 4096)),
-        "paged columnar",
-    );
+    differential(|| Engine::with_storage(StorageConfig::paged(16, 4096)), "paged");
 }
 
-fn isolation_engine(exec: ExecConfig) -> Engine {
-    let mut e = Engine::with_exec(exec);
+fn isolation_engine() -> Engine {
+    let mut e = Engine::new();
     e.execute("CREATE TABLE a (k INT, v INT)").unwrap();
     e.execute("CREATE TABLE b (k INT, label TEXT)").unwrap();
     e.execute("INSERT INTO a VALUES (1, 10), (1, 11), (2, 20)")
@@ -111,29 +102,27 @@ fn isolation_engine(exec: ExecConfig) -> Engine {
 fn prepared_select_sees_the_catalog_as_of_prepare() {
     let sql = "SELECT b.label, COUNT(*), SUM(a.v) FROM a JOIN b ON a.k = b.k \
                GROUP BY b.label ORDER BY b.label";
-    for exec in [ExecConfig::row(), ExecConfig::columnar()] {
-        let mut e = isolation_engine(exec);
-        let before = e.execute(sql).unwrap();
-        let Prepared::Read(select) = e.prepare(sql, &Span::noop()).unwrap() else {
-            panic!("SELECT prepares as a read");
-        };
-        // The prepared SELECT borrows nothing from the engine, so writes to
-        // both scanned tables can run before it finishes.
-        e.execute("INSERT INTO a VALUES (2, 21), (3, 30)").unwrap();
-        e.execute("INSERT INTO b VALUES (3, 'three')").unwrap();
-        e.execute("UPDATE a SET v = 0").unwrap();
-        let after_writes = select.finish().unwrap();
-        assert_eq!(after_writes.rows, before.rows, "{exec:?}");
-        assert_ne!(e.execute(sql).unwrap().rows, before.rows, "{exec:?}");
-    }
+    let mut e = isolation_engine();
+    let before = e.execute(sql).unwrap();
+    let Prepared::Read(select) = e.prepare(sql, &Span::noop()).unwrap() else {
+        panic!("SELECT prepares as a read");
+    };
+    // The prepared SELECT borrows nothing from the engine, so writes to
+    // both scanned tables can run before it finishes.
+    e.execute("INSERT INTO a VALUES (2, 21), (3, 30)").unwrap();
+    e.execute("INSERT INTO b VALUES (3, 'three')").unwrap();
+    e.execute("UPDATE a SET v = 0").unwrap();
+    let after_writes = select.finish().unwrap();
+    assert_eq!(after_writes.rows, before.rows);
+    assert_ne!(e.execute(sql).unwrap().rows, before.rows);
 }
 
 /// Rows of `a` in the multi-chunk tests: three full chunks and a partial
 /// fourth.
 const BIG: usize = 3 * CHUNK_ROWS + 500;
 
-fn multi_chunk_engine(exec: ExecConfig) -> Engine {
-    let mut e = Engine::with_exec(exec);
+fn multi_chunk_engine() -> Engine {
+    let mut e = Engine::new();
     e.execute("CREATE TABLE a (k INT, grp TEXT, v INT)").unwrap();
     e.execute("CREATE TABLE b (k INT, label TEXT)").unwrap();
     let rows: Vec<String> = (0..BIG)
@@ -180,28 +169,25 @@ fn prepared_selects_keep_their_answer_across_chunk_writes() {
         // Removes k = 1990..1999 and fails at k = 2000.
         ("DELETE FROM a WHERE 10 / (2000 - k) > 0".to_string(), false),
     ];
-    for exec in [ExecConfig::row(), ExecConfig::columnar()] {
-        for (write, ok) in &writes {
-            let mut e = multi_chunk_engine(exec);
-            let before: Vec<QueryResult> = selects
-                .iter()
-                .map(|sql| prepared(&e, sql, &Span::noop()).unwrap())
-                .collect();
-            let pending: Vec<_> = selects
-                .iter()
-                .map(|sql| match e.prepare(sql, &Span::noop()).unwrap() {
-                    Prepared::Read(select) => select,
-                    Prepared::Write(_) => unreachable!(),
-                })
-                .collect();
-            let fingerprint = e.database().fingerprint();
-            assert_eq!(e.execute(write).is_ok(), *ok, "{exec:?}: {write}");
-            assert_ne!(e.database().fingerprint(), fingerprint, "{write} changes `a`");
-            for ((sql, select), want) in selects.iter().zip(pending).zip(&before) {
-                let got = select.finish().unwrap();
-                let ctx = format!("{exec:?} after {write}");
-                compare(sql, &Ok(got), &Ok(want.clone()), &ctx);
-            }
+    for (write, ok) in &writes {
+        let mut e = multi_chunk_engine();
+        let before: Vec<QueryResult> = selects
+            .iter()
+            .map(|sql| prepared(&e, sql, &Span::noop()).unwrap())
+            .collect();
+        let pending: Vec<_> = selects
+            .iter()
+            .map(|sql| match e.prepare(sql, &Span::noop()).unwrap() {
+                Prepared::Read(select) => select,
+                Prepared::Write(_) => unreachable!(),
+            })
+            .collect();
+        let fingerprint = e.database().fingerprint();
+        assert_eq!(e.execute(write).is_ok(), *ok, "{write}");
+        assert_ne!(e.database().fingerprint(), fingerprint, "{write} changes `a`");
+        for ((sql, select), want) in selects.iter().zip(pending).zip(&before) {
+            let got = select.finish().unwrap();
+            compare(sql, &Ok(got), &Ok(want.clone()), &format!("after {write}"));
         }
     }
 }
@@ -209,7 +195,7 @@ fn prepared_selects_keep_their_answer_across_chunk_writes() {
 #[test]
 fn writes_report_the_chunks_a_prepared_select_made_them_copy() {
     let traced = |with_snapshot: bool| {
-        let mut e = multi_chunk_engine(ExecConfig::row());
+        let mut e = multi_chunk_engine();
         let obs = Obs::new(ObsConfig::enabled(5));
         let root = obs.span("request", obs.tick());
         let snapshot = with_snapshot.then(|| e.prepare("SELECT COUNT(*) FROM a", &root).unwrap());
@@ -238,7 +224,7 @@ fn writes_report_the_chunks_a_prepared_select_made_them_copy() {
 
 #[test]
 fn writes_prepare_without_running() {
-    let mut e = isolation_engine(ExecConfig::row());
+    let mut e = isolation_engine();
     let Prepared::Write(write) = e
         .prepare("INSERT INTO a VALUES (9, 90)", &Span::noop())
         .unwrap()
@@ -268,25 +254,23 @@ fn prepared_path_records_the_execute_span_tree() {
         "SELEC 1",
         "SELECT k FROM missing",
     ];
-    for exec in [ExecConfig::row(), ExecConfig::columnar()] {
-        let trace = |two_phase: bool| {
-            let mut e = isolation_engine(exec);
-            let obs = Obs::new(ObsConfig::enabled(11));
-            let root = obs.span("request", obs.tick());
-            for sql in statements {
-                let _ = if two_phase {
-                    match e.prepare(sql, &root) {
-                        Ok(Prepared::Read(select)) => select.finish(),
-                        Ok(Prepared::Write(write)) => e.run_write(write),
-                        Err(err) => Err(err),
-                    }
-                } else {
-                    e.execute_under(sql, &root)
-                };
-            }
-            root.end(obs.tick());
-            (obs.trace_json(), obs.metrics_json())
-        };
-        assert_eq!(trace(true), trace(false), "{exec:?}");
-    }
+    let trace = |two_phase: bool| {
+        let mut e = isolation_engine();
+        let obs = Obs::new(ObsConfig::enabled(11));
+        let root = obs.span("request", obs.tick());
+        for sql in statements {
+            let _ = if two_phase {
+                match e.prepare(sql, &root) {
+                    Ok(Prepared::Read(select)) => select.finish(),
+                    Ok(Prepared::Write(write)) => e.run_write(write),
+                    Err(err) => Err(err),
+                }
+            } else {
+                e.execute_under(sql, &root)
+            };
+        }
+        root.end(obs.tick());
+        (obs.trace_json(), obs.metrics_json())
+    };
+    assert_eq!(trace(true), trace(false));
 }

@@ -4,20 +4,19 @@
 //!    and slotted-page insert/read bit-for-bit (including float bit
 //!    patterns and NULLs).
 //! 2. **Differential storage equivalence**: the same randomized DDL/DML/
-//!    query corpus as `columnar_props.rs` runs against three engines —
-//!    row executor over index-free in-memory storage (the reference), row
-//!    executor over `StorageConfig::Paged`, and columnar executor over
-//!    paged storage. Every statement must produce per-cell-identical
-//!    results. The pool is sized far below the table footprint so the
-//!    workload constantly evicts, and the corpus indexes on TEXT, INT and
-//!    FLOAT columns route equality and range predicates through B+-trees
-//!    on the paged arms.
+//!    query corpus as `executor_props.rs` runs against two engines —
+//!    index-free in-memory storage (the reference) and
+//!    `StorageConfig::Paged`. Every statement must produce
+//!    per-cell-identical results. The pool is sized far below the table
+//!    footprint so the workload constantly evicts, and the corpus indexes
+//!    on TEXT, INT and FLOAT columns route equality and range predicates
+//!    through B+-trees on the paged arm.
 
 mod common;
 
-use common::{check, compare, dml, query, seed_stmts, Rng, INDEXES};
+use common::{check, dml, query, seed_stmts, Rng, INDEXES};
 use dbgpt_sqlengine::storage::page::{decode_row, encode_row, Page, PageType};
-use dbgpt_sqlengine::{Engine, ExecConfig, StorageConfig, Value};
+use dbgpt_sqlengine::{Engine, StorageConfig, Value};
 
 fn random_value(rng: &mut Rng) -> Value {
     match rng.below(6) {
@@ -95,17 +94,14 @@ fn paged_storage_agrees_with_in_memory() {
 
         let mut reference = Engine::new();
         let mut paged_row = Engine::with_storage(paged);
-        let mut paged_col = Engine::with_exec_and_storage(ExecConfig::columnar(), paged);
         for s in &stmts {
             reference.execute(s).unwrap();
             paged_row.execute(s).unwrap();
-            paged_col.execute(s).unwrap();
         }
         // Range and equality predicates go through ordered index scans on
-        // the paged arms while the reference full-scans.
+        // the paged arm while the reference full-scans.
         for s in INDEXES {
             paged_row.execute(s).unwrap();
-            paged_col.execute(s).unwrap();
         }
 
         let mut next_id = 2_000_000;
@@ -115,44 +111,28 @@ fn paged_storage_agrees_with_in_memory() {
             } else {
                 query(&mut rng)
             };
-            // Execute exactly once per engine, then compare pairwise
-            // (DML must not hit the reference twice).
-            let x = reference.execute(&sql);
-            let y = paged_row.execute(&sql);
-            let z = paged_col.execute(&sql);
-            compare(&sql, &x, &y, &format!("seed {seed}, in-memory vs paged-row"));
-            compare(
-                &sql,
-                &x,
-                &z,
-                &format!("seed {seed}, in-memory vs paged-columnar"),
-            );
+            let ctx = format!("seed {seed}, in-memory vs paged");
+            check(&sql, &mut reference, &mut paged_row, &ctx);
         }
         // Final full-table sweeps: storage must agree exactly at the end.
         for sql in [
             "SELECT id, grp, v, f, b FROM t1",
             "SELECT id, t1_id, w, tag FROM t2",
         ] {
-            let x = reference.execute(sql);
-            let y = paged_row.execute(sql);
-            let z = paged_col.execute(sql);
-            compare(sql, &x, &y, "final, paged-row");
-            compare(sql, &x, &z, "final, paged-col");
+            check(sql, &mut reference, &mut paged_row, "final, paged");
         }
 
         // The whole workload ran with bounded memory: the pool never held
         // more frames than its capacity.
-        for e in [&paged_row, &paged_col] {
-            let pager = e.database().pager().expect("paged engine has a pager");
-            let pool = pager.pool();
-            assert!(
-                pool.max_resident() <= pool.capacity(),
-                "pool residency exceeded capacity: {} > {}",
-                pool.max_resident(),
-                pool.capacity()
-            );
-            assert!(pool.counters().evictions > 0, "workload never evicted");
-        }
+        let pager = paged_row.database().pager().expect("paged engine has a pager");
+        let pool = pager.pool();
+        assert!(
+            pool.max_resident() <= pool.capacity(),
+            "pool residency exceeded capacity: {} > {}",
+            pool.max_resident(),
+            pool.capacity()
+        );
+        assert!(pool.counters().evictions > 0, "workload never evicted");
     }
 }
 
