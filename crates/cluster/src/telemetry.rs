@@ -13,7 +13,7 @@
 //! 2. materializes the sampled spans, metric snapshots, histogram
 //!    exemplars, and per-tenant usage rollups into SQL tables
 //!    (`obs_spans`, `obs_metrics`, `obs_exemplars`, `obs_tenant_usage`)
-//!    on a [`dbgpt_sqlengine::Engine`] over **paged** storage; and
+//!    on a [`dbgpt_sqlengine::Engine`]; and
 //! 3. cross-checks the store: the canonical "top-k slowest spans per
 //!    tenant" SQL query must match [`Telemetry::slowest_spans_per_tenant`]
 //!    row for row.
@@ -26,7 +26,7 @@ use dbgpt_obs::{
     TraceContext, UsageLedger,
 };
 use dbgpt_smmf::NodeSchedule;
-use dbgpt_sqlengine::{Engine, StorageConfig, Value};
+use dbgpt_sqlengine::{Engine, Value};
 
 use crate::cluster::{Cluster, ClusterConfig, Outcome, RequestOutcome, TelemetryConfig};
 use crate::traffic::{generate, TrafficConfig};
@@ -243,10 +243,10 @@ pub fn alert_windows(slo: &SloEngine) -> Vec<(u64, u64)> {
 }
 
 /// Materialize an aggregated [`Telemetry`] + [`UsageLedger`] into a SQL
-/// engine over **paged** disk-style storage — the telemetry store. Every
-/// statement comes from [`dbgpt_obs::export_sql`]; failures are bugs.
+/// engine — the telemetry store. Every statement comes from
+/// [`dbgpt_obs::export_sql`]; failures are bugs.
 pub fn materialize_store(t: &Telemetry, usage: &UsageLedger) -> Engine {
-    let mut engine = Engine::with_storage(StorageConfig::paged(64, 4096));
+    let mut engine = Engine::new();
     for stmt in export_sql(t, usage) {
         engine.execute(&stmt).expect("telemetry store statement");
     }

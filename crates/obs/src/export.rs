@@ -7,7 +7,7 @@
 //! and can even be asked in natural language via Chat2Data. This module
 //! only *emits* statements (obs cannot depend on sqlengine — sqlengine
 //! already traces through obs); the cluster layer feeds them to an
-//! `Engine` over paged storage.
+//! `Engine`.
 //!
 //! Tables:
 //!

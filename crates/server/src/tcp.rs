@@ -74,9 +74,18 @@ impl Drop for TcpServer {
     }
 }
 
+/// Largest frame body a peer may announce (a request is a chat turn, not
+/// a file).
+const MAX_FRAME: usize = 16 << 20;
+
+/// Bytes reserved for a frame body before any of it arrives.
+const FIRST_READ: usize = 64 << 10;
+
 /// Read exactly one frame (4-byte length + body) from the stream.
-/// `Ok(None)` on clean EOF at a frame boundary.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+/// `Ok(None)` on clean EOF at a frame boundary; a body cut short is an
+/// `UnexpectedEof` error. The buffer grows as the body arrives, so a peer
+/// that sends only a header holds at most [`FIRST_READ`] bytes.
+fn read_frame<R: Read>(stream: &mut R) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_buf = [0u8; 4];
     match stream.read_exact(&mut len_buf) {
         Ok(()) => {}
@@ -84,16 +93,21 @@ fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     }
     let len = u32::from_be_bytes(len_buf) as usize;
-    // 16 MiB frame cap (defensive; a request is a chat turn, not a file).
-    if len > 16 << 20 {
+    if len > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "frame too large",
         ));
     }
-    let mut frame = vec![0u8; 4 + len];
-    frame[..4].copy_from_slice(&len_buf);
-    stream.read_exact(&mut frame[4..])?;
+    let mut frame = Vec::with_capacity(4 + len.min(FIRST_READ));
+    frame.extend_from_slice(&len_buf);
+    stream.take(len as u64).read_to_end(&mut frame)?;
+    if frame.len() < 4 + len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "frame body cut short",
+        ));
+    }
     Ok(Some(frame))
 }
 
@@ -226,6 +240,39 @@ mod tests {
         let (resp, _) = decode_frame::<Response>(&reply).unwrap();
         assert_eq!(resp.status, Status::BadRequest);
         server.shutdown();
+    }
+
+    /// A reader over fixed bytes that records the largest buffer it is
+    /// handed.
+    struct Recording {
+        bytes: std::io::Cursor<Vec<u8>>,
+        largest: usize,
+    }
+
+    impl Read for Recording {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.bytes.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_header_alone_reserves_no_full_frame() {
+        // A header claiming the largest frame allowed, then EOF.
+        let header = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        let mut peer = Recording {
+            bytes: std::io::Cursor::new(header),
+            largest: 0,
+        };
+        let err = read_frame(&mut peer).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(peer.largest < 1 << 20, "handed {} bytes", peer.largest);
+        // A whole frame still reads back intact.
+        let mut frame = 3u32.to_be_bytes().to_vec();
+        frame.extend_from_slice(b"abc");
+        let mut cursor = std::io::Cursor::new(frame.clone());
+        assert_eq!(read_frame(&mut cursor).unwrap(), Some(frame));
+        assert_eq!(read_frame(&mut cursor).unwrap(), None);
     }
 
     #[test]

@@ -1,38 +1,29 @@
 //! The catalog: named tables, their stored rows, and secondary indexes.
 //!
-//! [`Table`] is the one storage interface both executors and DML use. It
-//! hides which of two storage arms, selected by
-//! [`crate::storage::StorageConfig`], holds the rows: in memory (the
-//! default) or a [`crate::storage::TableHeap`] of pages behind a shared
-//! buffer pool. Every full pass ([`Table::for_each_row`]), query scan
-//! ([`Table::scan`]), index probe ([`Table::probe`]) and row rewrite
-//! ([`Table::rewrite_rows`]) has one entry point that serves both arms.
+//! [`Table`] is the one storage interface the executor and DML use: every
+//! full pass ([`Table::for_each_row`]), query scan ([`Table::scan`]),
+//! index probe ([`Table::probe`]) and row rewrite ([`Table::rewrite_rows`])
+//! goes through it.
 //!
-//! In memory, rows sit in copy-on-write chunks of [`CHUNK_ROWS`] shared
-//! rows (each an `Arc<[Value]>`, no larger than a [`Row`]), every chunk
-//! full except the last, so row position `p` is row `p % CHUNK_ROWS` of
-//! chunk `p / CHUNK_ROWS`. A [`Snapshot`] shares the chunks: taking one
-//! under a read lock costs one reference count per chunk, and the SELECT
-//! reads it after the lock is gone. A write copies only the chunks it
-//! changes while a snapshot still shares them (counted by
-//! [`Table::cow_chunks`]): an INSERT touches the last chunk, an UPDATE the
-//! chunks holding rows it changes, a DELETE every chunk from its first
-//! removed row on, since the survivors are re-packed. Copying a chunk
-//! copies its row handles, not the rows, and an UPDATE copies only the
-//! rows it changes. (Chunks that owned their rows had to be copied whole;
-//! on an OLTP table that moved the rows from the loading thread's
-//! allocator arena into the writers' arenas and grew the process by about
-//! the table's size.) The paged arm takes no snapshot: a query scan
-//! streams its pages through the caller's filter under the lock, so only
-//! the rows the caller keeps are copied and memory stays bounded by the
-//! pool.
+//! Rows sit in copy-on-write chunks of [`CHUNK_ROWS`] shared rows (each an
+//! `Arc<[Value]>`, no larger than a [`Row`]), every chunk full except the
+//! last, so row position `p` is row `p % CHUNK_ROWS` of chunk
+//! `p / CHUNK_ROWS`. A [`Snapshot`] shares the chunks: taking one under a
+//! read lock costs one reference count per chunk, and the SELECT reads it
+//! after the lock is gone. A write copies only the chunks it changes while
+//! a snapshot still shares them (counted by [`Table::cow_chunks`]): an
+//! INSERT touches the last chunk, an UPDATE the chunks holding rows it
+//! changes, a DELETE every chunk from its first removed row on, since the
+//! survivors are re-packed. Copying a chunk copies its row handles, not the
+//! rows, and an UPDATE copies only the rows it changes. (Chunks that owned
+//! their rows had to be copied whole; on an OLTP table that moved the rows
+//! from the loading thread's allocator arena into the writers' arenas and
+//! grew the process by about the table's size.)
 //!
-//! Secondary indexes key rows by [`encode_value`] on either arm: the
-//! in-memory arm holds the B+-tree's leaf level as an ordered map, the
-//! paged arm a [`crate::storage::BTreeIndex`]. INSERTs keep in-memory
-//! indexes current. Any other change to the rows marks the table's indexes
-//! stale until [`Table::refresh_indexes`] rebuilds them; probes need fresh
-//! indexes.
+//! Secondary indexes are ordered maps from [`encode_value`] keys to row
+//! positions. INSERTs keep them current. Any other change to the rows
+//! marks the table's indexes stale until [`Table::refresh_indexes`]
+//! rebuilds them; probes need fresh indexes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
@@ -43,35 +34,53 @@ use dbgpt_obs::hash::Fnv1a;
 use crate::error::SqlError;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
-use crate::storage::btree::encode_value;
-use crate::storage::{BTreeIndex, Pager, StorageConfig, TableHeap};
 use crate::value::Value;
 
 /// Rows per in-memory chunk: the unit a [`Snapshot`] shares and a write
 /// copies when a snapshot still holds it.
 pub const CHUNK_ROWS: usize = 1024;
 
-/// Where a table's rows live.
-#[derive(Debug, Clone)]
-enum Rows {
-    /// In memory, in storage order: copy-on-write chunks of
-    /// [`CHUNK_ROWS`] rows, every one full except the last.
-    Mem(Vec<RowChunk>),
-    /// In heap pages behind the database's shared buffer pool.
-    Paged { heap: TableHeap, pager: Arc<Pager> },
+/// A secondary index over one column: encoded value → ascending row
+/// positions.
+type Index = BTreeMap<Vec<u8>, Vec<usize>>;
+
+/// Order-preserving byte encoding of one value, consistent with
+/// `Value::total_cmp` ranks (NULL < BOOL < numeric < TEXT). A column's
+/// values are homogeneous by schema type, so INT and FLOAT never share an
+/// index even though both use rank 2. `-0.0` encodes as `+0.0`, because
+/// SQL comparison treats the two as equal.
+pub fn encode_value(v: &Value) -> Vec<u8> {
+    match v {
+        Value::Null => vec![0],
+        Value::Bool(b) => vec![1, *b as u8],
+        Value::Int(i) => {
+            let mut out = vec![2];
+            // Flip the sign bit so two's complement sorts unsigned.
+            out.extend_from_slice(&((*i as u64) ^ (1 << 63)).to_be_bytes());
+            out
+        }
+        Value::Float(f) => {
+            let bits = if *f == 0.0 { 0 } else { f.to_bits() };
+            // IEEE-754 total order: positive floats get the sign bit set,
+            // negative floats are bit-inverted. Matches `f64::total_cmp`.
+            let sortable = if bits & (1 << 63) != 0 {
+                !bits
+            } else {
+                bits | (1 << 63)
+            };
+            let mut out = vec![2];
+            out.extend_from_slice(&sortable.to_be_bytes());
+            out
+        }
+        Value::Text(s) => {
+            let mut out = vec![3];
+            out.extend_from_slice(s.as_bytes());
+            out
+        }
+    }
 }
 
-/// A secondary index over one column, in its table's storage form.
-#[derive(Debug, Clone)]
-enum Index {
-    /// The B+-tree's leaf level held in memory: encoded value → ascending
-    /// row positions.
-    Mem(BTreeMap<Vec<u8>, Vec<usize>>),
-    /// A B+-tree in the table's buffer pool.
-    Paged(BTreeIndex),
-}
-
-/// One stored in-memory row, shared by the chunks that hold it.
+/// One stored row, shared by the chunks that hold it.
 type StoredRow = Arc<[Value]>;
 
 /// What a [`Table::rewrite_rows`] callback wants done with one row.
@@ -94,11 +103,11 @@ impl RowEdit {
     }
 }
 
-/// One in-memory chunk: up to [`CHUNK_ROWS`] rows, each shared so that
+/// One chunk: up to [`CHUNK_ROWS`] rows, each shared so that
 /// copying the chunk copies handles only.
 type RowChunk = Arc<Vec<StoredRow>>;
 
-/// An in-memory table's rows as [`Table::scan`] saw them, readable after
+/// A table's rows as [`Table::scan`] saw them, readable after
 /// the table's lock is released: the table's chunks, shared.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
@@ -122,7 +131,7 @@ impl Snapshot {
         mut f: impl FnMut(&'a [Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
         match &self.at {
-            None => mem_rows(&self.chunks).try_for_each(f),
+            None => chunk_rows(&self.chunks).try_for_each(f),
             Some(ids) => ids.iter().try_for_each(|&id| f(row_at(&self.chunks, id)?)),
         }
     }
@@ -144,12 +153,12 @@ impl Snapshot {
     }
 }
 
-/// Every in-memory row, in storage order.
-fn mem_rows(chunks: &[RowChunk]) -> impl Iterator<Item = &[Value]> {
+/// Every row, in storage order.
+fn chunk_rows(chunks: &[RowChunk]) -> impl Iterator<Item = &[Value]> {
     chunks.iter().flat_map(|c| c.iter().map(|row| &**row))
 }
 
-/// The in-memory row at position `id`.
+/// The row at position `id`.
 fn row_at(chunks: &[RowChunk], id: usize) -> Result<&[Value], SqlError> {
     chunks
         .get(id / CHUNK_ROWS)
@@ -182,7 +191,7 @@ fn row_mut(row: &mut StoredRow) -> &mut [Value] {
     Arc::get_mut(row).expect("a row no one else holds")
 }
 
-/// The in-memory arm of [`Table::rewrite_rows`]; returns whether any row
+/// The body of [`Table::rewrite_rows`]; returns whether any row
 /// changed or left. Chunks before the first removed row keep their place
 /// and are copied only to change a row a snapshot shares (the row too is
 /// copied then). From the first removal on, the surviving rows are
@@ -234,14 +243,16 @@ fn rewrite_chunks(
     touched
 }
 
-/// A stored table: schema, rows on one storage arm, secondary indexes.
+/// A stored table: schema, rows, secondary indexes.
 #[derive(Debug, Clone)]
 pub struct Table {
     /// Table name (lowercase).
     pub name: String,
     /// Schema (unqualified column names).
     pub schema: SchemaRef,
-    rows: Rows,
+    /// Copy-on-write chunks of [`CHUNK_ROWS`] rows, in storage order,
+    /// every one full except the last.
+    rows: Vec<RowChunk>,
     /// Indexes by column position.
     indexes: HashMap<usize, Index>,
     /// Index name → column position (for `DROP INDEX name ON table`).
@@ -249,39 +260,21 @@ pub struct Table {
     /// Set when rows changed under the indexes; probes then refuse to
     /// answer until [`Table::refresh_indexes`].
     indexes_stale: bool,
-    /// In-memory chunks copied by writes because a snapshot shared them.
+    /// Chunks copied by writes because a snapshot shared them.
     cow_chunks: u64,
 }
 
 impl Table {
-    /// Create an empty in-memory table.
+    /// Create an empty table.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Table::with_rows(name, schema, Rows::Mem(Vec::new()))
-    }
-
-    /// Create an empty paged table whose rows live in `pager`'s pool.
-    pub fn new_paged(name: impl Into<String>, schema: Schema, pager: Arc<Pager>) -> Self {
-        let heap = TableHeap::new();
-        Table::with_rows(name, schema, Rows::Paged { heap, pager })
-    }
-
-    fn with_rows(name: impl Into<String>, schema: Schema, rows: Rows) -> Self {
         Table {
             name: name.into().to_lowercase(),
             schema: Arc::new(schema),
-            rows,
+            rows: Vec::new(),
             indexes: HashMap::new(),
             index_names: HashMap::new(),
             indexes_stale: false,
             cow_chunks: 0,
-        }
-    }
-
-    /// Heap pages holding the rows (0 on the in-memory arm).
-    pub fn page_count(&self) -> usize {
-        match &self.rows {
-            Rows::Mem(_) => 0,
-            Rows::Paged { heap, .. } => heap.page_count(),
         }
     }
 
@@ -306,7 +299,8 @@ impl Table {
     /// Append a row after coercing every value to its column type.
     pub fn insert_row(&mut self, values: Vec<Value>) -> Result<(), SqlError> {
         let row = self.coerce_values(values)?;
-        self.append(row)
+        self.append(row);
+        Ok(())
     }
 
     /// Bulk append: coerce and validate every row first, then append them
@@ -317,85 +311,48 @@ impl Table {
             .map(|values| self.coerce_values(values))
             .collect::<Result<Vec<_>, _>>()?;
         let n = rows.len();
-        rows.into_iter().try_for_each(|row| self.append(row))?;
+        rows.into_iter().for_each(|row| self.append(row));
         Ok(n)
     }
 
-    /// Append one coerced row, keeping in-memory indexes current.
-    fn append(&mut self, row: Row) -> Result<(), SqlError> {
+    /// Append one coerced row, keeping fresh indexes current.
+    fn append(&mut self, row: Row) {
         let pos = self.len();
         if !self.indexes_stale {
             for (&col, index) in &mut self.indexes {
-                match index {
-                    Index::Mem(map) => map.entry(encode_value(&row[col])).or_default().push(pos),
-                    // B+-trees are only bulk-built: an append makes them stale.
-                    Index::Paged(_) => self.indexes_stale = true,
-                }
+                index.entry(encode_value(&row[col])).or_default().push(pos);
             }
         }
-        match &mut self.rows {
-            Rows::Mem(chunks) => {
-                if chunks.last().is_none_or(|c| c.len() == CHUNK_ROWS) {
-                    chunks.push(Arc::default());
-                }
-                let tail = chunks.last_mut().expect("a tail chunk");
-                chunk_mut(tail, &mut self.cow_chunks).push(row.into_values().into());
-            }
-            Rows::Paged { heap, pager } => {
-                heap.append_row(&mut pager.pool(), row.values())?;
-            }
+        if self.rows.last().is_none_or(|c| c.len() == CHUNK_ROWS) {
+            self.rows.push(Arc::default());
         }
-        Ok(())
+        let tail = self.rows.last_mut().expect("a tail chunk");
+        chunk_mut(tail, &mut self.cow_chunks).push(row.into_values().into());
     }
 
     /// Build an index over column `col` from the current rows.
-    fn build_index(&self, col: usize) -> Result<Index, SqlError> {
-        Ok(match &self.rows {
-            Rows::Mem(chunks) => {
-                // Sort, then group: `BTreeMap` bulk-builds from sorted
-                // input, far faster than one insert per row.
-                let mut keys: Vec<(Vec<u8>, usize)> = mem_rows(chunks)
-                    .enumerate()
-                    .map(|(i, row)| (encode_value(&row[col]), i))
-                    .collect();
-                keys.sort_unstable();
-                let mut grouped: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
-                for (key, i) in keys {
-                    match grouped.last_mut() {
-                        Some((last, ids)) if *last == key => ids.push(i),
-                        _ => grouped.push((key, vec![i])),
-                    }
-                }
-                Index::Mem(grouped.into_iter().collect())
+    fn build_index(&self, col: usize) -> Index {
+        // Sort, then group: `BTreeMap` bulk-builds from sorted input, far
+        // faster than one insert per row.
+        let mut keys: Vec<(Vec<u8>, usize)> = chunk_rows(&self.rows)
+            .enumerate()
+            .map(|(i, row)| (encode_value(&row[col]), i))
+            .collect();
+        keys.sort_unstable();
+        let mut grouped: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
+        for (key, i) in keys {
+            match grouped.last_mut() {
+                Some((last, ids)) if *last == key => ids.push(i),
+                _ => grouped.push((key, vec![i])),
             }
-            Rows::Paged { heap, pager } => {
-                let mut pool = pager.pool();
-                let mut items = Vec::with_capacity(heap.len());
-                heap.scan(&mut pool, |ord, row| {
-                    items.push((row[col].clone(), ord));
-                    Ok(())
-                })?;
-                Index::Paged(BTreeIndex::build(&mut pool, items)?)
-            }
-        })
-    }
-
-    /// Release an index's pages (a no-op for in-memory indexes).
-    fn free_index(&self, index: Index) -> Result<(), SqlError> {
-        match (index, &self.rows) {
-            (Index::Paged(tree), Rows::Paged { pager, .. }) => tree.free(&mut pager.pool()),
-            _ => Ok(()),
         }
+        grouped.into_iter().collect()
     }
 
     /// Drop the index on `col` unless another index name still covers it.
-    fn drop_column_index(&mut self, col: usize) -> Result<(), SqlError> {
-        if self.index_names.values().any(|&c| c == col) {
-            return Ok(());
-        }
-        match self.indexes.remove(&col) {
-            Some(index) => self.free_index(index),
-            None => Ok(()),
+    fn drop_column_index(&mut self, col: usize) {
+        if !self.index_names.values().any(|&c| c == col) {
+            self.indexes.remove(&col);
         }
     }
 
@@ -403,23 +360,24 @@ impl Table {
     /// replaces it.
     pub fn create_index(&mut self, name: &str, column: &str) -> Result<(), SqlError> {
         let col = self.schema.index_of(column)?;
-        let index = self.build_index(col)?;
+        let index = self.build_index(col);
         if let Some(old) = self.index_names.insert(name.to_lowercase(), col) {
             if old != col {
-                self.drop_column_index(old)?;
+                self.drop_column_index(old);
             }
         }
-        match self.indexes.insert(col, index) {
-            Some(old) => self.free_index(old),
-            None => Ok(()),
-        }
+        self.indexes.insert(col, index);
+        Ok(())
     }
 
     /// Drop an index by name.
     pub fn drop_index(&mut self, name: &str) -> Result<(), SqlError> {
         let name = name.to_lowercase();
         match self.index_names.remove(&name) {
-            Some(col) => self.drop_column_index(col),
+            Some(col) => {
+                self.drop_column_index(col);
+                Ok(())
+            }
             None => Err(SqlError::Plan(format!("index not found: {name}"))),
         }
     }
@@ -461,58 +419,44 @@ impl Table {
                 )))
             }
         };
-        match (index, &self.rows) {
-            (Index::Paged(tree), Rows::Paged { pager, .. }) => {
-                tree.range(&mut pager.pool(), lo, hi)
+        let (lo, hi) = (lo.map(encode_value), hi.map(encode_value));
+        // `BTreeMap::range` panics on inverted bounds.
+        let empty = match (&lo, &hi) {
+            (Bound::Included(l), Bound::Included(h)) => l > h,
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
+                l >= h
             }
-            (Index::Mem(map), _) => {
-                let (lo, hi) = (lo.map(encode_value), hi.map(encode_value));
-                // `BTreeMap::range` panics on inverted bounds.
-                let empty = match (&lo, &hi) {
-                    (Bound::Included(l), Bound::Included(h)) => l > h,
-                    (
-                        Bound::Included(l) | Bound::Excluded(l),
-                        Bound::Included(h) | Bound::Excluded(h),
-                    ) => l >= h,
-                    _ => false,
-                };
-                if empty {
-                    return Ok(Vec::new());
-                }
-                let range = (
-                    lo.as_ref().map(Vec::as_slice),
-                    hi.as_ref().map(Vec::as_slice),
-                );
-                let mut ids: Vec<usize> = map
-                    .range::<[u8], _>(range)
-                    .flat_map(|(_, ids)| ids.iter().copied())
-                    .collect();
-                ids.sort_unstable();
-                Ok(ids)
-            }
-            (Index::Paged(_), Rows::Mem(_)) => unreachable!("B+-trees index paged tables only"),
+            _ => false,
+        };
+        if empty {
+            return Ok(Vec::new());
         }
+        let range = (
+            lo.as_ref().map(Vec::as_slice),
+            hi.as_ref().map(Vec::as_slice),
+        );
+        let mut ids: Vec<usize> = index
+            .range::<[u8], _>(range)
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect();
+        ids.sort_unstable();
+        Ok(ids)
     }
 
-    /// Rebuild stale indexes. A failed build leaves the table stale, so
-    /// probes keep falling back to scans.
+    /// Rebuild stale indexes.
     pub fn refresh_indexes(&mut self) {
         if !self.indexes_stale {
             return;
         }
         let cols: Vec<usize> = self.indexes.keys().copied().collect();
         for col in cols {
-            let Ok(index) = self.build_index(col) else {
-                return;
-            };
-            if let Some(old) = self.indexes.insert(col, index) {
-                let _ = self.free_index(old);
-            }
+            let index = self.build_index(col);
+            self.indexes.insert(col, index);
         }
         self.indexes_stale = false;
     }
 
-    /// In-memory chunks this table's writes have copied because a
+    /// Chunks this table's writes have copied because a
     /// [`Snapshot`] (or a clone of the table) still shared them.
     pub fn cow_chunks(&self) -> u64 {
         self.cow_chunks
@@ -520,13 +464,10 @@ impl Table {
 
     /// Row count.
     pub fn len(&self) -> usize {
-        match &self.rows {
-            // Every chunk but the last is full.
-            Rows::Mem(chunks) => chunks.last().map_or(0, |tail| {
-                (chunks.len() - 1) * CHUNK_ROWS + tail.len()
-            }),
-            Rows::Paged { heap, .. } => heap.len(),
-        }
+        // Every chunk but the last is full.
+        self.rows
+            .last()
+            .map_or(0, |tail| (self.rows.len() - 1) * CHUNK_ROWS + tail.len())
     }
 
     /// Is the table empty?
@@ -534,55 +475,24 @@ impl Table {
         self.len() == 0
     }
 
-    /// Stream every stored row through `f` in storage order. The paged arm
-    /// decodes one page at a time, so memory stays bounded by the pool.
+    /// Stream every stored row through `f` in storage order.
     pub fn for_each_row(
         &self,
-        mut f: impl FnMut(&[Value]) -> Result<(), SqlError>,
+        f: impl FnMut(&[Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
-        match &self.rows {
-            Rows::Mem(chunks) => mem_rows(chunks).try_for_each(f),
-            Rows::Paged { heap, pager } => {
-                for i in 0..heap.page_count() {
-                    for values in heap.read_page(&mut pager.pool(), i)? {
-                        f(&values)?;
-                    }
-                }
-                Ok(())
-            }
-        }
+        chunk_rows(&self.rows).try_for_each(f)
     }
 
-    /// Read the rows a scan reads, under the caller's lock: every row, or
-    /// the ascending positions `ids` from [`Table::probe`]. In memory this
-    /// copies no row: it returns a [`Snapshot`] sharing the chunks, to read
-    /// after the lock is released. The paged arm streams the rows through
-    /// `copy` now, one page at a time, and returns `None`, so the caller
-    /// holds only what it copies.
-    pub fn scan(
-        &self,
-        ids: Option<Vec<usize>>,
-        mut copy: impl FnMut(&[Value]) -> Result<(), SqlError>,
-    ) -> Result<Option<Snapshot>, SqlError> {
-        let (heap, pager) = match &self.rows {
-            Rows::Mem(chunks) => {
-                return Ok(Some(Snapshot {
-                    schema: self.schema.clone(),
-                    chunks: chunks.clone(),
-                    at: ids,
-                }))
-            }
-            Rows::Paged { heap, pager } => (heap, pager),
-        };
-        match ids {
-            Some(ids) => {
-                debug_assert!(ids.windows(2).all(|w| w[0] <= w[1]), "positions ascend");
-                let fetched = heap.fetch_many(&mut pager.pool(), &ids)?;
-                fetched.iter().try_for_each(|values| copy(values))?;
-            }
-            None => self.for_each_row(copy)?,
+    /// Take the rows a scan reads, under the caller's lock: every row, or
+    /// the ascending positions `ids` from [`Table::probe`]. This copies no
+    /// row: the [`Snapshot`] shares the chunks, to read after the lock is
+    /// released.
+    pub fn scan(&self, ids: Option<Vec<usize>>) -> Snapshot {
+        Snapshot {
+            schema: self.schema.clone(),
+            chunks: self.rows.clone(),
+            at: ids,
         }
-        Ok(None)
     }
 
     /// Materialize every row as owned values (CSV export, maintenance
@@ -597,142 +507,35 @@ impl Table {
     }
 
     /// Rewrite the table in one pass over its rows, in storage order.
-    /// `edit` reads each row and says what to do with it. In memory,
-    /// changed rows are written in place (copying a chunk a snapshot
-    /// shares) and removals re-pack the chunks; the paged arm streams the
-    /// pages into a new heap and swaps it in, and on a storage error frees
-    /// the new heap and leaves the table as it was.
+    /// `edit` reads each row and says what to do with it. Changed rows are
+    /// written in place (copying a chunk a snapshot shares) and removals
+    /// re-pack the chunks.
     ///
     /// As soon as any row changed or left, the indexes go stale (until
     /// [`Table::refresh_indexes`]) — also when the caller's statement goes
     /// on to fail.
-    pub fn rewrite_rows(
-        &mut self,
-        mut edit: impl FnMut(&[Value]) -> RowEdit,
-    ) -> Result<(), SqlError> {
-        let mut touched = false;
-        match &mut self.rows {
-            Rows::Mem(chunks) => touched = rewrite_chunks(chunks, &mut edit, &mut self.cow_chunks),
-            Rows::Paged { heap, pager } => {
-                let mut pool = pager.pool();
-                let mut rewritten = TableHeap::new();
-                let copied = (0..heap.page_count()).try_for_each(|i| {
-                    for mut row in heap.read_page(&mut pool, i)? {
-                        match edit(&row) {
-                            RowEdit::Keep => {}
-                            RowEdit::Set(cells) => {
-                                RowEdit::apply(cells, &mut row);
-                                touched = true;
-                            }
-                            RowEdit::Remove => {
-                                touched = true;
-                                continue;
-                            }
-                        }
-                        rewritten.append_row(&mut pool, &row)?;
-                    }
-                    Ok(())
-                });
-                if let Err(e) = copied {
-                    rewritten.free(&mut pool)?;
-                    return Err(e);
-                }
-                std::mem::replace(heap, rewritten).free(&mut pool)?;
-            }
-        }
+    pub fn rewrite_rows(&mut self, mut edit: impl FnMut(&[Value]) -> RowEdit) {
+        let touched = rewrite_chunks(&mut self.rows, &mut edit, &mut self.cow_chunks);
         if touched && !self.indexes.is_empty() {
             self.indexes_stale = true;
         }
-        Ok(())
-    }
-
-    /// Release all paged storage (heap and B+-trees) back to the pool's
-    /// free list; called when the table is dropped. No-op in memory.
-    pub fn free_storage(&mut self) -> Result<(), SqlError> {
-        let Rows::Paged { heap, pager } = &mut self.rows else {
-            return Ok(());
-        };
-        let mut pool = pager.pool();
-        heap.free(&mut pool)?;
-        for (_, index) in self.indexes.drain() {
-            if let Index::Paged(tree) = index {
-                tree.free(&mut pool)?;
-            }
-        }
-        Ok(())
     }
 }
 
-/// A database: a set of named tables plus the storage arm they live on.
+/// A database: a set of named tables.
 ///
 /// Iteration order is deterministic (`BTreeMap`), which keeps schema dumps
-/// — the input to Text-to-SQL prompts — stable across runs.
-#[derive(Debug, Default)]
+/// — the input to Text-to-SQL prompts — stable across runs. A clone shares
+/// every table's row chunks copy-on-write.
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: BTreeMap<String, Table>,
-    storage: StorageConfig,
-    /// Shared buffer pool for the paged arm (`None` when in-memory).
-    pager: Option<Arc<Pager>>,
-}
-
-impl Clone for Database {
-    /// Deep copy. In-memory tables share their row chunks copy-on-write.
-    /// The paged arm deep-clones the buffer pool (flushing first) and
-    /// re-points every table at the clone's pager, so clones never share
-    /// mutable page state. A `File`-backed pager still aliases
-    /// the underlying file — see [`Pager::deep_clone`].
-    fn clone(&self) -> Database {
-        let pager = self
-            .pager
-            .as_ref()
-            .map(|p| p.deep_clone().expect("pager deep clone"));
-        let mut tables = self.tables.clone();
-        if let Some(p) = &pager {
-            for t in tables.values_mut() {
-                if let Rows::Paged { pager, .. } = &mut t.rows {
-                    *pager = Arc::clone(p);
-                }
-            }
-        }
-        Database {
-            tables,
-            storage: self.storage,
-            pager,
-        }
-    }
 }
 
 impl Database {
     /// Create an empty database.
     pub fn new() -> Self {
         Database::default()
-    }
-
-    /// Create an empty database on the given storage arm. The paged arm
-    /// uses a deterministic in-memory disk behind its buffer pool.
-    pub fn with_storage(storage: StorageConfig) -> Database {
-        let pager = match storage {
-            StorageConfig::InMemory => None,
-            StorageConfig::Paged {
-                pool_pages,
-                page_size,
-            } => Some(Pager::in_mem(pool_pages, page_size)),
-        };
-        Database {
-            tables: BTreeMap::new(),
-            storage,
-            pager,
-        }
-    }
-
-    /// The storage arm this database was created with.
-    pub fn storage_config(&self) -> StorageConfig {
-        self.storage
-    }
-
-    /// The shared pager (paged arm only).
-    pub fn pager(&self) -> Option<&Arc<Pager>> {
-        self.pager.as_ref()
     }
 
     /// Create a table. Errors if the name is taken (unless
@@ -750,20 +553,15 @@ impl Database {
             }
             return Err(SqlError::TableExists(key));
         }
-        let table = match &self.pager {
-            Some(p) => Table::new_paged(key.clone(), schema, Arc::clone(p)),
-            None => Table::new(key.clone(), schema),
-        };
-        self.tables.insert(key, table);
+        self.tables.insert(key.clone(), Table::new(key, schema));
         Ok(())
     }
 
-    /// Drop a table (releasing its pages on the paged arm). Errors if
-    /// missing (unless `if_exists`).
+    /// Drop a table. Errors if missing (unless `if_exists`).
     pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<(), SqlError> {
         let key = name.to_lowercase();
         match self.tables.remove(&key) {
-            Some(mut t) => t.free_storage(),
+            Some(_) => Ok(()),
             None if if_exists => Ok(()),
             None => Err(SqlError::TableNotFound(key)),
         }
@@ -815,16 +613,12 @@ impl Database {
                 eat(col.name.as_bytes());
                 eat(format!("{:?}", col.data_type).as_bytes());
             }
-            // Both storage arms hash identically for identical contents; a
-            // paged-arm storage error truncates the digest (and is reported
-            // loudly everywhere else), so ignore it here.
-            let _ = table.for_each_row(|row| {
+            for row in chunk_rows(&table.rows) {
                 for v in row {
                     eat(v.to_string().as_bytes());
                 }
                 eat(b"|");
-                Ok(())
-            });
+            }
         }
         h.finish()
     }
@@ -959,28 +753,11 @@ mod tests {
         t
     }
 
-    fn mem_chunks(t: &Table) -> &[RowChunk] {
-        match &t.rows {
-            Rows::Mem(chunks) => chunks,
-            Rows::Paged { .. } => unreachable!("in-memory table"),
-        }
-    }
-
-    fn shared_chunks(s: &Snapshot) -> &[RowChunk] {
-        &s.chunks
-    }
-
-    /// An in-memory table's snapshot, at positions `ids` or of every row.
-    fn snapshot(t: &Table, ids: Option<Vec<usize>>) -> Snapshot {
-        let copy = |_: &[Value]| unreachable!("in-memory scans copy nothing");
-        t.scan(ids, copy).unwrap().expect("an in-memory snapshot")
-    }
-
     /// Which of `t`'s chunks are still the snapshot's.
     fn still_shared(t: &Table, s: &Snapshot) -> Vec<bool> {
-        let old = shared_chunks(s);
-        (0..mem_chunks(t).len())
-            .map(|i| old.get(i).is_some_and(|o| Arc::ptr_eq(o, &mem_chunks(t)[i])))
+        let old = &s.chunks;
+        (0..t.rows.len())
+            .map(|i| old.get(i).is_some_and(|o| Arc::ptr_eq(o, &t.rows[i])))
             .collect()
     }
 
@@ -1008,12 +785,12 @@ mod tests {
     fn chunks_are_full_except_the_last() {
         let n = 3 * CHUNK_ROWS as i64 + 10;
         let t = table_of(n);
-        let lens: Vec<usize> = mem_chunks(&t).iter().map(|c| c.len()).collect();
+        let lens: Vec<usize> = t.rows.iter().map(|c| c.len()).collect();
         assert_eq!(lens, vec![CHUNK_ROWS, CHUNK_ROWS, CHUNK_ROWS, 10]);
         assert_eq!(t.len(), n as usize);
         let p = CHUNK_ROWS + 5;
-        assert_eq!(snapshot_ids(&snapshot(&t, Some(vec![p]))), vec![p as i64]);
-        let past_the_end = snapshot(&t, Some(vec![n as usize]));
+        assert_eq!(snapshot_ids(&t.scan(Some(vec![p]))), vec![p as i64]);
+        let past_the_end = t.scan(Some(vec![n as usize]));
         assert!(past_the_end.for_each(|_| Ok(())).is_err());
     }
 
@@ -1029,9 +806,9 @@ mod tests {
 
         // No snapshot alive: every write works in place.
         let mut t = table_of(n);
-        let addrs = |t: &Table| mem_chunks(t).iter().map(Arc::as_ptr).collect::<Vec<_>>();
+        let addrs = |t: &Table| t.rows.iter().map(Arc::as_ptr).collect::<Vec<_>>();
         let before = addrs(&t);
-        t.rewrite_rows(set_name(CHUNK_ROWS as i64 + 1)).unwrap();
+        t.rewrite_rows(set_name(CHUNK_ROWS as i64 + 1));
         t.insert_row(vec![Value::Int(n), Value::Null]).unwrap();
         assert_eq!(addrs(&t), before);
         assert_eq!(t.cow_chunks(), 0);
@@ -1039,21 +816,21 @@ mod tests {
         // An UPDATE hitting one row of a middle chunk copies that chunk
         // only, and of its rows only the one it changes.
         let mut t = table_of(n);
-        let snap = snapshot(&t, None);
-        t.rewrite_rows(set_name(CHUNK_ROWS as i64 + 1)).unwrap();
+        let snap = t.scan(None);
+        t.rewrite_rows(set_name(CHUNK_ROWS as i64 + 1));
         assert_eq!(still_shared(&t, &snap), vec![true, false, true, true]);
         assert_eq!(t.cow_chunks(), 1);
-        let (old, new) = (&shared_chunks(&snap)[1], &mem_chunks(&t)[1]);
+        let (old, new) = (&snap.chunks[1], &t.rows[1]);
         let same_rows: Vec<bool> = (0..3).map(|i| Arc::ptr_eq(&old[i], &new[i])).collect();
         assert_eq!(same_rows, vec![true, false, true]);
         assert_eq!(old[1][1], Value::Text(format!("r{}", CHUNK_ROWS + 1)));
         // An UPDATE with no hit copies nothing.
-        t.rewrite_rows(set_name(-1)).unwrap();
+        t.rewrite_rows(set_name(-1));
         assert_eq!(t.cow_chunks(), 1);
 
         // An INSERT copies the tail chunk, and opens a new one unshared.
         let mut t = table_of(n);
-        let snap = snapshot(&t, None);
+        let snap = t.scan(None);
         t.insert_row(vec![Value::Int(n), Value::Null]).unwrap();
         assert_eq!(still_shared(&t, &snap), vec![true, true, true, false]);
         assert_eq!(t.cow_chunks(), 1);
@@ -1065,29 +842,28 @@ mod tests {
 
         // A DELETE re-packs from the chunk of its first removed row on.
         let mut t = table_of(n);
-        let snap = snapshot(&t, None);
+        let snap = t.scan(None);
         let gone = CHUNK_ROWS as i64 + 7;
         t.rewrite_rows(|row| match row[0] == Value::Int(gone) {
             true => RowEdit::Remove,
             false => RowEdit::Keep,
-        })
-        .unwrap();
+        });
         assert_eq!(still_shared(&t, &snap), vec![true, false, false, false]);
         assert_eq!(t.cow_chunks(), 3);
-        let lens: Vec<usize> = mem_chunks(&t).iter().map(|c| c.len()).collect();
+        let lens: Vec<usize> = t.rows.iter().map(|c| c.len()).collect();
         assert_eq!(lens, vec![CHUNK_ROWS, CHUNK_ROWS, CHUNK_ROWS, 9]);
         let want: Vec<i64> = (0..n).filter(|&i| i != gone).collect();
         assert_eq!(ids(&t), want);
         assert_eq!(snapshot_ids(&snap), (0..n).collect::<Vec<_>>());
         // Re-packing moves row handles, never copies a row.
-        assert!(Arc::ptr_eq(&shared_chunks(&snap)[2][0], &mem_chunks(&t)[1][CHUNK_ROWS - 1]));
+        assert!(Arc::ptr_eq(&snap.chunks[2][0], &t.rows[1][CHUNK_ROWS - 1]));
     }
 
     #[test]
     fn a_draining_scan_releases_the_chunks_it_has_read() {
         let n = 3 * CHUNK_ROWS as i64 + 10;
         let mut t = table_of(n);
-        let snap = snapshot(&t, None);
+        let snap = t.scan(None);
         let set = |k: i64| {
             move |row: &[Value]| match row[0] == Value::Int(k) {
                 true => RowEdit::Set(vec![(1, Value::Null)]),
@@ -1104,9 +880,9 @@ mod tests {
             }
             if id == 2 * CHUNK_ROWS as i64 {
                 // Chunks 0 and 1 are read and released; 2 and 3 are not.
-                t.rewrite_rows(set(1)).unwrap();
+                t.rewrite_rows(set(1));
                 assert_eq!(t.cow_chunks(), 0);
-                t.rewrite_rows(set(n - 1)).unwrap();
+                t.rewrite_rows(set(n - 1));
                 assert_eq!(t.cow_chunks(), 1);
             }
             Ok(())
@@ -1115,6 +891,55 @@ mod tests {
         // The scan still saw the rows as of the snapshot.
         assert_eq!(read, (0..n).collect::<Vec<_>>());
         assert_eq!(t.cow_chunks(), 1);
+    }
+
+    #[test]
+    fn value_encoding_preserves_total_cmp_order() {
+        let ints: Vec<i64> = vec![i64::MIN, -5, -1, 0, 1, 42, i64::MAX];
+        for w in ints.windows(2) {
+            assert!(
+                encode_value(&Value::Int(w[0])) < encode_value(&Value::Int(w[1])),
+                "{} !< {}",
+                w[0],
+                w[1]
+            );
+        }
+        let floats = vec![
+            f64::NEG_INFINITY,
+            -1e100,
+            -1.5,
+            -0.0,
+            0.0,
+            1.5,
+            1e100,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for w in floats.windows(2) {
+            assert!(
+                encode_value(&Value::Float(w[0])) <= encode_value(&Value::Float(w[1])),
+                "{} !<= {}",
+                w[0],
+                w[1]
+            );
+        }
+        // Signed zeros share one key, as they compare equal in SQL.
+        assert_eq!(
+            encode_value(&Value::Float(-0.0)),
+            encode_value(&Value::Float(0.0))
+        );
+        // Cross-rank: NULL < BOOL < numeric < TEXT.
+        let ranked = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(i64::MIN),
+            Value::Text(String::new()),
+            Value::Text("a".into()),
+        ];
+        for w in ranked.windows(2) {
+            assert!(encode_value(&w[0]) < encode_value(&w[1]), "{w:?}");
+        }
     }
 
     #[test]

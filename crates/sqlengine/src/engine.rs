@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use dbgpt_obs::Span;
 
-use crate::catalog::{Database, RowEdit, Table};
+use crate::catalog::{Database, RowEdit, Snapshot, Table};
 use crate::error::SqlError;
 use crate::exec::executor;
 use crate::expr::Expr;
@@ -13,7 +13,6 @@ use crate::plan::logical::{LogicalPlan, Planner};
 use crate::plan::optimizer::Optimizer;
 use crate::row::Row;
 use crate::schema::{Column, Schema, SchemaRef};
-use crate::storage::{PoolCounters, StorageConfig};
 use crate::value::Value;
 
 /// The result of executing one statement.
@@ -113,15 +112,6 @@ impl Engine {
         }
     }
 
-    /// Engine on the given storage arm (see [`StorageConfig`]); the
-    /// default [`StorageConfig::InMemory`] is exactly [`Engine::new`].
-    pub fn with_storage(storage: StorageConfig) -> Self {
-        Engine {
-            db: Database::with_storage(storage),
-            optimizer: Optimizer::new(),
-        }
-    }
-
     /// Rebuild the stale indexes of every table a plan scans, so reads
     /// through [`Engine::execute`] probe them. [`Engine::prepare`] skips
     /// this step and scans stale tables in full.
@@ -170,10 +160,9 @@ impl Engine {
     ///
     /// Needs only shared access: a server holds its read lock for this
     /// call, releases it, and calls [`ScannedSelect::finish`] for filters,
-    /// joins, aggregates, sorts and projections. An in-memory scan only
-    /// takes a [`crate::catalog::Snapshot`] of the table's chunks here; a
-    /// paged scan copies out the rows that pass its filter. Every scan of
-    /// the statement happens in this one call, so the result reflects a
+    /// joins, aggregates, sorts and projections. A scan only takes a
+    /// [`Snapshot`] of the table's chunks here. Every scan of the
+    /// statement happens in this one call, so the result reflects a
     /// single state of the catalog. Any other statement comes back as
     /// [`Prepared::Write`] for [`Engine::run_write`]. The `sql.execute`
     /// span opens under `parent` here and ends when the statement does.
@@ -221,13 +210,10 @@ impl Engine {
     /// kept and surfaces from [`ScannedSelect::finish`].
     fn scan(&self, plan: LogicalPlan, span: Span) -> ScannedSelect {
         let exec_span = span.child("sql.exec", span.tick());
-        let pool_before = self.db.pager().map(|p| p.counters());
         let scans = executor::scan_plan(&plan, &self.db);
-        let pool = pool_before.zip(self.db.pager().map(|p| p.counters()));
         ScannedSelect {
             plan,
             scans,
-            pool,
             span,
             exec_span,
         }
@@ -238,7 +224,6 @@ impl Engine {
     pub fn run_write(&mut self, write: PendingWrite) -> Result<QueryResult, SqlError> {
         let PendingWrite { stmt, span } = write;
         let exec_span = span.child("sql.exec", span.tick());
-        let pool_before = self.db.pager().map(|p| p.counters());
         let target = match &stmt {
             Statement::Insert { table, .. }
             | Statement::Update { table, .. }
@@ -261,8 +246,6 @@ impl Engine {
             exec_span.attr("cow_chunks", copied);
             exec_span.handle().counter("sql.cow_chunks", copied);
         }
-        let pool = pool_before.zip(self.db.pager().map(|p| p.counters()));
-        record_pool_deltas(&exec_span, pool);
         exec_span.end(span.tick());
         end_statement(&span, r.as_ref());
         r
@@ -412,14 +395,11 @@ enum Planned {
     Write(PendingWrite),
 }
 
-/// A SELECT whose scans have run: a snapshot (in memory) or the filtered
-/// rows (paged) per scan, plus the plan's operators.
-/// [`ScannedSelect::finish`] needs no access to the catalog.
+/// A SELECT whose scans have run: a snapshot per scan, plus the plan's
+/// operators. [`ScannedSelect::finish`] needs no access to the catalog.
 pub struct ScannedSelect {
     plan: LogicalPlan,
-    scans: Result<Vec<executor::ScanInput>, SqlError>,
-    /// Buffer-pool counters around the scans (paged storage only).
-    pool: Option<(PoolCounters, PoolCounters)>,
+    scans: Result<Vec<Snapshot>, SqlError>,
     span: Span,
     exec_span: Span,
 }
@@ -431,7 +411,6 @@ impl ScannedSelect {
         let ScannedSelect {
             plan,
             scans,
-            pool,
             span,
             exec_span,
         } = self;
@@ -439,7 +418,6 @@ impl ScannedSelect {
         if let Ok(b) = &batch {
             exec_span.attr("rows", b.rows.len());
         }
-        record_pool_deltas(&exec_span, pool);
         exec_span.end(span.tick());
         let result = batch.map(|batch| QueryResult {
             schema: batch.schema,
@@ -502,36 +480,8 @@ fn rewrite_where(
                 RowEdit::Keep
             }
         }
-    })?;
+    });
     first_err.map_or(Ok(hits), Err)
-}
-
-/// Record buffer-pool counter deltas (hits/misses/evictions/dirty
-/// writebacks) on a `sql.exec` span and the global metrics. No-op for
-/// in-memory storage, where `pool` is `None`.
-fn record_pool_deltas(exec_span: &Span, pool: Option<(PoolCounters, PoolCounters)>) {
-    let Some((before, after)) = pool else {
-        return;
-    };
-    let obs = exec_span.handle();
-    let deltas = [
-        ("pool_hits", "sql.pool.hits", after.hits - before.hits),
-        ("pool_misses", "sql.pool.misses", after.misses - before.misses),
-        (
-            "pool_evictions",
-            "sql.pool.evictions",
-            after.evictions - before.evictions,
-        ),
-        (
-            "pool_writebacks",
-            "sql.pool.writebacks",
-            after.writebacks - before.writebacks,
-        ),
-    ];
-    for (attr, counter, delta) in deltas {
-        exec_span.attr(attr, delta);
-        obs.counter(counter, delta);
-    }
 }
 
 /// End a statement's `sql.execute` span with its outcome.
@@ -708,24 +658,6 @@ mod tests {
     fn error_propagates_from_parser() {
         let mut e = engine();
         assert!(matches!(e.execute("SELEC 1"), Err(SqlError::Parse(_))));
-    }
-
-    #[test]
-    fn traced_paged_exec_reports_pool_counters() {
-        use dbgpt_obs::{Obs, ObsConfig};
-        let mut e = Engine::with_storage(crate::StorageConfig::paged(4, 128));
-        e.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
-        let vals: Vec<String> = (0..200).map(|i| format!("({i}, 'x{i}')")).collect();
-        e.execute(&format!("INSERT INTO t VALUES {}", vals.join(", ")))
-            .unwrap();
-        let obs = Obs::new(ObsConfig::enabled(7));
-        let root = obs.span("request", obs.tick());
-        let r = e.execute_under("SELECT COUNT(*) FROM t", &root).unwrap();
-        assert_eq!(r.rows[0][0], Value::Int(200));
-        // A 200-row table behind a 4-frame pool cannot scan without
-        // missing in the pool; the deltas must reach the metrics.
-        assert!(obs.counter_value("sql.pool.misses") > 0);
-        assert!(obs.counter_value("sql.pool.evictions") > 0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum SqlError {
     },
     /// CSV import/export failure.
     Csv(String),
-    /// Paged-storage failure (I/O, checksum mismatch, pool exhaustion, …).
+    /// A row position past the end of its table.
     Storage(String),
 }
 

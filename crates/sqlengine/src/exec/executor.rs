@@ -6,11 +6,9 @@
 //! anything else falls back to a nested-loop join.
 //!
 //! Execution runs in two phases. `scan_plan`, the only phase that touches
-//! the catalog, probes indexes and reads every scanned table through
-//! [`Table::scan`]. In memory that takes a [`Snapshot`] sharing the
-//! table's row chunks, and copies no row. A paged table has no snapshot:
-//! its scan filters and projects the rows page by page under the lock, as
-//! the one copy it makes. `finish_plan` then reads the rows in place, one
+//! the catalog, probes indexes and takes every scanned table's
+//! [`Snapshot`] through [`Table::scan`], sharing the table's row chunks
+//! and copying no row. `finish_plan` then reads the rows in place, one
 //! pass per pipeline:
 //!
 //! - a scan runs its filter on each source row and copies only the
@@ -24,12 +22,11 @@
 //! Group keys, aggregate arguments and join keys are bound to row
 //! positions once per plan and read cells by reference.
 //!
-//! Which error a failing statement reports: a single pass evaluates an
-//! in-memory scan's filter and the aggregate row by row, so when both
-//! fail on different rows, the earlier row's error is reported. A paged
-//! scan filters every row first, so there the filter's error wins. Across the two scans of a join, a failing left
-//! filter is reported before any error on the right side, as when the
-//! left input is materialised first.
+//! Which error a failing statement reports: a single pass evaluates a
+//! scan's filter and the aggregate row by row, so when both fail on
+//! different rows, the earlier row's error is reported. Across the two
+//! scans of a join, a failing left filter is reported before any error on
+//! the right side, as when the left input is materialised first.
 
 use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
@@ -54,11 +51,10 @@ pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlEr
     finish_plan(plan, scan_plan(plan, db)?)
 }
 
-/// Phase 1: read every `Scan` node's table, narrowed by a fresh index
+/// Phase 1: snapshot every `Scan` node's table, narrowed by a fresh index
 /// when one applies, in [`LogicalPlan::scans`] order. This is the only
-/// phase that touches `db`. It copies no in-memory row; a paged scan
-/// copies the projected cells of the rows that pass its filter.
-pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<ScanInput>, SqlError> {
+/// phase that touches `db`, and it copies no row.
+pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<Snapshot>, SqlError> {
     plan.scans()
         .into_iter()
         .map(|scan| {
@@ -77,44 +73,27 @@ pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<ScanInp
                 Some(f) => index_candidates(t, schema, projection, f)?,
                 None => None,
             };
-            let source = source_schema(scan, &t.schema);
-            let mut copied = Vec::new();
-            let copy = |row: &[Value]| copy_passing(scan, &source, row, &mut copied);
-            Ok(match t.scan(ids, copy)? {
-                Some(snapshot) => ScanInput::Shared(snapshot),
-                None => ScanInput::Copied(copied),
-            })
+            Ok(t.scan(ids))
         })
         .collect()
 }
 
 /// Phase 2: run the plan's operators over the scans from [`scan_plan`].
 /// No catalog access, so a caller may run it after releasing its lock.
-pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<ScanInput>) -> Result<RowBatch, SqlError> {
+pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<Snapshot>) -> Result<RowBatch, SqlError> {
     run(plan, &mut scans.into_iter())
 }
 
-/// What [`scan_plan`] hands [`finish_plan`] for one `Scan` node.
-pub(crate) enum ScanInput {
-    /// An in-memory table's rows, shared; phase 2 filters and projects
-    /// them.
-    Shared(Snapshot),
-    /// A paged scan's output, filtered and projected under the lock.
-    Copied(Vec<Row>),
-}
-
 /// The scans of a plan, consumed in [`LogicalPlan::scans`] order.
-type Scans = std::vec::IntoIter<ScanInput>;
+type Scans = std::vec::IntoIter<Snapshot>;
 
-/// One `Scan` node over its input.
+/// One `Scan` node over its snapshot.
 struct ScanRows<'p> {
-    scan: &'p LogicalPlan,
-    rows: ScanInput,
+    rows: Snapshot,
     /// Schema the filter reads the input rows through.
     source: SchemaRef,
     /// The scan's output schema.
     schema: &'p SchemaRef,
-    /// Filter and projection still to apply (`None` on copied rows).
     projection: Option<&'p [usize]>,
     filter: Option<&'p Expr>,
 }
@@ -130,22 +109,13 @@ impl<'p> ScanRows<'p> {
         else {
             unreachable!("ScanRows reads Scan nodes");
         };
-        let rows = scans.next().expect("one input per scan");
-        let (source, projection, filter) = match &rows {
-            ScanInput::Shared(snapshot) => (
-                source_schema(scan, snapshot.schema()),
-                projection.as_deref(),
-                filter.as_ref(),
-            ),
-            ScanInput::Copied(_) => (schema.clone(), None, None),
-        };
+        let rows = scans.next().expect("one snapshot per scan");
         ScanRows {
-            scan,
+            source: source_schema(scan, rows.schema()),
             rows,
-            source,
             schema,
-            projection,
-            filter,
+            projection: projection.as_deref(),
+            filter: filter.as_ref(),
         }
     }
 
@@ -155,15 +125,11 @@ impl<'p> ScanRows<'p> {
         &'a self,
         mut f: impl FnMut(&'a [Value]) -> Result<(), SqlError>,
     ) -> Result<(), SqlError> {
-        match &self.rows {
-            ScanInput::Shared(snapshot) => {
-                snapshot.for_each(|row| match passes(self.filter, row, &self.source)? {
-                    true => f(row),
-                    false => Ok(()),
-                })
-            }
-            ScanInput::Copied(rows) => rows.iter().try_for_each(|row| f(row)),
-        }
+        self.rows
+            .for_each(|row| match passes(self.filter, row, &self.source)? {
+                true => f(row),
+                false => Ok(()),
+            })
     }
 
     /// Bind `e`, an expression over the scan's output, to the input rows.
@@ -175,14 +141,16 @@ impl<'p> ScanRows<'p> {
     /// chunk is released once read, so a write racing the rest of the
     /// scan need not copy it.
     fn collect(self) -> Result<RowBatch, SqlError> {
-        let rows = match self.rows {
-            ScanInput::Shared(snapshot) => {
-                let mut rows = Vec::new();
-                snapshot.drain(|row| copy_passing(self.scan, &self.source, row, &mut rows))?;
-                rows
+        let mut rows = Vec::new();
+        self.rows.drain(|row| {
+            if passes(self.filter, row, &self.source)? {
+                rows.push(Row::new(match self.projection {
+                    Some(idx) => idx.iter().map(|&i| row[i].clone()).collect(),
+                    None => row.to_vec(),
+                }));
             }
-            ScanInput::Copied(rows) => rows,
-        };
+            Ok(())
+        })?;
         Ok(RowBatch::new(self.schema.clone(), rows))
     }
 }
@@ -200,29 +168,6 @@ fn source_schema(scan: &LogicalPlan, table: &Schema) -> SchemaRef {
         LogicalPlan::Scan { schema, .. } => schema.clone(),
         _ => unreachable!("source_schema reads Scan nodes"),
     }
-}
-
-/// If source `row` passes `scan`'s filter (read through `source`), push
-/// its projected cells onto `out`.
-fn copy_passing(
-    scan: &LogicalPlan,
-    source: &Schema,
-    row: &[Value],
-    out: &mut Vec<Row>,
-) -> Result<(), SqlError> {
-    let LogicalPlan::Scan {
-        projection, filter, ..
-    } = scan
-    else {
-        unreachable!("copy_passing reads Scan nodes");
-    };
-    if passes(filter.as_ref(), row, source)? {
-        out.push(Row::new(match projection {
-            Some(idx) => idx.iter().map(|&i| row[i].clone()).collect(),
-            None => row.to_vec(),
-        }));
-    }
-    Ok(())
 }
 
 /// Source position of a scan's output column `i`.
@@ -1061,13 +1006,7 @@ mod tests {
 
     fn run(sql: &str) -> RowBatch {
         let db = db();
-        let stmt = match parse(sql).unwrap() {
-            Statement::Select(s) => s,
-            other => panic!("{other:?}"),
-        };
-        let plan = Planner::new(&db).plan_select(&stmt).unwrap();
-        let plan = Optimizer::new().optimize(plan).unwrap();
-        execute_plan(&plan, &db).unwrap()
+        execute_plan(&plan(sql, &db), &db).unwrap()
     }
 
     fn cell(b: &RowBatch, r: usize, c: usize) -> String {
@@ -1080,48 +1019,6 @@ mod tests {
         };
         let plan = Planner::new(db).plan_select(&stmt).unwrap();
         Optimizer::new().optimize(plan).unwrap()
-    }
-
-    #[test]
-    fn a_selective_paged_scan_copies_only_what_it_keeps() {
-        let orders = Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("user_id", DataType::Int),
-            Column::new("amount", DataType::Float),
-            Column::new("category", DataType::Text),
-        ])
-        .unwrap();
-        let mut mem = Database::new();
-        let mut paged = Database::with_storage(crate::storage::StorageConfig::paged(4, 512));
-        for db in [&mut mem, &mut paged] {
-            db.create_table("orders", orders.clone(), false).unwrap();
-            let rows = (0..600).map(|i| {
-                let cat = Value::Text(format!("c{}", i % 60));
-                vec![Value::Int(i), Value::Int(i % 7), Value::Float(i as f64), cat]
-            });
-            db.table_mut("orders").unwrap().insert_rows(rows.collect()).unwrap();
-        }
-        for sql in [
-            "SELECT id FROM orders WHERE category = 'c7'",
-            "SELECT category, SUM(amount) FROM orders WHERE id < 30 GROUP BY category",
-            "SELECT COUNT(*) FROM orders o JOIN orders p ON o.id = p.user_id \
-             WHERE o.category = 'c3' AND p.category = 'c3'",
-        ] {
-            let plan = plan(sql, &paged);
-            let scans = scan_plan(&plan, &paged).unwrap();
-            for (node, input) in plan.scans().into_iter().zip(&scans) {
-                let ScanInput::Copied(rows) = input else {
-                    panic!("a paged scan takes no snapshot: {sql}");
-                };
-                // Only the passing rows' projected cells left the pool.
-                assert!(rows.len() <= 30, "{sql}: {} rows copied", rows.len());
-                let width = node.schema().len();
-                assert!(width < orders.len(), "{sql}: the scan keeps every column");
-                assert!(rows.iter().all(|r| r.len() == width), "{sql}");
-            }
-            let want = execute_plan(&plan, &mem).unwrap();
-            assert_eq!(finish_plan(&plan, scans).unwrap().rows, want.rows, "{sql}");
-        }
     }
 
     #[test]

@@ -27,30 +27,26 @@
 //! ## Concurrency: two-phase SELECT
 //!
 //! [`Engine::prepare`] needs only `&Engine`: it parses and plans a SELECT,
-//! probes indexes, and reads every scanned table through
-//! [`catalog::Table::scan`] (phase 1). In memory that takes a
-//! [`catalog::Snapshot`] sharing the table's copy-on-write row chunks:
-//! phase 1 copies no row, only one handle per chunk. (A paged table
-//! filters and projects its rows page by page instead, so phase 1 holds
-//! only the scan's result.) The returned [`engine::ScannedSelect`]'s
-//! `finish` runs after the lock is released (phase 2): it filters,
-//! aggregates and joins the snapshot's rows in place, one pass per
-//! pipeline, and copies only the cells that reach the result. DDL and
-//! DML ([`engine::Prepared::Write`]) take the exclusive lock for
+//! probes indexes, and takes every scanned table's [`catalog::Snapshot`]
+//! through [`catalog::Table::scan`] (phase 1). A snapshot shares the
+//! table's copy-on-write row chunks: phase 1 copies no row, only one
+//! handle per chunk. The returned [`engine::ScannedSelect`]'s `finish`
+//! runs after the lock is released (phase 2): it filters, aggregates and
+//! joins the snapshot's rows in place, one pass per pipeline, and copies
+//! only the cells that reach the result. DDL and DML
+//! ([`engine::Prepared::Write`]) take the exclusive lock for
 //! [`Engine::run_write`]; a write copies only the chunks it changes that a
 //! live snapshot still shares (the `sql.cow_chunks` counter).
 //! [`Engine::execute`] runs the same two phases back to back, after
 //! rebuilding the scanned tables' stale indexes.
 //!
-//! ## Storage: one interface, two arms
+//! ## Storage
 //!
-//! [`catalog::Table`] stores rows either in memory (the default) or in
-//! heap pages behind a buffer pool ([`storage::StorageConfig::paged`]).
-//! The executor and DML never see the difference: they scan, fetch index
-//! hits, probe indexes and rewrite rows through `Table` alone. Secondary
-//! indexes on both arms key values by the same order-preserving encoding
-//! ([`storage::btree::encode_value`]) and answer equality and range
-//! probes.
+//! [`catalog::Table`] keeps its rows in memory, in copy-on-write chunks.
+//! The executor and DML scan, probe indexes and rewrite rows through
+//! `Table` alone. Secondary indexes are ordered maps keyed by an
+//! order-preserving value encoding ([`catalog::encode_value`]) and answer
+//! equality and range probes.
 //!
 //! ## Supported SQL
 //!
@@ -85,7 +81,6 @@ pub mod parser;
 pub mod plan;
 pub mod row;
 pub mod schema;
-pub mod storage;
 pub mod value;
 
 pub use catalog::Database;
@@ -93,5 +88,4 @@ pub use engine::{Engine, QueryResult};
 pub use error::SqlError;
 pub use row::Row;
 pub use schema::{Column, Schema};
-pub use storage::StorageConfig;
 pub use value::{DataType, Value};

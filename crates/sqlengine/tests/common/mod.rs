@@ -1,8 +1,7 @@
 //! Shared differential-test harness: a deterministic RNG, random SQL
 //! generators over a fixed two-table schema, and an equivalence checker.
 //!
-//! Used by `executor_props.rs` (indexed vs. index-free engine),
-//! `storage_props.rs` (in-memory vs. paged storage) and
+//! Used by `executor_props.rs` (indexed vs. index-free engine) and
 //! `prepare_props.rs` (two-phase SELECT vs. `execute`). In each, the
 //! reference engine runs [`seed_stmts`] alone; the engines compared with it
 //! also run [`INDEXES`], so every index probe is checked against an

@@ -19,7 +19,7 @@
 mod common;
 
 use common::{check, dml, query, seed_stmts, Rng, INDEXES};
-use dbgpt_sqlengine::{Engine, QueryResult, StorageConfig, Value};
+use dbgpt_sqlengine::{Engine, QueryResult, Value};
 
 #[test]
 fn indexed_and_index_free_engines_agree() {
@@ -166,22 +166,16 @@ fn aggregate_and_join_key_edge_cases() {
     }
 }
 
-/// One pass evaluates an in-memory scan's filter and its aggregate row by
-/// row, so when both fail, the executor reports the first failing row's
-/// error. A paged scan filters under the lock, so it reports the filter's.
-/// Either way the statement fails.
+/// One pass evaluates a scan's filter and its aggregate row by row, so
+/// when both fail, the executor reports the first failing row's error.
 #[test]
 fn failing_filter_and_aggregate_report_the_earlier_rows_error() {
-    let sql = "SELECT SUM(s) FROM e WHERE 10 / d > 0";
-    let err = |mut e: Engine| {
-        e.execute("CREATE TABLE e (s TEXT, d INT)").unwrap();
-        // Row 1 passes the filter and fails SUM; row 2 fails the filter.
-        e.execute("INSERT INTO e VALUES ('x', 1), ('y', 0)").unwrap();
-        e.execute(sql).unwrap_err().to_string()
-    };
-    let paged = StorageConfig::paged(8, 512);
-    assert!(err(Engine::new()).contains("SUM over non-numeric"));
-    assert!(err(Engine::with_storage(paged)).contains("division by zero"));
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE e (s TEXT, d INT)").unwrap();
+    // Row 1 passes the filter and fails SUM; row 2 fails the filter.
+    e.execute("INSERT INTO e VALUES ('x', 1), ('y', 0)").unwrap();
+    let err = e.execute("SELECT SUM(s) FROM e WHERE 10 / d > 0").unwrap_err();
+    assert!(err.to_string().contains("SUM over non-numeric"), "{err}");
 }
 
 /// When both scans of a fused join-aggregate fail their filters, the left
@@ -189,18 +183,13 @@ fn failing_filter_and_aggregate_report_the_earlier_rows_error() {
 /// before the right one is built.
 #[test]
 fn failing_join_filters_report_the_left_scans_error() {
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE a (k INT, d INT)").unwrap();
+    e.execute("CREATE TABLE b (k INT)").unwrap();
+    e.execute("INSERT INTO a VALUES (1, 1), (2, 0)").unwrap();
+    e.execute("INSERT INTO b VALUES (1), (2)").unwrap();
     let sql = "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k \
                WHERE 10 / a.d > 0 AND UPPER(b.k) = 'X'";
-    let err = |mut e: Engine| {
-        e.execute("CREATE TABLE a (k INT, d INT)").unwrap();
-        e.execute("CREATE TABLE b (k INT)").unwrap();
-        e.execute("INSERT INTO a VALUES (1, 1), (2, 0)").unwrap();
-        e.execute("INSERT INTO b VALUES (1), (2)").unwrap();
-        e.execute(sql).unwrap_err().to_string()
-    };
-    let paged = StorageConfig::paged(8, 512);
-    for e in [Engine::new(), Engine::with_storage(paged)] {
-        let got = err(e);
-        assert!(got.contains("division by zero"), "{got}");
-    }
+    let err = e.execute(sql).unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
 }

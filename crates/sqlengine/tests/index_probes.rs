@@ -12,24 +12,14 @@
 mod common;
 
 use common::check;
-use dbgpt_sqlengine::{Engine, StorageConfig};
+use dbgpt_sqlengine::Engine;
 
-/// A labelled engine constructor.
-type Cell = (&'static str, fn() -> Engine);
+/// What [`check`] names when the two engines disagree.
+const CTX: &str = "indexed vs index-free";
 
-/// The storage arms, each reading through its own index form.
-fn cells() -> [Cell; 2] {
-    [
-        ("in-memory", Engine::new),
-        ("paged", || {
-            Engine::with_storage(StorageConfig::paged(8, 256))
-        }),
-    ]
-}
-
-/// Run `setup` on an indexed and an index-free engine of one cell.
-fn pair(make: fn() -> Engine, setup: &[&str], indexes: &[&str]) -> (Engine, Engine) {
-    let (mut indexed, mut plain) = (make(), make());
+/// Run `setup` on an indexed and an index-free engine.
+fn pair(setup: &[&str], indexes: &[&str]) -> (Engine, Engine) {
+    let (mut indexed, mut plain) = (Engine::new(), Engine::new());
     for sql in setup {
         indexed.execute(sql).unwrap();
         plain.execute(sql).unwrap();
@@ -46,25 +36,23 @@ fn failed_update_leaves_no_stale_answers() {
         "CREATE TABLE t (id INT, name TEXT)",
         "INSERT INTO t VALUES (10, 'a'), (3, 'b'), (5, 'c'), (7, 'd')",
     ];
-    for (cell, make) in cells() {
-        let (mut indexed, mut plain) = pair(make, &setup, &["CREATE INDEX t_id ON t (id)"]);
-        // Probe the fresh index before the failing write.
-        check("SELECT SUM(id) FROM t", &mut indexed, &mut plain, cell);
-        // Row 10 is updated to 100, then row 3 divides by zero.
-        let sql = "UPDATE t SET id = 100 WHERE 10 / (id - 3) > 0";
-        assert!(indexed.execute(sql).is_err(), "{cell}");
-        assert!(plain.execute(sql).is_err(), "{cell}");
-        for sql in [
-            "SELECT id, name FROM t WHERE id = 100",
-            "SELECT id, name FROM t WHERE id = 10",
-            "SELECT SUM(id) FROM t",
-            "SELECT id, name FROM t",
-        ] {
-            check(sql, &mut indexed, &mut plain, cell);
-        }
-        let r = indexed.execute("SELECT SUM(id) FROM t").unwrap();
-        assert_eq!(r.rows[0][0].as_i64(), Some(115), "{cell}");
+    let (mut indexed, mut plain) = pair(&setup, &["CREATE INDEX t_id ON t (id)"]);
+    // Probe the fresh index before the failing write.
+    check("SELECT SUM(id) FROM t", &mut indexed, &mut plain, CTX);
+    // Row 10 is updated to 100, then row 3 divides by zero.
+    let sql = "UPDATE t SET id = 100 WHERE 10 / (id - 3) > 0";
+    assert!(indexed.execute(sql).is_err());
+    assert!(plain.execute(sql).is_err());
+    for sql in [
+        "SELECT id, name FROM t WHERE id = 100",
+        "SELECT id, name FROM t WHERE id = 10",
+        "SELECT SUM(id) FROM t",
+        "SELECT id, name FROM t",
+    ] {
+        check(sql, &mut indexed, &mut plain, CTX);
     }
+    let r = indexed.execute("SELECT SUM(id) FROM t").unwrap();
+    assert_eq!(r.rows[0][0].as_i64(), Some(115));
 }
 
 #[test]
@@ -73,22 +61,20 @@ fn failed_delete_then_point_read_is_ok() {
         "CREATE TABLE a (id INT, balance INT)",
         "INSERT INTO a VALUES (1, 100), (2, 30), (5, 50), (7, 70)",
     ];
-    for (cell, make) in cells() {
-        let (mut indexed, mut plain) = pair(make, &setup, &["CREATE INDEX a_id ON a (id)"]);
-        // Rows 1, 5 and 7 go; row 2 divides by zero and stays.
-        let sql = "DELETE FROM a WHERE 100 / (balance - 30) > 0";
-        assert!(indexed.execute(sql).is_err(), "{cell}");
-        assert!(plain.execute(sql).is_err(), "{cell}");
-        let r = indexed.execute("SELECT balance FROM a WHERE id = 7");
-        assert!(r.is_ok(), "{cell}: {r:?}");
-        for sql in [
-            "SELECT balance FROM a WHERE id = 7",
-            "SELECT balance FROM a WHERE id = 2",
-            "SELECT id, balance FROM a WHERE id >= 1",
-            "SELECT COUNT(*) FROM a",
-        ] {
-            check(sql, &mut indexed, &mut plain, cell);
-        }
+    let (mut indexed, mut plain) = pair(&setup, &["CREATE INDEX a_id ON a (id)"]);
+    // Rows 1, 5 and 7 go; row 2 divides by zero and stays.
+    let sql = "DELETE FROM a WHERE 100 / (balance - 30) > 0";
+    assert!(indexed.execute(sql).is_err());
+    assert!(plain.execute(sql).is_err());
+    let r = indexed.execute("SELECT balance FROM a WHERE id = 7");
+    assert!(r.is_ok(), "{r:?}");
+    for sql in [
+        "SELECT balance FROM a WHERE id = 7",
+        "SELECT balance FROM a WHERE id = 2",
+        "SELECT id, balance FROM a WHERE id >= 1",
+        "SELECT COUNT(*) FROM a",
+    ] {
+        check(sql, &mut indexed, &mut plain, CTX);
     }
 }
 
@@ -130,18 +116,10 @@ fn probes_find_cross_type_and_signed_zero_rows() {
         "SELECT id, f FROM p WHERE id >= 9007199254740992.0",
         "SELECT id, f FROM p WHERE id < 9007199254740992.0",
     ];
-    let arms: [Cell; 2] = [
-        ("in-memory", Engine::new),
-        ("paged", || {
-            Engine::with_storage(StorageConfig::paged(8, 256))
-        }),
-    ];
-    for (arm, make) in arms {
-        let (mut indexed, mut plain) = pair(make, &setup, &indexes);
-        for sql in queries {
-            check(sql, &mut indexed, &mut plain, arm);
-        }
-        let t = indexed.database().table("p").unwrap();
-        assert!(t.has_fresh_index(0) && t.has_fresh_index(1), "{arm}");
+    let (mut indexed, mut plain) = pair(&setup, &indexes);
+    for sql in queries {
+        check(sql, &mut indexed, &mut plain, CTX);
     }
+    let t = indexed.database().table("p").unwrap();
+    assert!(t.has_fresh_index(0) && t.has_fresh_index(1));
 }

@@ -1,8 +1,8 @@
 //! Two-phase SELECT: `Engine::prepare` scans under shared access and
 //! `ScannedSelect::finish` runs the operators on owned rows.
 //!
-//! - Differential: over the seeded corpus in `tests/common/`, in memory
-//!   and paged, `prepare` + `finish` through `&Engine` returns what
+//! - Differential: over the seeded corpus in `tests/common/`,
+//!   `prepare` + `finish` through `&Engine` returns what
 //!   `execute` returns on an index-free engine, per cell, with DML
 //!   (including writes that fail part-way) interleaved. The prepared
 //!   engine carries the corpus indexes but never refreshes them: it
@@ -21,7 +21,7 @@ use common::{compare, dml, query, seed_stmts, Rng, INDEXES};
 use dbgpt_obs::{Obs, ObsConfig, Span};
 use dbgpt_sqlengine::catalog::CHUNK_ROWS;
 use dbgpt_sqlengine::engine::Prepared;
-use dbgpt_sqlengine::{Engine, QueryResult, SqlError, StorageConfig};
+use dbgpt_sqlengine::{Engine, QueryResult, SqlError};
 
 /// Run a SELECT through `&Engine`: prepare, then finish.
 fn prepared(engine: &Engine, sql: &str, span: &Span) -> Result<QueryResult, SqlError> {
@@ -31,13 +31,14 @@ fn prepared(engine: &Engine, sql: &str, span: &Span) -> Result<QueryResult, SqlE
     }
 }
 
-fn differential(make: impl Fn() -> Engine, label: &str) {
+#[test]
+fn prepare_finish_matches_execute_row_executor() {
     for seed in [7, 42, 1234] {
         let mut rng = Rng::new(seed);
         // > CHUNK_ROWS rows in t1 so scans span several chunks.
         let stmts = seed_stmts(&mut rng, 1500, 300);
-        let mut two_phase = make();
-        let mut reference = make();
+        let mut two_phase = Engine::new();
+        let mut reference = Engine::new();
         for s in &stmts {
             two_phase.execute(s).unwrap();
             reference.execute(s).unwrap();
@@ -45,7 +46,7 @@ fn differential(make: impl Fn() -> Engine, label: &str) {
         for s in INDEXES {
             two_phase.execute(s).unwrap();
         }
-        let ctx = format!("{label} seed {seed}");
+        let ctx = format!("seed {seed}");
         let mut next_id = 1_000_000;
         for step in 0..220 {
             if step % 9 == 8 {
@@ -75,16 +76,6 @@ fn differential(make: impl Fn() -> Engine, label: &str) {
             compare(sql, &x, &reference.execute(sql), &ctx);
         }
     }
-}
-
-#[test]
-fn prepare_finish_matches_execute_row_executor() {
-    differential(Engine::new, "in-memory");
-}
-
-#[test]
-fn prepare_finish_matches_execute_on_paged_storage() {
-    differential(|| Engine::with_storage(StorageConfig::paged(16, 4096)), "paged");
 }
 
 fn isolation_engine() -> Engine {
