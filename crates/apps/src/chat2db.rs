@@ -135,6 +135,16 @@ mod tests {
     }
 
     #[test]
+    fn top_n_under_the_largest_limit_returns_every_row() {
+        // The executor's top-n must not reserve room for `LIMIT` rows.
+        let sql = "SELECT id FROM orders ORDER BY amount DESC, id LIMIT 9223372036854775807";
+        let r = app().ask(sql).unwrap();
+        assert_eq!(r.rows, 8);
+        let all = app().ask("SELECT id FROM orders ORDER BY amount DESC, id").unwrap();
+        assert_eq!(r.table, all.table);
+    }
+
+    #[test]
     fn dml_reports_rows_affected() {
         let a = app();
         let r = a.ask("DELETE FROM orders WHERE category = 'food'").unwrap();

@@ -1,5 +1,6 @@
 //! Experiment E4: SQL engine micro-benchmarks — scan/filter/join/aggregate
-//! throughput and the optimizer ablation (rules on vs off).
+//! throughput and the optimizer ablation (rules on vs off). E22 reads the
+//! `sort_limit`, `aggregate`, `distinct` and `global_sum` rows at 20k.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -25,8 +26,10 @@ fn bench_operators(c: &mut Criterion) {
             "SELECT id FROM orders ORDER BY amount DESC LIMIT 10",
         ),
         ("distinct", "SELECT DISTINCT category FROM orders"),
+        ("global_sum", "SELECT SUM(amount) FROM orders"),
     ];
-    for rows in [1_000usize, 10_000] {
+    // 20k rows is the `orders` table perfbench's chat2data_analytics serves.
+    for rows in [1_000usize, 10_000, 20_000] {
         let mut engine = orders_engine(rows, 7);
         for (name, sql) in queries {
             group.bench_with_input(

@@ -6,7 +6,7 @@ use dbgpt_obs::Span;
 
 use crate::catalog::{Database, RowEdit, Snapshot, Table};
 use crate::error::SqlError;
-use crate::exec::executor;
+use crate::exec::executor::{self, KeySeed};
 use crate::expr::Expr;
 use crate::parser::{parse, Statement};
 use crate::plan::logical::{LogicalPlan, Planner};
@@ -96,6 +96,8 @@ impl QueryResult {
 pub struct Engine {
     db: Database,
     optimizer: Optimizer,
+    /// Where this engine's group, join and DISTINCT key hashes start.
+    key_seed: KeySeed,
 }
 
 impl Engine {
@@ -109,6 +111,7 @@ impl Engine {
         Engine {
             db: Database::new(),
             optimizer,
+            key_seed: KeySeed::default(),
         }
     }
 
@@ -214,6 +217,7 @@ impl Engine {
         ScannedSelect {
             plan,
             scans,
+            seed: self.key_seed,
             span,
             exec_span,
         }
@@ -400,6 +404,7 @@ enum Planned {
 pub struct ScannedSelect {
     plan: LogicalPlan,
     scans: Result<Vec<Snapshot>, SqlError>,
+    seed: KeySeed,
     span: Span,
     exec_span: Span,
 }
@@ -411,10 +416,11 @@ impl ScannedSelect {
         let ScannedSelect {
             plan,
             scans,
+            seed,
             span,
             exec_span,
         } = self;
-        let batch = scans.and_then(|scans| executor::finish_plan(&plan, scans));
+        let batch = scans.and_then(|scans| executor::finish_plan(&plan, scans, seed));
         if let Ok(b) = &batch {
             exec_span.attr("rows", b.rows.len());
         }

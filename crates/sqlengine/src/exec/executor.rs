@@ -1,9 +1,10 @@
 //! The recursive plan executor.
 //!
 //! Each node pulls the full output of its children (materialised execution;
-//! fine for an in-memory engine). Joins pick a physical strategy at run
-//! time: equi-join conjuncts in the `ON` clause trigger a **hash join**,
-//! anything else falls back to a nested-loop join.
+//! fine for an in-memory engine), except for the streaming pipelines below.
+//! Joins pick a physical strategy at run time: equi-join conjuncts in the
+//! `ON` clause trigger a **hash join**, anything else falls back to a
+//! nested-loop join.
 //!
 //! Execution runs in two phases. `scan_plan`, the only phase that touches
 //! the catalog, probes indexes and takes every scanned table's
@@ -17,21 +18,28 @@
 //!   group table and its accumulators);
 //! - an aggregate over an inner equi-join of two scans builds the hash
 //!   table on the right scan's rows and streams each left row's matches
-//!   into the sink without building joined rows.
+//!   into the sink without building joined rows;
+//! - a `Limit` over a `Sort` keeps a bounded top-n: over a projected scan
+//!   it ranks the passing rows in place and projects only the rows it
+//!   keeps; over any other input it selects `n` rows without sorting the
+//!   rest.
 //!
-//! Group keys, aggregate arguments and join keys are bound to row
-//! positions once per plan and read cells by reference.
+//! Group keys, aggregate arguments, join keys and projections are bound
+//! to row positions once per plan and read cells in place. Group, join and
+//! DISTINCT keys hash with `Value::key_hash` from a `KeySeed` that
+//! each engine draws once.
 //!
 //! Which error a failing statement reports: a single pass evaluates a
-//! scan's filter and the aggregate row by row, so when both fail on
-//! different rows, the earlier row's error is reported. Across the two
-//! scans of a join, a failing left filter is reported before any error on
-//! the right side, as when the left input is materialised first.
+//! scan's filter and the operator above it (an aggregate, or a top-n's
+//! projection) row by row, so when both fail on different rows, the
+//! earlier row's error is reported. Across the two scans of a join, a
+//! failing left filter is reported before any error on the right side, as
+//! when the left input is materialised first.
 
-use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::ops::Bound::{self, Excluded, Included, Unbounded};
 
 use crate::catalog::{Database, Snapshot, Table};
@@ -41,14 +49,14 @@ use crate::parser::JoinKind;
 use crate::plan::logical::{AggFunc, LogicalPlan};
 use crate::row::{Row, RowBatch};
 use crate::schema::{Schema, SchemaRef};
-use crate::value::{DataType, GroupKey, Value};
+use crate::value::{DataType, Value};
 
 use super::aggregate::Accumulator;
 
 /// Execute a logical plan to completion: `scan_plan`, then
-/// `finish_plan` over its scans.
+/// `finish_plan` over its scans, under a fresh `KeySeed`.
 pub fn execute_plan(plan: &LogicalPlan, db: &Database) -> Result<RowBatch, SqlError> {
-    finish_plan(plan, scan_plan(plan, db)?)
+    finish_plan(plan, scan_plan(plan, db)?, KeySeed::default())
 }
 
 /// Phase 1: snapshot every `Scan` node's table, narrowed by a fresh index
@@ -80,12 +88,46 @@ pub(crate) fn scan_plan(plan: &LogicalPlan, db: &Database) -> Result<Vec<Snapsho
 
 /// Phase 2: run the plan's operators over the scans from [`scan_plan`].
 /// No catalog access, so a caller may run it after releasing its lock.
-pub(crate) fn finish_plan(plan: &LogicalPlan, scans: Vec<Snapshot>) -> Result<RowBatch, SqlError> {
-    run(plan, &mut scans.into_iter())
+pub(crate) fn finish_plan(
+    plan: &LogicalPlan,
+    scans: Vec<Snapshot>,
+    seed: KeySeed,
+) -> Result<RowBatch, SqlError> {
+    run(
+        plan,
+        &mut Exec {
+            scans: scans.into_iter(),
+            seed,
+        },
+    )
 }
 
-/// The scans of a plan, consumed in [`LogicalPlan::scans`] order.
-type Scans = std::vec::IntoIter<Snapshot>;
+/// The seed every key hash of a statement starts from. An engine draws
+/// one when it is built, so the hash layout differs between engines and
+/// processes; no result depends on it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeySeed(u64);
+
+impl Default for KeySeed {
+    /// A seed from the standard library's per-process random hash keys.
+    fn default() -> Self {
+        KeySeed(RandomState::new().hash_one(0u64))
+    }
+}
+
+/// What the operators of one statement share.
+struct Exec {
+    /// The statement's scans, consumed in [`LogicalPlan::scans`] order.
+    scans: std::vec::IntoIter<Snapshot>,
+    seed: KeySeed,
+}
+
+impl Exec {
+    /// An empty key index under the statement's seed.
+    fn key_index(&self) -> KeyIndex {
+        KeyIndex::new(self.seed)
+    }
+}
 
 /// One `Scan` node over its snapshot.
 struct ScanRows<'p> {
@@ -99,7 +141,7 @@ struct ScanRows<'p> {
 }
 
 impl<'p> ScanRows<'p> {
-    fn new(scan: &'p LogicalPlan, scans: &mut Scans) -> Self {
+    fn new(scan: &'p LogicalPlan, ex: &mut Exec) -> Self {
         let LogicalPlan::Scan {
             schema,
             projection,
@@ -109,7 +151,7 @@ impl<'p> ScanRows<'p> {
         else {
             unreachable!("ScanRows reads Scan nodes");
         };
-        let rows = scans.next().expect("one snapshot per scan");
+        let rows = ex.scans.next().expect("one snapshot per scan");
         ScanRows {
             source: source_schema(scan, rows.schema()),
             rows,
@@ -227,41 +269,82 @@ impl<'p> Binding<'p> {
         }
     }
 
-    /// The value for `input`, borrowed unless computed; [`Binding::Eval`]
-    /// reads the row through `schema`.
-    fn value<'r>(&self, input: Input<'r>, schema: &Schema) -> Result<Cow<'r, Value>, SqlError>
+    /// The cell a column or literal reads for `input`, in place; `None`
+    /// for [`Binding::Eval`].
+    #[inline]
+    fn cell<'r>(&self, input: Input<'r>) -> Option<&'r Value>
     where
         'p: 'r,
     {
         match (self, input) {
-            (Binding::Col(i), Input(row, _)) => Ok(Cow::Borrowed(&row[*i])),
-            (Binding::Right(i), Input(_, Some(right))) => Ok(Cow::Borrowed(&right[*i])),
-            (Binding::Const(v), _) => Ok(Cow::Borrowed(*v)),
-            (Binding::Eval(e), Input(row, None)) => e.eval_ref(row, schema),
-            (Binding::Right(_), Input(_, None)) | (Binding::Eval(_), Input(_, Some(_))) => {
-                unreachable!("join pairs read bound columns only")
-            }
+            (Binding::Col(i), Input(row, _)) => Some(&row[*i]),
+            (Binding::Right(i), Input(_, Some(right))) => Some(&right[*i]),
+            (Binding::Const(v), _) => Some(*v),
+            (Binding::Eval(_), _) => None,
+            (Binding::Right(_), Input(_, None)) => unreachable!("right columns read join pairs"),
         }
     }
 }
 
-/// Evaluate `keys` on `row` into `out`. Stops with `false` at the first
-/// NULL: a NULL join key matches nothing.
-fn join_key<'p: 'r, 'r>(
-    keys: &[Binding<'p>],
-    row: &'r [Value],
+/// Cell `i` of `bound` for `input`: read in place, or, for a
+/// [`Binding::Eval`], the value evaluated into `evals[i]`.
+#[inline]
+fn bound_cell<'v>(
+    bound: &[Binding<'v>],
+    evals: &'v [Value],
+    input: Input<'v>,
+    i: usize,
+) -> &'v Value {
+    match bound[i].cell(input) {
+        Some(v) => v,
+        None => &evals[i],
+    }
+}
+
+/// Evaluate the [`Binding::Eval`] entries of `bound` on `row`, read
+/// through `schema`, into the same positions of `evals`, in order.
+fn eval_into(
+    bound: &[Binding<'_>],
+    row: &[Value],
     schema: &Schema,
-    out: &mut Vec<Cow<'r, Value>>,
+    evals: &mut [Value],
+) -> Result<(), SqlError> {
+    for (b, slot) in bound.iter().zip(evals) {
+        if let Binding::Eval(e) = b {
+            *slot = e.eval_ref(row, schema)?.into_owned();
+        }
+    }
+    Ok(())
+}
+
+/// Evaluate a join key on `row` as [`eval_into`] does, stopping with
+/// `false` at the first NULL cell: a NULL join key matches nothing.
+fn join_key(
+    keys: &[Binding<'_>],
+    row: &[Value],
+    schema: &Schema,
+    evals: &mut [Value],
 ) -> Result<bool, SqlError> {
-    out.clear();
-    for k in keys {
-        let v = k.value(Input(row, None), schema)?;
-        if v.is_null() {
+    for (i, k) in keys.iter().enumerate() {
+        if let Binding::Eval(e) = k {
+            evals[i] = e.eval_ref(row, schema)?.into_owned();
+        }
+        if bound_cell(keys, evals, Input(row, None), i).is_null() {
             return Ok(false);
         }
-        out.push(v);
     }
     Ok(true)
+}
+
+/// Whether the stored key cells `stored` match, cell by cell under `eq`,
+/// the key whose cells `cell` reads.
+#[inline]
+fn same_key<'v>(
+    stored: &[Value],
+    cell: impl Fn(usize) -> &'v Value,
+    eq: impl Fn(&Value, &Value) -> bool,
+) -> bool {
+    stored.iter().enumerate().all(|(i, v)| eq(v, cell(i)))
 }
 
 /// Hashes a precomputed `u64` hash to itself.
@@ -282,59 +365,45 @@ impl Hasher for PassHasher {
     }
 }
 
-/// Distinct keys in first-seen order, found by hashing the borrowed key
-/// under [`GroupKey`] identity. A key is cloned only when first inserted.
-#[derive(Default)]
+/// Hash chains over keys that the caller stores: entry `i` is the `i`-th
+/// key pushed, found by its [`Value::key_hash`] from the statement's seed.
 struct KeyIndex {
-    hasher: RandomState,
-    /// Key hash → the newest key with that hash.
+    seed: u64,
+    /// Key hash → the newest entry with that hash.
     heads: HashMap<u64, usize, BuildHasherDefault<PassHasher>>,
-    keys: Vec<Vec<Value>>,
-    /// The next older key with the same hash.
+    /// The next older entry with the same hash.
     next: Vec<Option<usize>>,
 }
 
 impl KeyIndex {
-    fn hash(&self, key: &[Cow<'_, Value>]) -> u64 {
-        let mut h = self.hasher.build_hasher();
-        for v in key {
-            v.group_key_ref().hash(&mut h);
+    fn new(seed: KeySeed) -> Self {
+        KeyIndex {
+            seed: seed.0,
+            heads: HashMap::default(),
+            next: Vec::new(),
         }
-        h.finish()
     }
 
-    fn find_hashed(&self, key: &[Cow<'_, Value>], hash: u64) -> Option<usize> {
-        let same = |stored: &[Value]| {
-            stored
-                .iter()
-                .zip(key)
-                .all(|(a, b)| a.group_key_ref() == b.group_key_ref())
-        };
-        let mut at = self.heads.get(&hash).copied();
-        while let Some(i) = at {
-            if same(&self.keys[i]) {
-                return Some(i);
-            }
-            at = self.next[i];
-        }
-        None
+    /// The hash of the `n`-cell key whose cells `cell` reads.
+    #[inline]
+    fn hash<'v>(&self, n: usize, cell: impl Fn(usize) -> &'v Value) -> u64 {
+        (0..n).fold(self.seed, |h, i| cell(i).key_hash(h))
     }
 
-    /// The index of `key`, if present.
-    fn find(&self, key: &[Cow<'_, Value>]) -> Option<usize> {
-        self.find_hashed(key, self.hash(key))
+    /// The entries with hash `hash`, newest first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.heads.get(&hash).copied(), |&i| self.next[i])
     }
 
-    /// The index of `key`, inserted (as the next index) when new.
-    fn find_or_insert(&mut self, key: &[Cow<'_, Value>]) -> usize {
-        let hash = self.hash(key);
-        if let Some(i) = self.find_hashed(key, hash) {
-            return i;
+    /// The entry with hash `hash` that `same` accepts, or else a new
+    /// entry (the next index) with that hash; `true` when new.
+    fn find_or_push(&mut self, hash: u64, same: impl Fn(usize) -> bool) -> (usize, bool) {
+        if let Some(i) = self.chain(hash).find(|&i| same(i)) {
+            return (i, false);
         }
-        let i = self.keys.len();
-        self.keys.push(key.iter().map(|v| v.as_ref().clone()).collect());
+        let i = self.next.len();
         self.next.push(self.heads.insert(hash, i));
-        i
+        (i, true)
     }
 }
 
@@ -345,40 +414,101 @@ struct JoinTable<'p, 'r> {
     build_schema: SchemaRef,
     probe_keys: Vec<Binding<'p>>,
     probe_schema: SchemaRef,
+    /// Distinct build keys, under group identity.
     index: KeyIndex,
-    /// Build rows per key of `index`, in insertion order.
-    rows: Vec<Vec<&'r [Value]>>,
-    key: Vec<Cow<'r, Value>>,
+    /// The cells of each key of `index`, key after key.
+    keys: Vec<Value>,
+    /// Positions in `rows` of each key's build rows, ascending.
+    hits: Vec<Vec<usize>>,
+    /// The build rows, in build order.
+    rows: Vec<&'r [Value]>,
+    /// The current row's evaluated key cells (see [`join_key`]).
+    evals: Vec<Value>,
 }
 
 impl<'p: 'r, 'r> JoinTable<'p, 'r> {
+    fn new(
+        build_keys: Vec<Binding<'p>>,
+        build_schema: SchemaRef,
+        probe_keys: Vec<Binding<'p>>,
+        probe_schema: SchemaRef,
+        index: KeyIndex,
+    ) -> Self {
+        JoinTable {
+            evals: vec![Value::Null; build_keys.len()],
+            build_keys,
+            build_schema,
+            probe_keys,
+            probe_schema,
+            index,
+            keys: Vec::new(),
+            hits: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
     /// Add one build row; a row with a NULL key never matches and is
     /// left out.
     fn insert(&mut self, row: &'r [Value]) -> Result<(), SqlError> {
-        if join_key(&self.build_keys, row, &self.build_schema, &mut self.key)? {
-            let i = self.index.find_or_insert(&self.key);
-            if i == self.rows.len() {
-                self.rows.push(Vec::new());
-            }
-            self.rows[i].push(row);
+        if !join_key(&self.build_keys, row, &self.build_schema, &mut self.evals)? {
+            return Ok(());
         }
+        let n = self.build_keys.len();
+        let (keys, evals, stored) = (&self.build_keys, &self.evals, &self.keys);
+        let cell = |i| bound_cell(keys, evals, Input(row, None), i);
+        let hash = self.index.hash(n, cell);
+        let (k, new) = self.index.find_or_push(hash, |k| {
+            same_key(&stored[k * n..][..n], cell, Value::same_group)
+        });
+        if new {
+            self.keys.extend((0..n).map(|i| cell(i).clone()));
+            self.hits.push(Vec::new());
+        }
+        self.hits[k].push(self.rows.len());
+        self.rows.push(row);
         Ok(())
     }
 
-    /// Call `on_pair` with each build row whose key equals `row`'s, in
+    /// Call `on_pair` with each build row whose key is `=` to `row`'s, in
     /// build order. Returns whether any call returned `true`.
     fn probe(
         &mut self,
         row: &'r [Value],
         mut on_pair: impl FnMut(&'r [Value]) -> Result<bool, SqlError>,
     ) -> Result<bool, SqlError> {
-        if !join_key(&self.probe_keys, row, &self.probe_schema, &mut self.key)? {
+        if !join_key(&self.probe_keys, row, &self.probe_schema, &mut self.evals)? {
             return Ok(false);
         }
+        let n = self.probe_keys.len();
+        let (keys, evals, stored) = (&self.probe_keys, &self.evals, &self.keys);
+        let cell = |i| bound_cell(keys, evals, Input(row, None), i);
+        let hash = self.index.hash(n, cell);
+        // `=` compares INT and FLOAT as `f64`, so one probe key can equal
+        // several build keys: INT 1 and FLOAT 1.0, or INTs past 2^53.
+        let mut found = self
+            .index
+            .chain(hash)
+            .filter(|&k| same_key(&stored[k * n..][..n], cell, Value::sql_eq));
+        let Some(first) = found.next() else {
+            return Ok(false);
+        };
         let mut matched = false;
-        if let Some(i) = self.index.find(&self.key) {
-            for &build in &self.rows[i] {
-                matched |= on_pair(build)?;
+        match found.next() {
+            None => {
+                for &at in &self.hits[first] {
+                    matched |= on_pair(self.rows[at])?;
+                }
+            }
+            Some(second) => {
+                let mut all: Vec<usize> = [first, second]
+                    .into_iter()
+                    .chain(found)
+                    .flat_map(|k| self.hits[k].iter().copied())
+                    .collect();
+                all.sort_unstable();
+                for at in all {
+                    matched |= on_pair(self.rows[at])?;
+                }
             }
         }
         Ok(matched)
@@ -387,18 +517,22 @@ impl<'p: 'r, 'r> JoinTable<'p, 'r> {
 
 /// Hash aggregation: the group table and its accumulators. Groups come
 /// out in first-seen order.
-struct AggSink<'p, 'r> {
+struct AggSink<'p> {
     keys: Vec<Binding<'p>>,
     args: Vec<Binding<'p>>,
     funcs: Vec<AggFunc>,
     /// Schema [`Binding::Eval`] expressions read input rows through.
     schema: SchemaRef,
     groups: KeyIndex,
-    accs: Vec<Vec<Accumulator>>,
-    key: Vec<Cow<'r, Value>>,
+    /// The key cells of each group, group after group.
+    group_keys: Vec<Value>,
+    /// The accumulators of each group, group after group.
+    accs: Vec<Accumulator>,
+    /// The current row's evaluated key cells (see [`eval_into`]).
+    evals: Vec<Value>,
 }
 
-impl<'p: 'r, 'r> AggSink<'p, 'r> {
+impl<'p> AggSink<'p> {
     /// Bind an `Aggregate` node's keys and arguments, expressions over
     /// `input`, to input rows read through `schema`; `place` says where a
     /// column of `input` sits in the input rows.
@@ -407,27 +541,34 @@ impl<'p: 'r, 'r> AggSink<'p, 'r> {
         aggregates: &'p [(AggFunc, Expr, String)],
         input: &Schema,
         schema: SchemaRef,
+        groups: KeyIndex,
         place: impl Fn(usize) -> Binding<'p>,
     ) -> Self {
+        let keys: Vec<_> = group_exprs
+            .iter()
+            .map(|(e, _)| Binding::new(e, input, &place))
+            .collect();
         let mut sink = AggSink {
-            keys: group_exprs.iter().map(|(e, _)| Binding::new(e, input, &place)).collect(),
+            evals: vec![Value::Null; keys.len()],
+            keys,
             args: aggregates.iter().map(|(_, e, _)| Binding::arg(e, input, &place)).collect(),
             funcs: aggregates.iter().map(|(f, _, _)| *f).collect(),
             schema,
-            groups: KeyIndex::default(),
+            groups,
+            group_keys: Vec::new(),
             accs: Vec::new(),
-            key: Vec::new(),
         };
         if sink.keys.is_empty() {
             // A global aggregate has its one group, even over empty input.
-            sink.groups.find_or_insert(&[]);
-            sink.accs.push(sink.fresh_accumulators());
+            sink.open_group();
         }
         sink
     }
 
-    fn fresh_accumulators(&self) -> Vec<Accumulator> {
-        self.funcs.iter().map(|f| Accumulator::new(*f)).collect()
+    /// Add fresh accumulators for a new group.
+    fn open_group(&mut self) {
+        self.accs
+            .extend(self.funcs.iter().map(|f| Accumulator::new(*f)));
     }
 
     /// Whether every key and argument reads bound columns or constants
@@ -437,33 +578,55 @@ impl<'p: 'r, 'r> AggSink<'p, 'r> {
     }
 
     /// Fold one input row into its group.
-    fn feed(&mut self, input: Input<'r>) -> Result<(), SqlError> {
-        self.key.clear();
-        for k in &self.keys {
-            self.key.push(k.value(input, &self.schema)?);
-        }
+    fn feed(&mut self, input: Input<'_>) -> Result<(), SqlError> {
         let g = match self.keys.is_empty() {
             true => 0,
-            false => self.groups.find_or_insert(&self.key),
+            false => self.group(input)?,
         };
-        if g == self.accs.len() {
-            self.accs.push(self.fresh_accumulators());
-        }
-        for (arg, acc) in self.args.iter().zip(&mut self.accs[g]) {
-            acc.update(arg.value(input, &self.schema)?.as_ref())?;
+        let m = self.args.len();
+        for (arg, acc) in self.args.iter().zip(&mut self.accs[g * m..]) {
+            match arg.cell(input) {
+                Some(v) => acc.update(v)?,
+                None => {
+                    let Binding::Eval(e) = arg else {
+                        unreachable!("only Eval bindings lack a cell")
+                    };
+                    acc.update(e.eval_ref(input.0, &self.schema)?.as_ref())?
+                }
+            }
         }
         Ok(())
     }
 
+    /// The group of `input`'s key, opened when first seen.
+    fn group(&mut self, input: Input<'_>) -> Result<usize, SqlError> {
+        eval_into(&self.keys, input.0, &self.schema, &mut self.evals)?;
+        let n = self.keys.len();
+        let (keys, evals, stored) = (&self.keys, &self.evals, &self.group_keys);
+        let cell = |i| bound_cell(keys, evals, input, i);
+        let hash = self.groups.hash(n, cell);
+        let (g, new) = self.groups.find_or_push(hash, |g| {
+            same_key(&stored[g * n..][..n], cell, Value::same_group)
+        });
+        if new {
+            self.group_keys.extend((0..n).map(|i| cell(i).clone()));
+            self.open_group();
+        }
+        Ok(g)
+    }
+
     /// One row per group: its key, then each aggregate.
     fn finish(self, schema: SchemaRef) -> RowBatch {
-        let rows = self
-            .groups
-            .keys
-            .into_iter()
-            .zip(self.accs)
-            .map(|(mut vals, accs)| {
-                vals.extend(accs.iter().map(Accumulator::finish));
+        let (n, m) = (self.keys.len(), self.funcs.len());
+        // A global aggregate has one group; a grouped one, a key per group.
+        let groups = self.group_keys.len().checked_div(n).unwrap_or(1);
+        let mut keys = self.group_keys.into_iter();
+        let mut accs = self.accs.iter();
+        let rows = (0..groups)
+            .map(|_| {
+                let mut vals = Vec::with_capacity(n + m);
+                vals.extend(keys.by_ref().take(n));
+                vals.extend(accs.by_ref().take(m).map(Accumulator::finish));
                 Row::new(vals)
             })
             .collect();
@@ -480,14 +643,15 @@ fn aggregate(
     group_exprs: &[(Expr, String)],
     aggregates: &[(AggFunc, Expr, String)],
     out_schema: SchemaRef,
-    scans: &mut Scans,
+    ex: &mut Exec,
 ) -> Result<RowBatch, SqlError> {
     match input {
         LogicalPlan::Scan { .. } => {
-            let scan = ScanRows::new(input, scans);
+            let scan = ScanRows::new(input, ex);
             let place = |i| Binding::Col(source_pos(scan.projection, i));
-            let source = scan.source.clone();
-            let mut sink = AggSink::new(group_exprs, aggregates, scan.schema, source, place);
+            let (source, groups) = (scan.source.clone(), ex.key_index());
+            let mut sink =
+                AggSink::new(group_exprs, aggregates, scan.schema, source, groups, place);
             scan.for_each(|row| sink.feed(Input(row, None)))?;
             Ok(sink.finish(out_schema))
         }
@@ -503,29 +667,27 @@ fn aggregate(
         {
             let (lschema, rschema) = (left.schema(), right.schema());
             let keys = extract_equi_keys(on, &lschema, &rschema);
-            let (l, r) = (ScanRows::new(left, scans), ScanRows::new(right, scans));
+            let (l, r) = (ScanRows::new(left, ex), ScanRows::new(right, ex));
             let (lproj, rproj) = (l.projection, r.projection);
             let place = |i: usize| match i.checked_sub(lschema.len()) {
                 None => Binding::Col(source_pos(lproj, i)),
                 Some(j) => Binding::Right(source_pos(rproj, j)),
             };
             let joined = lschema.join(&rschema);
-            let schema = out_schema.clone();
-            let mut sink = AggSink::new(group_exprs, aggregates, &joined, schema, place);
+            let (schema, groups) = (out_schema.clone(), ex.key_index());
+            let mut sink = AggSink::new(group_exprs, aggregates, &joined, schema, groups, place);
             if keys.left_exprs.is_empty() || keys.residual.is_some() || !sink.all_bound() {
                 let (lbatch, rbatch) = (l.collect()?, r.collect()?);
-                let batch = execute_join(lbatch, rbatch, JoinKind::Inner, on)?;
-                return aggregate_batch(&batch, group_exprs, aggregates, out_schema);
+                let batch = execute_join(lbatch, rbatch, JoinKind::Inner, on, ex)?;
+                return aggregate_batch(&batch, group_exprs, aggregates, out_schema, ex);
             }
-            let mut table = JoinTable {
-                build_keys: keys.right_exprs.iter().map(|e| r.bind(e)).collect(),
-                build_schema: r.source.clone(),
-                probe_keys: keys.left_exprs.iter().map(|e| l.bind(e)).collect(),
-                probe_schema: l.source.clone(),
-                index: KeyIndex::default(),
-                rows: Vec::new(),
-                key: Vec::new(),
-            };
+            let mut table = JoinTable::new(
+                keys.right_exprs.iter().map(|e| r.bind(e)).collect(),
+                r.source.clone(),
+                keys.left_exprs.iter().map(|e| l.bind(e)).collect(),
+                l.source.clone(),
+                ex.key_index(),
+            );
             if let Err(e) = r.for_each(|row| table.insert(row)) {
                 // Materialising left before right reports a failing left
                 // filter first; so does this pass.
@@ -539,8 +701,8 @@ fn aggregate(
             Ok(sink.finish(out_schema))
         }
         _ => {
-            let batch = run(input, scans)?;
-            aggregate_batch(&batch, group_exprs, aggregates, out_schema)
+            let batch = run(input, ex)?;
+            aggregate_batch(&batch, group_exprs, aggregates, out_schema, ex)
         }
     }
 }
@@ -551,25 +713,193 @@ fn aggregate_batch(
     group_exprs: &[(Expr, String)],
     aggregates: &[(AggFunc, Expr, String)],
     out_schema: SchemaRef,
+    ex: &Exec,
 ) -> Result<RowBatch, SqlError> {
-    let schema = batch.schema.clone();
-    let mut sink = AggSink::new(group_exprs, aggregates, &batch.schema, schema, Binding::Col);
+    let (schema, groups) = (batch.schema.clone(), ex.key_index());
+    let mut sink = AggSink::new(
+        group_exprs,
+        aggregates,
+        &batch.schema,
+        schema,
+        groups,
+        Binding::Col,
+    );
     for row in &batch.rows {
         sink.feed(Input(row, None))?;
     }
     Ok(sink.finish(out_schema))
 }
 
-/// The operator tree over the scans' snapshots, consumed in scan order.
-fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
-    match plan {
-        LogicalPlan::Scan { .. } => ScanRows::new(plan, scans).collect(),
+/// The first row of each set of rows with equal group keys, in order.
+fn dedupe(rows: Vec<Row>, mut index: KeyIndex) -> Vec<Row> {
+    let mut kept: Vec<Row> = Vec::new();
+    for row in rows {
+        let cell = |i: usize| &row[i];
+        let hash = index.hash(row.len(), cell);
+        let (_, new) = index.find_or_push(hash, |k| same_key(&kept[k], cell, Value::same_group));
+        if new {
+            kept.push(row);
+        }
+    }
+    kept
+}
 
-        LogicalPlan::Union { inputs, dedupe } => {
+/// How `keys`, `(position, descending)` pairs, order two rows whose cells
+/// `a` and `b` read.
+fn sort_order<'a, 'b>(
+    keys: &[(usize, bool)],
+    a: impl Fn(usize) -> &'a Value,
+    b: impl Fn(usize) -> &'b Value,
+) -> Ordering {
+    for &(pos, desc) in keys {
+        let ord = a(pos).total_cmp(b(pos));
+        let ord = if desc { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// The first `n` items of a stream in a given order, ties in arrival
+/// order: the items a stable sort of the whole stream truncated to `n`
+/// keeps. Items are buffered and the buffer is cut back to its `n` best
+/// whenever it reaches `max(2n, 64)`, so it never reserves room for `n`;
+/// after a cut, an item must rank before the `n`-th best to be kept.
+struct TopN<T> {
+    n: usize,
+    /// Kept items with their arrival numbers. After a cut, entry `n - 1`
+    /// is the `n`-th best.
+    kept: Vec<(usize, T)>,
+    arrived: usize,
+    cut: bool,
+}
+
+impl<T> TopN<T> {
+    fn new(n: usize) -> Self {
+        TopN {
+            n,
+            kept: Vec::new(),
+            arrived: 0,
+            cut: false,
+        }
+    }
+
+    /// Offer the next item, ordered by `cmp`; hands it back when it cannot
+    /// be among the first `n`.
+    fn offer(&mut self, item: T, cmp: impl Fn(&T, &T) -> Ordering) -> Option<T> {
+        let keep = match (self.n, self.cut) {
+            (0, _) => false,
+            (_, false) => true,
+            (n, true) => cmp(&item, &self.kept[n - 1].1).is_lt(),
+        };
+        if !keep {
+            return Some(item);
+        }
+        self.kept.push((self.arrived, item));
+        self.arrived += 1;
+        if self.kept.len() >= self.n.saturating_mul(2).max(64) {
+            self.kept
+                .select_nth_unstable_by(self.n - 1, |a, b| cmp(&a.1, &b.1).then(a.0.cmp(&b.0)));
+            self.kept.truncate(self.n);
+            self.cut = true;
+        }
+        None
+    }
+
+    /// The first `n` items, in order.
+    fn finish(mut self, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+        self.kept
+            .sort_unstable_by(|a, b| cmp(&a.1, &b.1).then(a.0.cmp(&b.0)));
+        self.kept.truncate(self.n);
+        self.kept.into_iter().map(|(_, item)| item).collect()
+    }
+}
+
+/// A scan row ranked by a top-n, with its evaluated projections (empty
+/// when every projection reads a column or a literal).
+type Ranked<'r> = (&'r [Value], Vec<Value>);
+
+/// Projection `p` of a ranked row.
+fn ranked_cell<'v>(cols: &[Binding<'v>], r: &'v Ranked<'_>, p: usize) -> &'v Value {
+    bound_cell(cols, &r.1, Input(r.0, None), p)
+}
+
+/// A `Limit` over a `Sort`: the first `n` rows in the sort's order, ties
+/// in input order. Over a projected scan, the passing rows are ranked in
+/// place and only the `n` kept are projected; a projection that can fail
+/// is still evaluated on every passing row. Any other input is run first,
+/// and `n` of its rows are selected without sorting the rest.
+fn top_n(
+    input: &LogicalPlan,
+    keys: &[(usize, bool)],
+    n: usize,
+    ex: &mut Exec,
+) -> Result<RowBatch, SqlError> {
+    let (scan, exprs) = match input {
+        LogicalPlan::Project { input: scan, exprs }
+            if matches!(**scan, LogicalPlan::Scan { .. }) =>
+        {
+            (ScanRows::new(scan, ex), exprs)
+        }
+        _ => {
+            let batch = run(input, ex)?;
+            let cmp = |a: &Row, b: &Row| sort_order(keys, |p| &a[p], |p| &b[p]);
+            let mut top = TopN::new(n);
+            for row in batch.rows {
+                top.offer(row, cmp);
+            }
+            return Ok(RowBatch::new(batch.schema, top.finish(cmp)));
+        }
+    };
+    let cols: Vec<Binding> = exprs.iter().map(|(e, _)| scan.bind(e)).collect();
+    let computed = cols.iter().any(|c| matches!(c, Binding::Eval(_)));
+    let cmp = |a: &Ranked, b: &Ranked| {
+        sort_order(
+            keys,
+            |p| ranked_cell(&cols, a, p),
+            |p| ranked_cell(&cols, b, p),
+        )
+    };
+    let mut top = TopN::new(n);
+    let mut evals = Vec::new();
+    scan.for_each(|row| {
+        if computed {
+            evals.resize(cols.len(), Value::Null);
+            eval_into(&cols, row, &scan.source, &mut evals)?;
+        }
+        if let Some((_, back)) = top.offer((row, std::mem::take(&mut evals)), cmp) {
+            evals = back;
+        }
+        Ok(())
+    })?;
+    let rows = top
+        .finish(cmp)
+        .iter()
+        .map(|r| {
+            Row::new(
+                (0..cols.len())
+                    .map(|p| ranked_cell(&cols, r, p).clone())
+                    .collect(),
+            )
+        })
+        .collect();
+    Ok(RowBatch::new(input.schema(), rows))
+}
+
+/// The operator tree over the scans' snapshots, consumed in scan order.
+fn run(plan: &LogicalPlan, ex: &mut Exec) -> Result<RowBatch, SqlError> {
+    match plan {
+        LogicalPlan::Scan { .. } => ScanRows::new(plan, ex).collect(),
+
+        LogicalPlan::Union {
+            inputs,
+            dedupe: distinct,
+        } => {
             let schema = plan.schema();
             let mut rows = Vec::new();
             for input in inputs {
-                let batch = run(input, scans)?;
+                let batch = run(input, ex)?;
                 if batch.schema.len() != schema.len() {
                     return Err(SqlError::Execution(format!(
                         "UNION arm arity mismatch: {} vs {}",
@@ -579,14 +909,8 @@ fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
                 }
                 rows.extend(batch.rows);
             }
-            if *dedupe {
-                let mut seen: std::collections::HashSet<Vec<GroupKey>> =
-                    std::collections::HashSet::new();
-                rows.retain(|r| {
-                    let key: Vec<GroupKey> =
-                        r.values().iter().map(Value::group_key).collect();
-                    seen.insert(key)
-                });
+            if *distinct {
+                rows = dedupe(rows, ex.key_index());
             }
             Ok(RowBatch::new(schema, rows))
         }
@@ -597,7 +921,7 @@ fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
         )),
 
         LogicalPlan::Filter { input, predicate } => {
-            let batch = run(input, scans)?;
+            let batch = run(input, ex)?;
             let mut rows = Vec::with_capacity(batch.rows.len());
             for row in batch.rows {
                 if predicate.eval_ref(&row, &batch.schema)?.is_truthy() {
@@ -608,7 +932,7 @@ fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
         }
 
         LogicalPlan::Project { input, exprs } => {
-            let batch = run(input, scans)?;
+            let batch = run(input, ex)?;
             let out_schema = plan.schema();
             let mut rows = Vec::with_capacity(batch.rows.len());
             for row in &batch.rows {
@@ -626,31 +950,27 @@ fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
             right,
             kind,
             on,
-        } => execute_join(run(left, scans)?, run(right, scans)?, *kind, on),
+        } => {
+            let (lbatch, rbatch) = (run(left, ex)?, run(right, ex)?);
+            execute_join(lbatch, rbatch, *kind, on, ex)
+        }
 
         LogicalPlan::Aggregate {
             input,
             group_exprs,
             aggregates,
-        } => aggregate(input, group_exprs, aggregates, plan.schema(), scans),
+        } => aggregate(input, group_exprs, aggregates, plan.schema(), ex),
 
         LogicalPlan::Sort { input, keys } => {
-            let mut batch = run(input, scans)?;
-            batch.rows.sort_by(|a, b| {
-                for (idx, desc) in keys {
-                    let ord = a[*idx].total_cmp(&b[*idx]);
-                    let ord = if *desc { ord.reverse() } else { ord };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
+            let mut batch = run(input, ex)?;
+            batch
+                .rows
+                .sort_by(|a, b| sort_order(keys, |p| &a[p], |p| &b[p]));
             Ok(batch)
         }
 
         LogicalPlan::Strip { input, keep } => {
-            let batch = run(input, scans)?;
+            let batch = run(input, ex)?;
             let out_schema = plan.schema();
             let rows = batch
                 .rows
@@ -665,23 +985,21 @@ fn run(plan: &LogicalPlan, scans: &mut Scans) -> Result<RowBatch, SqlError> {
         }
 
         LogicalPlan::Distinct { input } => {
-            let batch = run(input, scans)?;
-            let mut seen: HashMap<Vec<GroupKey>, ()> = HashMap::new();
-            let mut rows = Vec::new();
-            for row in batch.rows {
-                let key: Vec<GroupKey> = row.values().iter().map(Value::group_key).collect();
-                if seen.insert(key, ()).is_none() {
-                    rows.push(row);
-                }
-            }
-            Ok(RowBatch::new(batch.schema, rows))
+            let batch = run(input, ex)?;
+            Ok(RowBatch::new(
+                batch.schema,
+                dedupe(batch.rows, ex.key_index()),
+            ))
         }
 
-        LogicalPlan::Limit { input, n } => {
-            let mut batch = run(input, scans)?;
-            batch.rows.truncate(*n);
-            Ok(batch)
-        }
+        LogicalPlan::Limit { input, n } => match input.as_ref() {
+            LogicalPlan::Sort { input, keys } => top_n(input, keys, *n, ex),
+            _ => {
+                let mut batch = run(input, ex)?;
+                batch.rows.truncate(*n);
+                Ok(batch)
+            }
+        },
     }
 }
 
@@ -885,6 +1203,7 @@ fn execute_join(
     rbatch: RowBatch,
     kind: JoinKind,
     on: &Expr,
+    ex: &Exec,
 ) -> Result<RowBatch, SqlError> {
     let out_schema = SchemaRef::new(lbatch.schema.join(&rbatch.schema));
     let keys = extract_equi_keys(on, &lbatch.schema, &rbatch.schema);
@@ -896,15 +1215,13 @@ fn execute_join(
         fn bind<'p>(exprs: &'p [Expr], schema: &Schema) -> Vec<Binding<'p>> {
             exprs.iter().map(|e| Binding::new(e, schema, Binding::Col)).collect()
         }
-        let mut table = JoinTable {
-            build_keys: bind(&keys.right_exprs, &rbatch.schema),
-            build_schema: rbatch.schema.clone(),
-            probe_keys: bind(&keys.left_exprs, &lbatch.schema),
-            probe_schema: lbatch.schema.clone(),
-            index: KeyIndex::default(),
-            rows: Vec::new(),
-            key: Vec::new(),
-        };
+        let mut table = JoinTable::new(
+            bind(&keys.right_exprs, &rbatch.schema),
+            rbatch.schema.clone(),
+            bind(&keys.left_exprs, &lbatch.schema),
+            lbatch.schema.clone(),
+            ex.key_index(),
+        );
         for rrow in &rbatch.rows {
             table.insert(rrow)?;
         }

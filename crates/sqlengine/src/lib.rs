@@ -19,8 +19,9 @@
 //! One executor ([`exec::executor`]) interprets the logical plans a row
 //! at a time. Group keys, aggregate arguments and join keys are bound to
 //! row positions once per plan, and a scan's filter, an aggregate over a
-//! scan, and an aggregate over an inner equi-join of two scans each run as
-//! one pass over the scanned rows. The optimizer's rewrites are checked
+//! scan, an aggregate over an inner equi-join of two scans, and an
+//! `ORDER BY … LIMIT` over a scan (a bounded top-n) each run as one pass
+//! over the scanned rows. The optimizer's rewrites are checked
 //! against the unoptimized plan ([`plan::optimizer::Optimizer::disabled`])
 //! by a randomized differential property test.
 //!

@@ -3,6 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use dbgpt_obs::hash::mix64;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SqlError;
@@ -215,54 +216,87 @@ impl Value {
         }
     }
 
-    /// [`Value::group_key`] without the copy.
-    pub fn group_key_ref(&self) -> GroupKeyRef<'_> {
-        match self {
-            Value::Null => GroupKeyRef::Null,
-            Value::Int(i) => GroupKeyRef::Int(*i),
-            Value::Float(f) => GroupKeyRef::Float(f.to_bits()),
-            Value::Text(s) => GroupKeyRef::Text(s),
-            Value::Bool(b) => GroupKeyRef::Bool(*b),
-        }
-    }
-
-    /// A hashable group key. Floats are keyed by their bit pattern.
+    /// A hashable group key. Floats are keyed by their bit pattern, with
+    /// `-0.0` read as `0.0`, as `=` and index probes see them.
     pub fn group_key(&self) -> GroupKey {
         match self {
             Value::Null => GroupKey::Null,
             Value::Int(i) => GroupKey::Int(*i),
-            Value::Float(f) => GroupKey::Float(f.to_bits()),
+            Value::Float(f) => GroupKey::Float(float_key(*f)),
             Value::Text(s) => GroupKey::Text(s.clone()),
             Value::Bool(b) => GroupKey::Bool(*b),
         }
     }
+
+    /// Whether two values fall in one group: equal [`Value::group_key`]s,
+    /// without the copy.
+    pub(crate) fn same_group(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => float_key(*a) == float_key(*b),
+            (Value::Text(a), Value::Text(b)) => a == b,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    /// Whether SQL `=` holds: neither side NULL or NaN, numerics compared
+    /// across INT and FLOAT.
+    pub(crate) fn sql_eq(&self, other: &Value) -> bool {
+        self.sql_cmp(other) == Some(Ordering::Equal)
+    }
+
+    /// Fold this value into the key hash `h` with
+    /// [`dbgpt_obs::hash::mix64`]. Values in one group hash alike, and so
+    /// do values [`Value::sql_eq`] holds for: INT and FLOAT hash by their
+    /// `f64` widening.
+    #[inline]
+    pub(crate) fn key_hash(&self, h: u64) -> u64 {
+        let word = |h: u64, w: u64| mix64(h ^ w);
+        match self {
+            Value::Null => word(h, NULL_HASH),
+            Value::Int(i) => word(h, float_key(*i as f64)),
+            Value::Float(f) => word(h, float_key(*f)),
+            Value::Bool(b) => word(h, BOOL_HASH + *b as u64),
+            Value::Text(s) => {
+                let mut chunks = s.as_bytes().chunks_exact(8);
+                let mut h = h;
+                for c in &mut chunks {
+                    h = word(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+                }
+                // At most 7 tail bytes, so the top byte is free for the
+                // length: `"a"` and `"a\0"` differ.
+                let tail = chunks.remainder().iter().rev();
+                let tail = tail.fold(0, |w, &b| w << 8 | u64::from(b));
+                word(h, TEXT_HASH ^ tail ^ ((s.len() as u64) << 56))
+            }
+        }
+    }
 }
 
-/// [`GroupKey`] borrowed from a [`Value`]: the same identity (floats by
-/// bit pattern, INT `1` apart from FLOAT `1.0`, all NULLs equal) without
-/// cloning text, for hashing a row's key before deciding to keep it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GroupKeyRef<'a> {
-    /// NULL key (groups together).
-    Null,
-    /// Integer key.
-    Int(i64),
-    /// Float key by bit pattern.
-    Float(u64),
-    /// Text key.
-    Text(&'a str),
-    /// Bool key.
-    Bool(bool),
+/// A float's key bits: its bit pattern, with `-0.0` read as `0.0`.
+fn float_key(f: f64) -> u64 {
+    if f == 0.0 {
+        0
+    } else {
+        f.to_bits()
+    }
 }
 
-/// Hashable projection of a [`Value`] for hash aggregation and DISTINCT.
+/// Tags [`Value::key_hash`] folds for NULL, BOOL and TEXT keys.
+const NULL_HASH: u64 = 0x6e75_6c6c_0000_0001;
+const BOOL_HASH: u64 = 0x626f_6f6c_0000_0002;
+const TEXT_HASH: u64 = 0x0074_6578_7400_0003;
+
+/// Hashable projection of a [`Value`] (`COUNT(DISTINCT)`, value dedupe).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GroupKey {
     /// NULL key (groups together).
     Null,
     /// Integer key.
     Int(i64),
-    /// Float key by bit pattern.
+    /// Float key by bit pattern (`-0.0` as `0.0`).
     Float(u64),
     /// Text key.
     Text(String),
@@ -462,6 +496,41 @@ mod tests {
         assert_ne!(Value::Int(1).group_key(), Value::Bool(true).group_key());
         assert_ne!(Value::Int(1).group_key(), Value::Text("1".into()).group_key());
         assert_eq!(Value::Float(1.5).group_key(), Value::Float(1.5).group_key());
+    }
+
+    #[test]
+    fn signed_zeros_share_a_key() {
+        assert_eq!(
+            Value::Float(-0.0).group_key(),
+            Value::Float(0.0).group_key()
+        );
+        assert!(Value::Float(-0.0).same_group(&Value::Float(0.0)));
+        assert!(!Value::Int(0).same_group(&Value::Float(0.0)));
+        let nan = Value::Float(f64::NAN);
+        assert!(nan.same_group(&nan));
+        assert!(!nan.sql_eq(&nan));
+    }
+
+    #[test]
+    fn sql_equal_values_hash_alike() {
+        let big = 1i64 << 53;
+        let pairs = [
+            (Value::Int(1), Value::Float(1.0)),
+            (Value::Int(0), Value::Float(-0.0)),
+            (Value::Float(0.0), Value::Float(-0.0)),
+            (Value::Int(big + 1), Value::Float(big as f64)),
+            (Value::Int(big + 1), Value::Int(big)),
+            (Value::Text("books".into()), Value::Text("books".into())),
+        ];
+        for (a, b) in pairs {
+            assert_eq!(a.key_hash(7), b.key_hash(7), "{a:?} vs {b:?}");
+        }
+        let text = |s: &str| Value::Text(s.into()).key_hash(7);
+        assert_ne!(text("books"), text("book"));
+        assert_ne!(text("abcdefgh"), text("abcdefgh\0"));
+        assert_ne!(text("a"), text("a\0"));
+        assert_ne!(text(""), Value::Null.key_hash(7));
+        assert_ne!(Value::Int(1).key_hash(7), Value::Int(1).key_hash(8));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   writes that fail part-way, is interleaved so the indexes are
 //!   repeatedly invalidated and rebuilt mid-stream.
 //! - Group and join keys: signed zeros, NaN, NULL and INT-vs-FLOAT keys
-//!   fold together or stay apart exactly as each expected result says.
+//!   fold together or stay apart exactly as each expected result says,
+//!   and a hash join matches exactly the pairs `=` accepts.
 //! - Error order: which of two failing rows or scans a statement reports.
 //!
 //! Randomness comes from a tiny deterministic xorshift generator (in
@@ -67,9 +68,10 @@ fn render(r: &QueryResult) -> String {
 }
 
 /// Group and join keys the hash tables must tell apart or fold together,
-/// with rows in first-seen order: floats by bit pattern (so `-0.0` and
-/// `0.0` are two keys and NaN meets NaN), INT `1` apart from FLOAT `1.0`,
-/// NULLs in one group but never a join match.
+/// with rows in first-seen order: groups key floats by bit pattern with
+/// `-0.0` read as `0.0` (so the zeros are one key and NaN meets NaN) and
+/// keep INT `1` apart from FLOAT `1.0`; NULLs form one group but never a
+/// join match; join keys match as `=` compares them.
 #[test]
 fn aggregate_and_join_key_edge_cases() {
     let setup = [
@@ -94,21 +96,26 @@ fn aggregate_and_join_key_edge_cases() {
         t.insert_row(vec![Value::Int(id), Value::Float(f64::NAN), Value::Null, s])
             .unwrap();
     }
-    let cases: [(&str, &str); 17] = [
+    let cases: [(&str, &str); 20] = [
         // -0.0 / 0.0 / NaN / NULL float keys, first-seen order.
         (
             "SELECT f, COUNT(*), SUM(id), MIN(s) FROM k GROUP BY f",
-            "0.0, 2, 7, 'x'; -0.0, 2, 7, 'y'; 1.0, 1, 3, NULL; NULL, 2, 11, 'x'; NaN, 2, 17, 'nan'",
+            "0.0, 4, 14, 'x'; 1.0, 1, 3, NULL; NULL, 2, 11, 'x'; NaN, 2, 17, 'nan'",
+        ),
+        ("SELECT DISTINCT f FROM k", "0.0; 1.0; NULL; NaN"),
+        (
+            "SELECT f FROM k WHERE id < 3 UNION SELECT f FROM k WHERE id > 4",
+            "0.0; NULL; NaN",
         ),
         // INT 1 and FLOAT 1.0 in one key column stay apart.
         (
             "SELECT COALESCE(i, f), COUNT(*) FROM k GROUP BY COALESCE(i, f)",
-            "1, 2; -0.0, 1; 1.0, 1; 2, 1; 0.0, 1; NULL, 1; NaN, 2",
+            "1, 2; -0.0, 2; 1.0, 1; 2, 1; NULL, 1; NaN, 2",
         ),
         // NULLs group together; multi-column keys.
         (
             "SELECT s, i, COUNT(*), COUNT(i), COUNT(DISTINCT f) FROM k GROUP BY s, i",
-            "'x', 1, 2, 2, 1; 'y', NULL, 2, 0, 2; NULL, NULL, 2, 0, 1; NULL, 2, 1, 1, 1; 'nan', NULL, 2, 0, 1",
+            "'x', 1, 2, 2, 1; 'y', NULL, 2, 0, 1; NULL, NULL, 2, 0, 1; NULL, 2, 1, 1, 1; 'nan', NULL, 2, 0, 1",
         ),
         (
             "SELECT s, AVG(f), MAX(id) FROM k WHERE id > 1 GROUP BY s",
@@ -123,19 +130,24 @@ fn aggregate_and_join_key_edge_cases() {
             "SELECT l.key, COUNT(*), MIN(r.w) FROM l JOIN r ON l.key = r.key GROUP BY l.key",
             "1, 4, 'a'; 2, 4, 'a'",
         ),
-        // Float join keys: by bit pattern, -0.0 does not meet 0.0.
+        // Float join keys as `=` sees them: -0.0 meets 0.0.
         (
             "SELECT r.w, COUNT(*) FROM l JOIN r ON l.fk = r.fk GROUP BY r.w",
-            "'a', 3; 'e', 2; 'b', 1",
+            "'a', 4; 'b', 3; 'e', 3",
         ),
         (
             "SELECT l.id, r.w FROM l JOIN r ON l.fk = r.fk ORDER BY l.id, r.w",
-            "1, 'a'; 1, 'e'; 2, 'b'; 4, 'a'; 5, 'a'; 5, 'e'",
+            "1, 'a'; 1, 'b'; 1, 'e'; 2, 'a'; 2, 'b'; 2, 'e'; 4, 'a'; 5, 'a'; 5, 'b'; 5, 'e'",
+        ),
+        // INT = FLOAT join keys match as `=` compares them.
+        (
+            "SELECT l.id, r.w FROM l JOIN r ON l.key = r.fk",
+            "1, 'a'; 2, 'a'",
         ),
         // Two-column keys, materialised joins, LEFT padding.
         (
             "SELECT r.w, SUM(l.v) FROM l JOIN r ON l.key = r.key AND l.fk = r.fk GROUP BY r.w",
-            "'a', 50; 'b', 20",
+            "'a', 70; 'b', 30",
         ),
         (
             "SELECT l.id, r.w FROM l JOIN r ON l.key = r.key ORDER BY l.id, r.w",
@@ -192,4 +204,91 @@ fn failing_join_filters_report_the_left_scans_error() {
                WHERE 10 / a.d > 0 AND UPPER(b.k) = 'X'";
     let err = e.execute(sql).unwrap_err();
     assert!(err.to_string().contains("division by zero"), "{err}");
+}
+
+/// A hash join matches exactly the pairs `=` accepts. Over INT and FLOAT
+/// key columns holding NULL, `0.0` and `-0.0`, NaN and INTs around 2^53
+/// (where neighbouring INTs widen to one FLOAT), each equi-join returns
+/// the pairs, in the order, of a direct pairing under `Value::sql_cmp`;
+/// NaN equals nothing. Evaluating `=` on NaN is an error, so the
+/// nested-loop join that spells `=` as `>= AND <=` is compared over NaN-free
+/// copies of the tables, for inner, LEFT and aggregated shapes.
+#[test]
+fn hash_join_matches_sql_equality() {
+    let big = 1i64 << 53;
+    let ints = [0, 1, -1, 2, big - 1, big, big + 1, -big - 1];
+    let floats = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        big as f64,
+        (big + 2) as f64,
+        f64::NAN,
+    ];
+    let nan = |row: &[Value]| matches!(row[2], Value::Float(f) if f.is_nan());
+    for seed in [3, 17, 99] {
+        let mut rng = Rng::new(seed);
+        let mut e = Engine::new();
+        let mut rows: Vec<Vec<Vec<Value>>> = Vec::new();
+        for table in ["a", "b"] {
+            let mut stored = Vec::new();
+            for id in 0..40 {
+                let i = match rng.below(9) {
+                    8 => Value::Null,
+                    k => Value::Int(ints[k as usize]),
+                };
+                let f = match rng.below(9) {
+                    8 => Value::Null,
+                    k => Value::Float(floats[k as usize]),
+                };
+                stored.push(vec![Value::Int(id), i, f]);
+            }
+            // `{table}n` holds the rows without NaN.
+            for (name, keep_nan) in [(table.to_string(), true), (format!("{table}n"), false)] {
+                e.execute(&format!("CREATE TABLE {name} (id INT, i INT, f FLOAT)"))
+                    .unwrap();
+                let t = e.database_mut().table_mut(&name).unwrap();
+                for row in stored.iter().filter(|r| keep_nan || !nan(r)) {
+                    t.insert_row(row.clone()).unwrap();
+                }
+            }
+            rows.push(stored);
+        }
+        let ctx = |sql: &str| format!("seed {seed}: {sql}");
+        let col = |name: &str| if name == "i" { 1 } else { 2 };
+        for x in ["i", "f"] {
+            for y in ["i", "f"] {
+                let direct: Vec<String> = rows[0]
+                    .iter()
+                    .flat_map(|a| rows[1].iter().map(move |b| (a, b)))
+                    .filter(|(a, b)| {
+                        a[col(x)].sql_cmp(&b[col(y)]) == Some(std::cmp::Ordering::Equal)
+                    })
+                    .map(|(a, b)| format!("{}, {}", a[0], b[0]))
+                    .collect();
+                let sql = format!("SELECT a.id, b.id FROM a JOIN b ON a.{x} = b.{y}");
+                let got = e.execute(&sql).unwrap();
+                assert_eq!(render(&got), direct.join("; "), "{}", ctx(&sql));
+                for shape in [
+                    "SELECT a.id, b.id FROM an a JOIN bn b ON {}",
+                    "SELECT a.id, b.id FROM an a LEFT JOIN bn b ON {}",
+                    "SELECT COUNT(*), SUM(b.id), MIN(a.id) FROM an a JOIN bn b ON {}",
+                    "SELECT a.id, COUNT(*), SUM(b.id) FROM an a JOIN bn b ON {} GROUP BY a.id",
+                    "SELECT b.f, COUNT(*) FROM an a JOIN bn b ON {} GROUP BY b.f",
+                ] {
+                    let hashed = shape.replace("{}", &format!("a.{x} = b.{y}"));
+                    let nested = shape.replace("{}", &format!("a.{x} >= b.{y} AND a.{x} <= b.{y}"));
+                    let (got, want) = (e.execute(&hashed).unwrap(), e.execute(&nested).unwrap());
+                    assert_eq!(render(&got), render(&want), "{}", ctx(&hashed));
+                }
+            }
+        }
+        let two = "SELECT a.id, b.id FROM an a JOIN bn b ON a.i = b.f AND a.f = b.i";
+        let nested = "SELECT a.id, b.id FROM an a JOIN bn b \
+                      ON a.i >= b.f AND a.i <= b.f AND a.f >= b.i AND a.f <= b.i";
+        let (got, want) = (e.execute(two).unwrap(), e.execute(nested).unwrap());
+        assert_eq!(render(&got), render(&want), "{}", ctx(two));
+    }
 }
