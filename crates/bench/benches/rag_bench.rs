@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use dbgpt_bench::{corpus_kb, synthetic_corpus};
-use dbgpt_rag::{Embedder, HashEmbedder, RetrievalConfig, RetrievalStrategy, VectorStore};
+use dbgpt_rag::{Embedder, HashEmbedder, RetrievalStrategy};
 
 fn bench_embedding(c: &mut Criterion) {
     let embedder = HashEmbedder::new();
@@ -58,35 +58,11 @@ fn bench_rerank(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_scan(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rag_parallel_scan");
-    group.sample_size(10);
-    let docs = synthetic_corpus(5000, 5);
-    let embedder = HashEmbedder::new();
-    let mut store = VectorStore::new();
-    for d in &docs {
-        store.add(embedder.embed(&d.text));
-    }
-    let query = embedder.embed("how does the embedding index affect recall and ranking?");
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = RetrievalConfig {
-            threads,
-            topk_crossover: 0,
-            ..RetrievalConfig::default()
-        };
-        group.bench_with_input(BenchmarkId::new("threads", threads), &cfg, |b, cfg| {
-            b.iter(|| store.search_flat_with(std::hint::black_box(&query), 10, cfg))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_embedding,
     bench_index_build,
     bench_retrieval_strategies,
-    bench_rerank,
-    bench_parallel_scan
+    bench_rerank
 );
 criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! Builds the E5 synthetic corpus at 100k chunks (full) or 2k (smoke),
 //! then measures three retrieval arms over the same vector store:
 //!
-//! - `flat` — the exact sequential scan (the recall ground truth),
+//! - `flat` — the exact flat scan (the recall ground truth),
 //! - `hnsw-f32` — HNSW graph search scoring against the contiguous f32
 //!   matrix,
 //! - `hnsw-sq8` — HNSW search through the scalar-quantized u8 codes with
@@ -107,18 +107,18 @@ fn main() {
 
     let cfg = RetrievalConfig {
         ann_ef_search: EF_SEARCH,
-        ..RetrievalConfig::SEQUENTIAL // 1 thread: isolate the algorithmic win
+        ..RetrievalConfig::default()
     };
     let f32_bytes = store.ann_storage_bytes();
 
     // Ground truth for both query sets.
     let exact: Vec<Vec<usize>> = queries
         .iter()
-        .map(|q| top_ids(&store.search_flat_with(q, K, &cfg)))
+        .map(|q| top_ids(&store.search_flat(q, K)))
         .collect();
     let text_exact: Vec<Vec<usize>> = text_queries
         .iter()
-        .map(|q| top_ids(&store.search_flat_with(q, K, &cfg)))
+        .map(|q| top_ids(&store.search_flat(q, K)))
         .collect();
 
     // Flat timing, measured again after the ANN arms: the two samples
@@ -128,7 +128,7 @@ fn main() {
         let t = Instant::now();
         for _ in 0..flat_reps {
             for q in &queries {
-                std::hint::black_box(store.search_flat_with(q, K, &cfg));
+                std::hint::black_box(store.search_flat(q, K));
             }
         }
         (flat_reps * queries.len()) as f64 / t.elapsed().as_secs_f64()

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use dbgpt_bench::{corpus_kb, corpus_queries, recall_at_k, synthetic_corpus};
 use dbgpt_llm::{builtin_model, GenerationParams};
-use dbgpt_rag::{IclBuilder, RetrievalConfig, RetrievalStrategy};
+use dbgpt_rag::{IclBuilder, RetrievalStrategy};
 
 const CORPUS_SIZE: usize = 500;
 const K: usize = 5;
@@ -27,7 +27,7 @@ fn main() {
     let kb = corpus_kb(&docs);
     println!("Stage 1 — knowledge construction");
     println!("  documents: {CORPUS_SIZE}, chunks: {}, build: {:.2?}", kb.chunk_count(), t.elapsed());
-    println!("  indexes: vector (flat + IVF), inverted (BM25), entity graph\n");
+    println!("  indexes: vector (flat + HNSW), inverted (BM25), entity graph\n");
 
     // Stage 2a: topic-level recall (the easy task — saturates quickly).
     println!("Stage 2a — topic recall@{K} over {} queries", corpus_queries().len());
@@ -62,29 +62,6 @@ fn main() {
             h5 * 100.0
         );
     }
-
-    // Stage 2c: the sharded parallel scan (results identical at every
-    // thread count; only the wall-clock changes).
-    let mut kb = kb;
-    println!("\nStage 2c — sharded vector scan, thread sweep (k = {K})");
-    println!("  {:<10} | {:>12}", "threads", "µs/query");
-    println!("  {}", "-".repeat(26));
-    let question = "how does the embedding index affect recall in retrieval?";
-    for threads in [1usize, 2, 4, 8] {
-        kb.set_retrieval_config(RetrievalConfig {
-            threads,
-            topk_crossover: 0,
-            ..RetrievalConfig::default()
-        });
-        const REPS: usize = 50;
-        let start = Instant::now();
-        for _ in 0..REPS {
-            kb.retrieve(question, K, RetrievalStrategy::Vector);
-        }
-        let per_query = start.elapsed().as_micros() as f64 / REPS as f64;
-        println!("  {:<10} | {:>12.1}", threads, per_query);
-    }
-    kb.set_retrieval_config(RetrievalConfig::default());
 
     // Stage 3: adaptive ICL.
     println!("\nStage 3 — adaptive ICL");

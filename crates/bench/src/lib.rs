@@ -22,7 +22,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dbgpt_rag::{Chunker, ChunkingStrategy, HashEmbedder, KnowledgeBase};
+use dbgpt_rag::{AnnBuildConfig, Chunker, ChunkingStrategy, HashEmbedder, KnowledgeBase};
 use dbgpt_sqlengine::Engine;
 use std::sync::Arc;
 
@@ -93,7 +93,7 @@ pub fn synthetic_corpus(n: usize, seed: u64) -> Vec<CorpusDoc> {
         .collect()
 }
 
-/// Build a knowledge base over a synthetic corpus.
+/// Build a knowledge base over a synthetic corpus, with its HNSW index.
 pub fn corpus_kb(docs: &[CorpusDoc]) -> KnowledgeBase {
     let mut kb = KnowledgeBase::new(
         Chunker::new(ChunkingStrategy::Paragraph { max_tokens: 64 }),
@@ -102,7 +102,7 @@ pub fn corpus_kb(docs: &[CorpusDoc]) -> KnowledgeBase {
     for d in docs {
         kb.add_text(&d.id, &d.text);
     }
-    kb.build_ann_index();
+    kb.build_hnsw_index(AnnBuildConfig::default());
     kb
 }
 

@@ -104,13 +104,11 @@ impl TenantState {
         self.session_log.len()
     }
 
-    /// Build the knowledge base's ANN indexes (IVF partitions + the HNSW
-    /// graph) on this replica only. Index state is *derived data* — it
-    /// must never leak into [`TenantState::fingerprint`], so a replica
-    /// that built indexes and one that did not still converge (see
-    /// `tests/ann_convergence.rs`).
+    /// Build the knowledge base's HNSW index on this replica only. Index
+    /// state is *derived data* — it must never leak into
+    /// [`TenantState::fingerprint`], so a replica that built the index and
+    /// one that did not still converge (see `tests/ann_convergence.rs`).
     pub fn build_ann_index(&mut self) {
-        self.kb.build_ann_index();
         self.kb
             .build_hnsw_index(dbgpt_rag::AnnBuildConfig::default());
     }

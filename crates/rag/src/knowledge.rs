@@ -31,22 +31,6 @@ pub struct RetrievedChunk {
     pub score: f64,
 }
 
-/// Target number of chunks per IVF partition: `build_ann_index` sizes the
-/// partition count as `chunks / CHUNKS_PER_IVF_LIST` (clamped to
-/// `[1, MAX_IVF_LISTS]`). The old name `IVF_LIST_RATIO` described it
-/// backwards — the value is a divisor (chunks per list), not a
-/// lists-per-chunks ratio.
-const CHUNKS_PER_IVF_LIST: usize = 100;
-
-/// Upper bound on IVF partitions, whatever the corpus size.
-const MAX_IVF_LISTS: usize = 64;
-
-/// Partition count for a corpus of `chunks` chunks (see
-/// [`CHUNKS_PER_IVF_LIST`]).
-fn ivf_nlist(chunks: usize) -> usize {
-    (chunks / CHUNKS_PER_IVF_LIST).clamp(1, MAX_IVF_LISTS)
-}
-
 /// The knowledge base (see module docs).
 pub struct KnowledgeBase {
     chunker: Chunker,
@@ -56,8 +40,7 @@ pub struct KnowledgeBase {
     inverted: InvertedIndex,
     graph: GraphIndex,
     documents: HashMap<String, usize>, // id → chunk count
-    /// Scan tuning for every retrieval; defaults to auto-parallel above
-    /// the crossover size, so existing callers speed up with no changes.
+    /// HNSW search knobs for [`RetrievalStrategy::VectorAnn`].
     config: RetrievalConfig,
     /// Tracing + metrics handle; disabled (free) by default. Retrieval has
     /// no simulated clock, so spans are timestamped with [`Obs::tick`]
@@ -89,12 +72,6 @@ impl KnowledgeBase {
         }
     }
 
-    /// Override the retrieval scan tuning, builder style.
-    pub fn with_retrieval_config(mut self, config: RetrievalConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Attach an observability handle, builder style.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
@@ -112,12 +89,12 @@ impl KnowledgeBase {
         &self.obs
     }
 
-    /// Override the retrieval scan tuning in place.
+    /// Override the HNSW search knobs in place.
     pub fn set_retrieval_config(&mut self, config: RetrievalConfig) {
         self.config = config;
     }
 
-    /// The retrieval scan tuning currently in effect.
+    /// The HNSW search knobs currently in effect.
     pub fn retrieval_config(&self) -> RetrievalConfig {
         self.config
     }
@@ -128,9 +105,9 @@ impl KnowledgeBase {
     /// order have equal fingerprints, which is what the cluster layer uses
     /// to prove a replica's KB shard matches its primary after failover.
     ///
-    /// Deliberately **independent of index state**: IVF partitions, the
-    /// HNSW graph and the quantized codes are derived data, so a replica
-    /// that built an ANN index and one that did not still converge.
+    /// Deliberately **independent of index state**: the HNSW graph and
+    /// the quantized codes are derived data, so a replica that built an
+    /// ANN index and one that did not still converge.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv1a::new();
         let mut eat = |bytes: &[u8]| {
@@ -200,12 +177,6 @@ impl KnowledgeBase {
         self.chunks.iter().filter(|c| c.document_id == id).collect()
     }
 
-    /// Build IVF partitions for approximate vector search (idempotent;
-    /// call after bulk ingestion).
-    pub fn build_ann_index(&mut self) {
-        self.vectors.build_partitions(ivf_nlist(self.chunks.len()));
-    }
-
     /// Build the HNSW graph index (and, with
     /// [`AnnStorage::Quantized`](crate::vector_store::AnnStorage), the
     /// scalar-quantized mirror) for [`RetrievalStrategy::VectorAnn`].
@@ -256,10 +227,8 @@ impl KnowledgeBase {
     /// retrieval spans. Share one handle via [`KnowledgeBase::set_obs`] so
     /// the counters land in the same registry.
     ///
-    /// Spans are opened only in this sequential orchestration — never
-    /// inside the threaded scan workers — so trace dumps stay
-    /// deterministic even when the flat scan fans out across threads.
-    /// Stage children are timestamped on the span's tick clock.
+    /// Each index scan gets a stage child, timestamped on the span's tick
+    /// clock, so trace dumps are deterministic.
     pub fn retrieve_under(
         &self,
         query: &str,
@@ -278,18 +247,7 @@ impl KnowledgeBase {
                 let stage = span.child("rag.scan.vector", span.tick());
                 let r = self
                     .vectors
-                    .search_flat_with(&self.embedder.embed(query), k, &self.config)
-                    .into_iter()
-                    .map(|(i, s)| (i, s as f64))
-                    .collect();
-                stage.end(span.tick());
-                r
-            }
-            RetrievalStrategy::VectorApprox => {
-                let stage = span.child("rag.scan.ivf", span.tick());
-                let r = self
-                    .vectors
-                    .search_ivf_with(&self.embedder.embed(query), k, 4, &self.config)
+                    .search_flat(&self.embedder.embed(query), k)
                     .into_iter()
                     .map(|(i, s)| (i, s as f64))
                     .collect();
@@ -330,7 +288,7 @@ impl KnowledgeBase {
                 let stage = span.child("rag.scan.vector", span.tick());
                 let vector: Vec<usize> = self
                     .vectors
-                    .search_flat_with(&q, k * 2, &self.config)
+                    .search_flat(&q, k * 2)
                     .into_iter()
                     .map(|(i, _)| i)
                     .collect();
@@ -447,7 +405,7 @@ mod tests {
     #[test]
     fn every_strategy_finds_the_obvious_answer() {
         let mut kb = kb();
-        kb.build_ann_index();
+        kb.build_hnsw_index(AnnBuildConfig::default());
         for &strategy in RetrievalStrategy::ALL {
             let hits = kb.retrieve("agentic workflow expression language", 2, strategy);
             assert!(
@@ -504,29 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn ivf_nlist_clamps_both_ends() {
-        assert_eq!(ivf_nlist(0), 1, "empty corpus still gets one list");
-        assert_eq!(ivf_nlist(99), 1, "below one full list");
-        assert_eq!(ivf_nlist(100), 1);
-        assert_eq!(ivf_nlist(250), 2);
-        assert_eq!(ivf_nlist(6400), MAX_IVF_LISTS);
-        assert_eq!(ivf_nlist(1_000_000), MAX_IVF_LISTS, "upper clamp");
-    }
-
-    #[test]
-    fn build_ann_index_partition_count_tracks_corpus_size() {
-        let mut kb = kb(); // 6 chunks → clamps to a single partition
-        kb.build_ann_index();
-        assert_eq!(kb.vector_store().partition_count(), 1);
-    }
-
-    #[test]
     fn fingerprint_ignores_ann_index_state() {
         // The graph and quantized codes are derived data: a replica that
         // built the index and one that did not must stay convergent.
         let plain = kb();
         let mut indexed = kb();
-        indexed.build_ann_index();
         indexed.build_hnsw_index(AnnBuildConfig::default());
         assert!(indexed.has_hnsw_index());
         assert_eq!(plain.fingerprint(), indexed.fingerprint());
@@ -579,20 +519,17 @@ mod tests {
     fn retrieval_config_round_trips_and_keeps_results_identical() {
         let mut kb = kb();
         assert_eq!(kb.retrieval_config(), RetrievalConfig::default());
-        let sequential = kb.retrieve("private model serving", 3, RetrievalStrategy::Vector);
+        let before = kb.retrieve("private model serving", 3, RetrievalStrategy::Vector);
 
-        let forced_parallel = RetrievalConfig {
-            threads: 4,
-            topk_crossover: 0,
-            ..RetrievalConfig::default()
+        // The HNSW knobs leave the exact strategies alone.
+        let narrow = RetrievalConfig {
+            ann_ef_search: 1,
+            ann_rescore: 0,
         };
-        kb.set_retrieval_config(forced_parallel);
-        assert_eq!(kb.retrieval_config(), forced_parallel);
-        let parallel = kb.retrieve("private model serving", 3, RetrievalStrategy::Vector);
-        assert_eq!(sequential, parallel);
-
-        let kb2 = KnowledgeBase::with_defaults().with_retrieval_config(forced_parallel);
-        assert_eq!(kb2.retrieval_config(), forced_parallel);
+        kb.set_retrieval_config(narrow);
+        assert_eq!(kb.retrieval_config(), narrow);
+        let after = kb.retrieve("private model serving", 3, RetrievalStrategy::Vector);
+        assert_eq!(before, after);
     }
 }
 

@@ -25,32 +25,27 @@
 //!
 //! ## Performance: the retrieval hot path
 //!
-//! Retrieval is built around three compounding optimizations (see the
-//! README "Performance" section for reproduction commands):
+//! Retrieval is built around these optimizations (see the README
+//! "Performance" section for reproduction commands):
 //!
 //! - **Normalized-vector kernel** — [`VectorStore`] unit-normalizes every
 //!   vector once at insert (keeping the raw norm via
 //!   [`VectorStore::stored_norm`]), so per-candidate cosine scoring is a
-//!   bare [`dot`] product with no square roots or
-//!   divisions; k-means partition building reuses the same kernel.
-//! - **Heap top-k** — every ranking path (flat scan, IVF probe, BM25,
-//!   graph, RRF fusion) selects through one shared bounded
-//!   [`topk::TopK`] accumulator: O(n log k) instead of sort-everything
-//!   O(n log n), with a single definition of tie-breaking (score
-//!   descending, id ascending) and NaN-safe `total_cmp` ordering.
-//! - **Sharded parallel scan** — above a configurable crossover size the
-//!   candidate range is split across scoped worker threads, each merging
-//!   a local `TopK`; results are bit-identical to the sequential scan.
-//!   Tuning lives in [`RetrievalConfig`] (`threads`, `topk_crossover`)
-//!   and is threaded through [`KnowledgeBase`], so `retrieve` /
-//!   `retrieve_reranked` callers get the speedup with no code changes.
+//!   bare [`dot`] product with no square roots or divisions; the flat
+//!   scan scores eight rows per walk over the query.
+//! - **Heap top-k** — every ranking path (flat scan, HNSW, BM25, graph,
+//!   RRF fusion) selects through one shared bounded [`topk::TopK`]
+//!   accumulator: O(n log k) instead of sort-everything O(n log n), with a
+//!   single definition of tie-breaking (score descending, id ascending)
+//!   and NaN-safe `total_cmp` ordering.
 //! - **ANN retrieval (HNSW + scalar quantization)** — past ~100k chunks
-//!   even the parallel flat scan is the bottleneck, so
+//!   the exact flat scan is the bottleneck, so
 //!   [`RetrievalStrategy::VectorAnn`] routes through a deterministic
 //!   [`hnsw`] graph (seeded level assignment, `total_cmp` + id tie-breaks
 //!   ⇒ the same seed builds a byte-identical index) over either the f32
 //!   store or a [`quant`] scalar-quantized mirror (u8 codes + per-query
-//!   dot lookup tables, ~4× less memory, optional exact rescore).
+//!   dot lookup tables, ~4× less memory, optional exact rescore). Its
+//!   search knobs live in [`RetrievalConfig`].
 //!   Ingest never builds the index: a caller asks for it with
 //!   [`KnowledgeBase::build_hnsw_index`], and later ingest inserts into
 //!   it. Until then the strategy falls back to the exact flat scan and

@@ -1,9 +1,11 @@
 //! Knowledge retrieval stage: strategy selection and rank fusion.
 //!
 //! "DB-GPT employs diverse retrieval strategies for prioritizing relevant
-//! documents" (§2.3). Four strategies are exposed; `Hybrid` fuses the
-//! other three with reciprocal-rank fusion (RRF), the standard way to
-//! combine rankings whose raw scores are not comparable.
+//! documents" (§2.3). Five strategies are exposed: exact vector search,
+//! approximate (HNSW) vector search, keyword, graph, and `Hybrid`, which
+//! fuses exact vector, keyword and graph rankings with reciprocal-rank
+//! fusion (RRF), the standard way to combine rankings whose raw scores
+//! are not comparable.
 
 use serde::{Deserialize, Serialize};
 
@@ -12,21 +14,10 @@ use crate::topk::TopK;
 /// RRF smoothing constant (the conventional value).
 const RRF_K: f64 = 60.0;
 
-/// Tuning knobs for the sharded retrieval scan.
-///
-/// Threaded through [`KnowledgeBase`](crate::KnowledgeBase) so existing
-/// `retrieve`/`retrieve_reranked` callers pick up the parallel path with
-/// no code changes. Parallel and sequential scans return *identical* hit
-/// lists (the top-k order is a strict total order, so shard merge order
-/// cannot matter); the config only trades wall-clock for threads.
+/// Search knobs for the HNSW index behind
+/// [`RetrievalStrategy::VectorAnn`]. The exact strategies ignore them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetrievalConfig {
-    /// Worker threads for index scans. `0` means use
-    /// [`std::thread::available_parallelism`].
-    pub threads: usize,
-    /// Stores smaller than this are scanned sequentially — below the
-    /// crossover, thread spawn/merge overhead outweighs the shard win.
-    pub topk_crossover: usize,
     /// HNSW beam width at search time (`ef_search`). Wider beams raise
     /// recall and cost; the effective beam is always at least `k`.
     pub ann_ef_search: usize,
@@ -37,62 +28,12 @@ pub struct RetrievalConfig {
     pub ann_rescore: usize,
 }
 
-/// Default HNSW search beam width.
-const DEFAULT_ANN_EF_SEARCH: usize = 100;
-/// Default exact-rescore depth over quantized candidates.
-const DEFAULT_ANN_RESCORE: usize = 64;
-/// Default store size from which flat scans shard across threads: the
-/// smallest corpus at which `bench_rag_parallel`'s crossover sweep saw
-/// the sharded eight-row-kernel scan beat one thread by ≥1.15× at that
-/// size and every larger one (2-vCPU host; see
-/// `results/BENCH_rag_parallel.json`). Smaller scans finish before
-/// spawning workers pays off.
-const DEFAULT_TOPK_CROSSOVER: usize = 10_000;
-
 impl Default for RetrievalConfig {
     fn default() -> Self {
         RetrievalConfig {
-            threads: 0,
-            topk_crossover: DEFAULT_TOPK_CROSSOVER,
-            ann_ef_search: DEFAULT_ANN_EF_SEARCH,
-            ann_rescore: DEFAULT_ANN_RESCORE,
+            ann_ef_search: 100,
+            ann_rescore: 64,
         }
-    }
-}
-
-impl RetrievalConfig {
-    /// Always scan on the calling thread, whatever the store size.
-    pub const SEQUENTIAL: RetrievalConfig = RetrievalConfig {
-        threads: 1,
-        topk_crossover: usize::MAX,
-        ann_ef_search: DEFAULT_ANN_EF_SEARCH,
-        ann_rescore: DEFAULT_ANN_RESCORE,
-    };
-
-    /// Config with an explicit thread count (`0` = auto) and the default
-    /// crossover.
-    pub fn with_threads(threads: usize) -> Self {
-        RetrievalConfig {
-            threads,
-            ..RetrievalConfig::default()
-        }
-    }
-
-    /// Number of workers a scan over `n` candidates should use, after
-    /// applying the crossover threshold, auto-detection, and the obvious
-    /// `1 ≤ workers ≤ n` clamp.
-    pub fn effective_threads(&self, n: usize) -> usize {
-        if n < self.topk_crossover.max(2) {
-            return 1;
-        }
-        let requested = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        requested.clamp(1, n)
     }
 }
 
@@ -101,8 +42,6 @@ impl RetrievalConfig {
 pub enum RetrievalStrategy {
     /// Cosine similarity over embeddings (exact flat search).
     Vector,
-    /// Approximate vector search through IVF partitions.
-    VectorApprox,
     /// Approximate vector search through the HNSW graph index (falls back
     /// to the exact flat scan until the index is built).
     VectorAnn,
@@ -118,7 +57,6 @@ impl RetrievalStrategy {
     /// All strategies, for sweeps in benchmarks.
     pub const ALL: &'static [RetrievalStrategy] = &[
         RetrievalStrategy::Vector,
-        RetrievalStrategy::VectorApprox,
         RetrievalStrategy::VectorAnn,
         RetrievalStrategy::Keyword,
         RetrievalStrategy::Graph,
@@ -129,7 +67,6 @@ impl RetrievalStrategy {
     pub fn name(&self) -> &'static str {
         match self {
             RetrievalStrategy::Vector => "vector",
-            RetrievalStrategy::VectorApprox => "vector-ivf",
             RetrievalStrategy::VectorAnn => "vector-hnsw",
             RetrievalStrategy::Keyword => "keyword",
             RetrievalStrategy::Graph => "graph",
@@ -205,38 +142,8 @@ mod tests {
     #[test]
     fn config_defaults_and_serde() {
         let c = RetrievalConfig::default();
-        assert_eq!(c.threads, 0);
-        assert!(c.topk_crossover > 0);
+        assert_eq!((c.ann_ef_search, c.ann_rescore), (100, 64));
         let json = serde_json::to_string(&c).unwrap();
         assert_eq!(serde_json::from_str::<RetrievalConfig>(&json).unwrap(), c);
-    }
-
-    #[test]
-    fn effective_threads_respects_crossover_and_clamp() {
-        let seq = RetrievalConfig::SEQUENTIAL;
-        assert_eq!(seq.effective_threads(1_000_000), 1);
-
-        let four = RetrievalConfig {
-            threads: 4,
-            topk_crossover: 100,
-            ..RetrievalConfig::default()
-        };
-        assert_eq!(four.effective_threads(50), 1, "below crossover");
-        assert_eq!(four.effective_threads(500), 4, "above crossover");
-        assert_eq!(
-            RetrievalConfig {
-                threads: 64,
-                topk_crossover: 0,
-                ..RetrievalConfig::default()
-            }
-            .effective_threads(3),
-            3,
-            "never more workers than candidates"
-        );
-
-        // Auto detection always lands on something usable.
-        let auto = RetrievalConfig::with_threads(0);
-        let t = auto.effective_threads(1_000_000);
-        assert!(t >= 1);
     }
 }

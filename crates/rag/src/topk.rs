@@ -13,11 +13,7 @@
 //! way the old `partial_cmp(..).unwrap()` comparators did.
 //!
 //! Because the ranking order is a *strict total order* (ids are unique),
-//! the selected set is independent of insertion order. That is what makes
-//! the sharded parallel scan in [`crate::vector_store`] bit-identical to
-//! the sequential one: each worker keeps a local `TopK`, and
-//! [`TopK::merge`] folds them into the same result a single-threaded scan
-//! would have produced.
+//! the selected set is independent of insertion order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -127,13 +123,6 @@ impl<S: Score> TopK<S> {
         }
     }
 
-    /// Fold another accumulator in (used to combine per-shard results).
-    pub fn merge(&mut self, other: TopK<S>) {
-        for e in other.heap {
-            self.push(e.id, e.score);
-        }
-    }
-
     /// The retained candidates, best first (score desc, id asc).
     pub fn into_sorted_vec(self) -> Vec<(usize, S)> {
         let mut v = self.heap.into_vec();
@@ -189,24 +178,6 @@ mod tests {
             backward.push(i, s);
         }
         assert_eq!(forward.into_sorted_vec(), backward.into_sorted_vec());
-    }
-
-    #[test]
-    fn merge_equals_single_accumulator() {
-        let hits: Vec<(usize, f64)> = (0..60).map(|i| (i, ((i * 31) % 17) as f64)).collect();
-        let mut whole = TopK::new(7);
-        let mut a = TopK::new(7);
-        let mut b = TopK::new(7);
-        for &(i, s) in &hits {
-            whole.push(i, s);
-            if i % 2 == 0 {
-                a.push(i, s);
-            } else {
-                b.push(i, s);
-            }
-        }
-        a.merge(b);
-        assert_eq!(a.into_sorted_vec(), whole.into_sorted_vec());
     }
 
     #[test]

@@ -1,21 +1,21 @@
-//! The vector index: exact flat search plus an IVF-style partitioned index.
+//! The vector index: exact flat search plus an HNSW graph index.
 //!
 //! "DB-GPT then identifies the top-k paragraphs within the knowledge base
 //! that are most relevant to q … ordering based on the cosine similarity of
-//! their embedded vectors" (§2.3). The flat store is the exact reference;
-//! the partitioned store trades a little recall for sublinear probe cost on
-//! large corpora (benchmark E5 measures the trade-off).
+//! their embedded vectors" (§2.3). The flat scan is the exact reference;
+//! the HNSW graph ([`VectorStore::build_hnsw`]) trades a little recall for
+//! sublinear search cost on large corpora (`bench_ann` measures the
+//! trade-off).
 //!
-//! # The retrieval hot path
+//! # The flat scan
 //!
-//! Four compounding optimizations keep the scan as fast as the hardware
+//! Three compounding optimizations keep the scan as fast as the hardware
 //! allows:
 //!
 //! 1. **Normalized-vector kernel** — vectors are unit-normalized once at
 //!    [`VectorStore::add`] (the raw norm is kept, see
 //!    [`VectorStore::stored_norm`]), so per-candidate scoring is a bare
-//!    [`dot`] product: no square roots, no divisions, and k-means partition
-//!    building stops paying the redundant-norm cost `KMEANS_ITERS`× over.
+//!    [`dot`] product: no square roots, no divisions.
 //! 2. **Eight rows per pass** — the scan scores eight stored vectors
 //!    per walk over the query (`dot8`), one accumulator per row, so
 //!    the eight dependency chains of additions overlap instead of one row
@@ -24,11 +24,6 @@
 //!    every score is bit-identical to [`dot`].
 //! 3. **Heap top-k** — candidates feed a bounded [`TopK`] accumulator,
 //!    O(n log k) instead of the old collect-all-then-sort O(n log n).
-//! 4. **Sharded parallel scan** — above a configurable crossover the
-//!    candidate range is partitioned across scoped worker threads, each
-//!    with a local [`TopK`] merged at the end. Because the ranking order
-//!    is a strict total order, the parallel result is *bit-identical* to
-//!    the sequential one (property-tested in `tests/rag_props.rs`).
 
 use crate::embedding::{dot, Embedding};
 use crate::hnsw::{HnswConfig, HnswGraph};
@@ -38,9 +33,6 @@ use crate::topk::TopK;
 
 /// A scored hit: `(chunk id, similarity)`.
 pub type VectorHit = (usize, f32);
-
-/// Number of Lloyd iterations used when building partitions.
-const KMEANS_ITERS: usize = 5;
 
 /// A store of embeddings addressed by dense `usize` ids.
 ///
@@ -52,19 +44,11 @@ pub struct VectorStore {
     vectors: Vec<Embedding>,
     /// Raw L2 norm of each vector as inserted.
     norms: Vec<f32>,
-    /// IVF partitions: centroids plus member lists. Rebuilt on demand.
-    partitions: Option<Partitions>,
-    /// HNSW graph (+ optional quantized mirror). Unlike IVF partitions it
-    /// survives [`VectorStore::add`]: new vectors are inserted into the
-    /// graph (and encoded onto the frozen quantization grid)
-    /// incrementally, so ingest never throws the index away.
+    /// HNSW graph (+ optional quantized mirror). It survives
+    /// [`VectorStore::add`]: new vectors are inserted into the graph (and
+    /// encoded onto the frozen quantization grid) incrementally, so
+    /// ingest never throws the index away.
     ann: Option<AnnIndex>,
-}
-
-#[derive(Debug, Clone)]
-struct Partitions {
-    centroids: Vec<Embedding>,
-    members: Vec<Vec<usize>>,
 }
 
 /// How [`VectorStore::build_hnsw`] scores candidates at query time.
@@ -179,12 +163,11 @@ impl VectorStore {
     }
 
     /// Append a vector; its id is its insertion index. The vector is
-    /// unit-normalized in place (its raw norm is retained). Invalidates
-    /// any built partitions; a built HNSW index is updated *in place*
-    /// (graph insert + quantized encode on the frozen grid), so ANN
-    /// search keeps working through incremental ingest.
+    /// unit-normalized in place (its raw norm is retained). A built HNSW
+    /// index is updated *in place* (graph insert + quantized encode on the
+    /// frozen grid), so ANN search keeps working through incremental
+    /// ingest.
     pub fn add(&mut self, v: Embedding) -> usize {
-        self.partitions = None;
         let (unit, norm) = v.into_unit();
         self.vectors.push(unit);
         self.norms.push(norm);
@@ -241,218 +224,23 @@ impl VectorStore {
     }
 
     /// Exact top-k by cosine similarity, highest first; ties broken by id.
-    /// Uses the default [`RetrievalConfig`] (auto thread count above the
-    /// crossover size).
+    /// Full blocks of eight rows are scored per `dot8` call, the tail
+    /// through [`dot`].
     pub fn search_flat(&self, query: &Embedding, k: usize) -> Vec<VectorHit> {
-        self.search_flat_with(query, k, &RetrievalConfig::default())
-    }
-
-    /// Exact top-k under an explicit [`RetrievalConfig`]. Parallel and
-    /// sequential configs return identical hit lists.
-    pub fn search_flat_with(
-        &self,
-        query: &Embedding,
-        k: usize,
-        config: &RetrievalConfig,
-    ) -> Vec<VectorHit> {
         let q = query.unit();
-        self.scan_all(&q, k, config).into_sorted_vec()
-    }
-
-    /// Push the score of every vector named by `ids` into `top`, eight
-    /// rows per [`dot8`] call (the tail goes through [`dot`]).
-    fn score_into(&self, q: &Embedding, mut ids: impl Iterator<Item = usize>, top: &mut TopK<f32>) {
-        loop {
-            let mut batch = [0usize; LANES];
-            let mut n = 0;
-            for (slot, id) in batch.iter_mut().zip(ids.by_ref()) {
-                *slot = id;
-                n += 1;
-            }
-            if n < LANES {
-                for &id in &batch[..n] {
-                    top.push(id, dot(q, &self.vectors[id]));
-                }
-                return;
-            }
-            let scores = dot8(&q.0, batch.map(|id| self.vectors[id].0.as_slice()));
-            for (id, score) in batch.into_iter().zip(scores) {
-                top.push(id, score);
+        let mut top = TopK::new(k);
+        let mut blocks = self.vectors.chunks_exact(LANES);
+        for (b, block) in (&mut blocks).enumerate() {
+            let scores = dot8(&q.0, std::array::from_fn(|r| block[r].0.as_slice()));
+            for (r, score) in scores.into_iter().enumerate() {
+                top.push(b * LANES + r, score);
             }
         }
-    }
-
-    /// Score every stored vector against the (already unit-normalized)
-    /// query, sharding across workers when the config allows it.
-    fn scan_all(&self, q: &Embedding, k: usize, config: &RetrievalConfig) -> TopK<f32> {
-        let n = self.vectors.len();
-        let chunk = n.div_ceil(config.effective_threads(n)).max(1);
-        let shards = (0..n).step_by(chunk).map(|lo| lo..(lo + chunk).min(n));
-        self.scan_shards(shards.collect(), q, k)
-    }
-
-    /// Score an explicit candidate id list (the IVF probe set), sharding
-    /// across workers when the config allows it.
-    fn scan_ids(
-        &self,
-        q: &Embedding,
-        ids: &[usize],
-        k: usize,
-        config: &RetrievalConfig,
-    ) -> TopK<f32> {
-        let chunk = ids
-            .len()
-            .div_ceil(config.effective_threads(ids.len()))
-            .max(1);
-        let shards = ids.chunks(chunk).map(|c| c.iter().copied());
-        self.scan_shards(shards.collect(), q, k)
-    }
-
-    /// Score each shard of ids into its own [`TopK`] and merge them: a
-    /// single shard runs on the calling thread, more get one scoped
-    /// worker each.
-    fn scan_shards<S>(&self, shards: Vec<S>, q: &Embedding, k: usize) -> TopK<f32>
-    where
-        S: Iterator<Item = usize> + Send,
-    {
-        let mut merged = TopK::new(k);
-        if shards.len() <= 1 {
-            for shard in shards {
-                self.score_into(q, shard, &mut merged);
-            }
-            return merged;
+        let tail = self.vectors.len() - blocks.remainder().len();
+        for (i, v) in blocks.remainder().iter().enumerate() {
+            top.push(tail + i, dot(&q, v));
         }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .map(|shard| {
-                    s.spawn(move || {
-                        let mut top = TopK::new(k);
-                        self.score_into(q, shard, &mut top);
-                        top
-                    })
-                })
-                .collect();
-            for h in handles {
-                merged.merge(h.join().expect("scan worker panicked"));
-            }
-            merged
-        })
-    }
-
-    /// Build IVF partitions with `nlist` centroids (k-means with
-    /// deterministic farthest-point seeding). All distance computations
-    /// run on the normalized kernel: stored vectors and centroids are
-    /// unit, so similarity is a bare dot product.
-    pub fn build_partitions(&mut self, nlist: usize) {
-        let n = self.vectors.len();
-        if n == 0 {
-            self.partitions = None;
-            return;
-        }
-        let nlist = nlist.clamp(1, n);
-        // Farthest-point init: start from vector 0.
-        let mut centroids: Vec<Embedding> = vec![self.vectors[0].clone()];
-        while centroids.len() < nlist {
-            let mut best = (0usize, f32::INFINITY);
-            for (i, v) in self.vectors.iter().enumerate() {
-                // Similarity to the closest existing centroid.
-                let closest = centroids
-                    .iter()
-                    .map(|c| dot(c, v))
-                    .fold(f32::NEG_INFINITY, f32::max);
-                if closest < best.1 {
-                    best = (i, closest);
-                }
-            }
-            centroids.push(self.vectors[best.0].clone());
-        }
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); centroids.len()];
-        for _ in 0..KMEANS_ITERS {
-            for m in &mut members {
-                m.clear();
-            }
-            for (i, v) in self.vectors.iter().enumerate() {
-                let c = nearest_centroid(&centroids, v);
-                members[c].push(i);
-            }
-            // Recompute centroids as normalised means.
-            for (c, member_ids) in centroids.iter_mut().zip(&members) {
-                if member_ids.is_empty() {
-                    continue;
-                }
-                let dim = c.dim();
-                let mut mean = vec![0.0f32; dim];
-                for &id in member_ids {
-                    for (m, x) in mean.iter_mut().zip(&self.vectors[id].0) {
-                        *m += x;
-                    }
-                }
-                let norm = mean.iter().map(|x| x * x).sum::<f32>().sqrt();
-                if norm > 0.0 {
-                    for m in &mut mean {
-                        *m /= norm;
-                    }
-                }
-                *c = Embedding(mean);
-            }
-        }
-        self.partitions = Some(Partitions { centroids, members });
-    }
-
-    /// Approximate top-k probing the `nprobe` nearest partitions, with the
-    /// default [`RetrievalConfig`]. Falls back to flat search when
-    /// partitions are unbuilt.
-    pub fn search_ivf(&self, query: &Embedding, k: usize, nprobe: usize) -> Vec<VectorHit> {
-        self.search_ivf_with(query, k, nprobe, &RetrievalConfig::default())
-    }
-
-    /// Approximate top-k under an explicit [`RetrievalConfig`].
-    ///
-    /// Falls back to exact flat search when (a) partitions are unbuilt,
-    /// (b) the caller asked to probe every partition (probing all lists
-    /// one by one is never cheaper than one flat scan, and degenerate
-    /// k-means runs — duplicate vectors, empty partitions — must not cost
-    /// recall), or (c) the probed partitions hold fewer than `k`
-    /// candidates while the store has more (empty probed partitions would
-    /// otherwise silently shrink the result set).
-    pub fn search_ivf_with(
-        &self,
-        query: &Embedding,
-        k: usize,
-        nprobe: usize,
-        config: &RetrievalConfig,
-    ) -> Vec<VectorHit> {
-        let Some(p) = &self.partitions else {
-            return self.search_flat_with(query, k, config);
-        };
-        let nprobe = nprobe.max(1);
-        if nprobe >= p.centroids.len() {
-            return self.search_flat_with(query, k, config);
-        }
-        let q = query.unit();
-        let mut centroid_top = TopK::new(nprobe);
-        for (i, c) in p.centroids.iter().enumerate() {
-            centroid_top.push(i, dot(&q, c));
-        }
-        let mut candidates: Vec<usize> = Vec::new();
-        for (ci, _) in centroid_top.into_sorted_vec() {
-            candidates.extend_from_slice(&p.members[ci]);
-        }
-        if candidates.len() < k && candidates.len() < self.vectors.len() {
-            return self.search_flat_with(query, k, config);
-        }
-        self.scan_ids(&q, &candidates, k, config).into_sorted_vec()
-    }
-
-    /// Are partitions currently built?
-    pub fn has_partitions(&self) -> bool {
-        self.partitions.is_some()
-    }
-
-    /// Number of IVF partitions currently built (0 when unbuilt).
-    pub fn partition_count(&self) -> usize {
-        self.partitions.as_ref().map(|p| p.centroids.len()).unwrap_or(0)
+        top.into_sorted_vec()
     }
 
     /// Build the HNSW index over every stored vector (idempotent: an
@@ -540,7 +328,7 @@ impl VectorStore {
         config: &RetrievalConfig,
     ) -> Vec<VectorHit> {
         let Some(ann) = &self.ann else {
-            return self.search_flat_with(query, k, config);
+            return self.search_flat(query, k);
         };
         if k == 0 {
             return Vec::new();
@@ -578,17 +366,6 @@ impl VectorStore {
         }
         top.into_sorted_vec()
     }
-}
-
-fn nearest_centroid(centroids: &[Embedding], v: &Embedding) -> usize {
-    let mut best = (0usize, f32::NEG_INFINITY);
-    for (i, c) in centroids.iter().enumerate() {
-        let s = dot(c, v);
-        if s > best.1 {
-            best = (i, s);
-        }
-    }
-    best.0
 }
 
 #[cfg(test)]
@@ -680,29 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flat_matches_sequential() {
-        let texts: Vec<String> = (0..300)
-            .map(|i| format!("document number {i} about topic {}", i % 7))
-            .collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (s, e) = store_with(&refs);
-        let q = e.embed("document about topic 3");
-        let seq = s.search_flat_with(&q, 10, &RetrievalConfig::SEQUENTIAL);
-        for threads in [2, 3, 4, 8] {
-            let cfg = RetrievalConfig {
-                threads,
-                topk_crossover: 0,
-                ..RetrievalConfig::default()
-            };
-            assert_eq!(
-                s.search_flat_with(&q, 10, &cfg),
-                seq,
-                "threads={threads} diverged"
-            );
-        }
-    }
-
-    #[test]
     fn nan_poisoned_vector_does_not_panic() {
         let (mut s, e) = store_with(&["alpha beta", "gamma delta"]);
         s.add(Embedding(vec![f32::NAN; 128]));
@@ -710,75 +464,6 @@ mod tests {
         // old partial_cmp unwrap crash.
         let hits = s.search_flat(&e.embed("alpha"), 2);
         assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn ivf_matches_flat_on_small_corpus_with_full_probe() {
-        let texts: Vec<String> = (0..40).map(|i| format!("document number {i} about topic {}", i % 5)).collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (mut s, e) = store_with(&refs);
-        s.build_partitions(4);
-        assert!(s.has_partitions());
-        let q = e.embed("document about topic 3");
-        let flat = s.search_flat(&q, 5);
-        let ivf = s.search_ivf(&q, 5, 4); // probe all partitions = exact
-        assert_eq!(flat, ivf);
-    }
-
-    #[test]
-    fn ivf_with_few_probes_still_finds_near_duplicates() {
-        let mut texts: Vec<String> = (0..60).map(|i| format!("filler text number {i}")).collect();
-        texts.push("the quarterly sales report for electronics".into());
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (mut s, e) = store_with(&refs);
-        s.build_partitions(6);
-        let q = e.embed("the quarterly sales report for electronics");
-        let hits = s.search_ivf(&q, 1, 1);
-        assert_eq!(hits[0].0, 60);
-    }
-
-    #[test]
-    fn ivf_full_probe_exact_despite_degenerate_partitions() {
-        // Regression: many duplicate vectors make k-means collapse, which
-        // used to leave empty/degenerate partitions; probing "everything"
-        // must still be exactly equivalent to flat search.
-        let e = HashEmbedder::new();
-        let mut s = VectorStore::new();
-        for _ in 0..20 {
-            s.add(e.embed("identical duplicated text"));
-        }
-        for i in 0..5 {
-            s.add(e.embed(&format!("unique document number {i}")));
-        }
-        s.build_partitions(8);
-        let q = e.embed("unique document number 3");
-        assert_eq!(s.search_ivf(&q, 6, 8), s.search_flat(&q, 6));
-        assert_eq!(s.search_ivf(&q, 6, 100), s.search_flat(&q, 6));
-    }
-
-    #[test]
-    fn ivf_falls_back_when_probe_cannot_fill_k() {
-        // With k larger than any single partition, a 1-probe search would
-        // return fewer than k hits; the coverage fallback guarantees k.
-        let texts: Vec<String> = (0..30).map(|i| format!("text item {i} topic {}", i % 6)).collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let (mut s, e) = store_with(&refs);
-        s.build_partitions(6);
-        let q = e.embed("text item topic 2");
-        let hits = s.search_ivf(&q, 25, 1);
-        assert_eq!(hits.len(), 25);
-        assert_eq!(hits, s.search_flat(&q, 25));
-    }
-
-    #[test]
-    fn add_invalidates_partitions() {
-        let (mut s, e) = store_with(&["a", "b", "c"]);
-        s.build_partitions(2);
-        assert!(s.has_partitions());
-        s.add(e.embed("d"));
-        assert!(!s.has_partitions());
-        // Fallback still works.
-        assert_eq!(s.search_ivf(&e.embed("d"), 1, 1)[0].0, 3);
     }
 
     #[test]

@@ -106,7 +106,7 @@ fn full_beam_search_equals_flat_scan() {
             let q = e.embed(probe);
             assert_eq!(
                 s.search_hnsw_with(&q, 10, &cfg),
-                s.search_flat_with(&q, 10, &cfg),
+                s.search_flat(&q, 10),
                 "seed {seed}, probe {probe:?}"
             );
         }
@@ -135,7 +135,7 @@ fn recall_at_10_floor_across_seeded_corpora() {
                     ["storage", "query", "serving"][i % 3]
                 ));
                 let exact: Vec<usize> =
-                    s.search_flat_with(&q, 10, &cfg).into_iter().map(|(id, _)| id).collect();
+                    s.search_flat(&q, 10).into_iter().map(|(id, _)| id).collect();
                 let ann: Vec<usize> =
                     s.search_hnsw_with(&q, 10, &cfg).into_iter().map(|(id, _)| id).collect();
                 overlap += ann.iter().filter(|id| exact.contains(id)).count();
@@ -165,7 +165,6 @@ fn kb_fingerprint_is_index_blind() {
             kb.add_text(&format!("doc-{i}"), t);
             if index_at == Some(i) {
                 kb.build_hnsw_index(AnnBuildConfig::default());
-                kb.build_ann_index();
             }
         }
         kb

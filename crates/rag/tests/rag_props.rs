@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use dbgpt_rag::{
-    cosine_similarity, Chunker, ChunkingStrategy, Document, Embedding, HashEmbedder,
-    InvertedIndex, KnowledgeBase, RetrievalConfig, RetrievalStrategy, VectorStore,
+    cosine_similarity, AnnBuildConfig, Chunker, ChunkingStrategy, Document, Embedding,
+    HashEmbedder, InvertedIndex, KnowledgeBase, RetrievalStrategy, VectorStore,
 };
 
 fn text_strategy() -> impl Strategy<Value = String> {
@@ -81,7 +81,7 @@ proptest! {
         for (i, t) in texts.iter().enumerate() {
             kb.add_text(&format!("d{i}"), t);
         }
-        kb.build_ann_index();
+        kb.build_hnsw_index(AnnBuildConfig::default());
         for &strategy in RetrievalStrategy::ALL {
             let hits = kb.retrieve(&query, k, strategy);
             prop_assert!(hits.len() <= k, "{}", strategy.name());
@@ -96,32 +96,6 @@ proptest! {
         // Reranked retrieval obeys the same bound.
         let hits = kb.retrieve_reranked(&query, k, RetrievalStrategy::Hybrid);
         prop_assert!(hits.len() <= k);
-    }
-
-    /// The parallel sharded top-k scan returns *exactly* the hit list of
-    /// the sequential scan, for any store, query, k and thread count —
-    /// the invariant that lets `RetrievalConfig` change wall-clock
-    /// without changing results.
-    #[test]
-    fn parallel_topk_equals_sequential(
-        vectors in proptest::collection::vec(
-            proptest::collection::vec(-1.0f32..1.0, 12), 1..80),
-        query in proptest::collection::vec(-1.0f32..1.0, 12),
-        k in 1usize..12,
-        threads in 2usize..9,
-    ) {
-        let mut store = VectorStore::new();
-        for v in &vectors {
-            store.add(Embedding(v.clone()));
-        }
-        let q = Embedding(query);
-        let sequential = store.search_flat_with(&q, k, &RetrievalConfig::SEQUENTIAL);
-        let parallel = store.search_flat_with(
-            &q,
-            k,
-            &RetrievalConfig { threads, topk_crossover: 0, ..RetrievalConfig::default() },
-        );
-        prop_assert_eq!(sequential, parallel, "threads={}", threads);
     }
 
     /// The normalized-vector kernel (unit vectors + bare dot product)
@@ -139,7 +113,7 @@ proptest! {
         }
         let q = Embedding(query);
         // k = n: every stored vector comes back scored.
-        let hits = store.search_flat_with(&q, vectors.len(), &RetrievalConfig::SEQUENTIAL);
+        let hits = store.search_flat(&q, vectors.len());
         prop_assert_eq!(hits.len(), vectors.len());
         for (id, score) in hits {
             let reference = cosine_similarity(&q, &Embedding(vectors[id].clone()));

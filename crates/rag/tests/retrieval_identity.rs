@@ -16,7 +16,7 @@ use std::sync::Arc;
 use common::{assert_bits_f64, assert_kb_matches_reference, ref_flat, RefBm25, RefGraph, Rng};
 use dbgpt_rag::{
     dot, Chunker, ChunkingStrategy, Embedder, Embedding, GraphIndex, HashEmbedder, InvertedIndex,
-    KnowledgeBase, RetrievalConfig, VectorStore,
+    KnowledgeBase, VectorStore,
 };
 
 // ---- seeded corpora --------------------------------------------------------
@@ -228,40 +228,34 @@ fn vector_queries(seed: u64, embedder: &HashEmbedder) -> Vec<Embedding> {
 }
 
 #[test]
-fn flat_scan_matches_reference_sequential_and_sharded() {
+fn flat_scan_matches_reference() {
     for seed in [7u64, 8] {
-        // 1003 rows: not a multiple of eight, so every shard has a tail.
+        // 1003 rows: not a multiple of eight, so the scan has a tail.
         let (store, embedder) = vector_store(seed, 1003);
-        let configs = [
-            RetrievalConfig::SEQUENTIAL,
-            RetrievalConfig::default(),
-            RetrievalConfig {
-                threads: 2,
-                topk_crossover: 0,
-                ..RetrievalConfig::default()
-            },
-            RetrievalConfig {
-                threads: 3,
-                topk_crossover: 0,
-                ..RetrievalConfig::default()
-            },
-            RetrievalConfig {
-                threads: 8,
-                topk_crossover: 0,
-                ..RetrievalConfig::default()
-            },
-        ];
         for q in vector_queries(seed, &embedder) {
             for k in ks(store.len()) {
-                let want = ref_flat(&store, &q, k);
-                for cfg in &configs {
-                    assert_bits_f32(
-                        &store.search_flat_with(&q, k, cfg),
-                        &want,
-                        &format!("flat seed={seed} k={k} threads={}", cfg.threads),
-                    );
-                }
+                assert_bits_f32(
+                    &store.search_flat(&q, k),
+                    &ref_flat(&store, &q, k),
+                    &format!("flat seed={seed} k={k}"),
+                );
             }
+        }
+    }
+}
+
+/// 12,000 rows: past the 10,000-row size from which the flat scan once
+/// split across threads, so one scan covers what used to be sharded.
+#[test]
+fn flat_scan_above_old_crossover_matches_reference() {
+    let (store, embedder) = vector_store(13, 12_000);
+    for q in vector_queries(13, &embedder).iter().step_by(4) {
+        for k in [1, 10, 100] {
+            assert_bits_f32(
+                &store.search_flat(q, k),
+                &ref_flat(&store, q, k),
+                &format!("flat n=12000 k={k}"),
+            );
         }
     }
 }
@@ -272,7 +266,7 @@ fn kernel_matches_dot_bitwise_including_zero_rows() {
     for q in vector_queries(9, &embedder) {
         let unit = q.unit();
         // k = n: every stored row comes back with its kernel score.
-        let hits = store.search_flat_with(&q, store.len(), &RetrievalConfig::SEQUENTIAL);
+        let hits = store.search_flat(&q, store.len());
         assert_eq!(hits.len(), store.len());
         for (id, score) in hits {
             let want = dot(&unit, store.get(id).unwrap());
@@ -291,34 +285,8 @@ fn kernel_matches_dot_bitwise_including_zero_rows() {
     }
     let q = Embedding(vec![-1.0; 8]);
     let want = dot(&q.unit(), store.get(0).unwrap());
-    for (_, score) in store.search_flat_with(&q, 16, &RetrievalConfig::SEQUENTIAL) {
+    for (_, score) in store.search_flat(&q, 16) {
         assert_eq!(score.to_bits(), want.to_bits());
-    }
-}
-
-#[test]
-fn ivf_probe_scores_match_dot_and_shard_identically() {
-    let (mut store, embedder) = vector_store(10, 1200);
-    store.build_partitions(12);
-    let parallel = RetrievalConfig {
-        threads: 3,
-        topk_crossover: 0,
-        ..RetrievalConfig::default()
-    };
-    for q in vector_queries(10, &embedder) {
-        let unit = q.unit();
-        for k in [1, 4, 9] {
-            let seq = store.search_ivf_with(&q, k, 3, &RetrievalConfig::SEQUENTIAL);
-            assert_bits_f32(
-                &store.search_ivf_with(&q, k, 3, &parallel),
-                &seq,
-                "ivf shards",
-            );
-            for (id, score) in seq {
-                let want = dot(&unit, store.get(id).unwrap());
-                assert_eq!(score.to_bits(), want.to_bits(), "ivf row {id}");
-            }
-        }
     }
 }
 

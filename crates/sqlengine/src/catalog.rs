@@ -34,7 +34,7 @@ use dbgpt_obs::hash::Fnv1a;
 use crate::error::SqlError;
 use crate::row::Row;
 use crate::schema::{Schema, SchemaRef};
-use crate::value::Value;
+use crate::value::{float_key, Value};
 
 /// Rows per in-memory chunk: the unit a [`Snapshot`] shares and a write
 /// copies when a snapshot still holds it.
@@ -47,8 +47,8 @@ type Index = BTreeMap<Vec<u8>, Vec<usize>>;
 /// Order-preserving byte encoding of one value, consistent with
 /// `Value::total_cmp` ranks (NULL < BOOL < numeric < TEXT). A column's
 /// values are homogeneous by schema type, so INT and FLOAT never share an
-/// index even though both use rank 2. `-0.0` encodes as `+0.0`, because
-/// SQL comparison treats the two as equal.
+/// index even though both use rank 2. `-0.0` encodes as `+0.0` and every
+/// NaN as one NaN above `+inf`, because SQL comparison orders them so.
 pub fn encode_value(v: &Value) -> Vec<u8> {
     match v {
         Value::Null => vec![0],
@@ -60,9 +60,9 @@ pub fn encode_value(v: &Value) -> Vec<u8> {
             out
         }
         Value::Float(f) => {
-            let bits = if *f == 0.0 { 0 } else { f.to_bits() };
+            let bits = float_key(*f);
             // IEEE-754 total order: positive floats get the sign bit set,
-            // negative floats are bit-inverted. Matches `f64::total_cmp`.
+            // negative floats are bit-inverted.
             let sortable = if bits & (1 << 63) != 0 {
                 !bits
             } else {
@@ -923,10 +923,15 @@ mod tests {
                 w[1]
             );
         }
-        // Signed zeros share one key, as they compare equal in SQL.
+        // Signed zeros share one key, and so do NaNs of either sign, as
+        // they compare equal in SQL.
         assert_eq!(
             encode_value(&Value::Float(-0.0)),
             encode_value(&Value::Float(0.0))
+        );
+        assert_eq!(
+            encode_value(&Value::Float(-f64::NAN)),
+            encode_value(&Value::Float(f64::NAN))
         );
         // Cross-rank: NULL < BOOL < numeric < TEXT.
         let ranked = [

@@ -483,8 +483,8 @@ impl<'p: 'r, 'r> JoinTable<'p, 'r> {
         let (keys, evals, stored) = (&self.probe_keys, &self.evals, &self.keys);
         let cell = |i| bound_cell(keys, evals, Input(row, None), i);
         let hash = self.index.hash(n, cell);
-        // `=` compares INT and FLOAT as `f64`, so one probe key can equal
-        // several build keys: INT 1 and FLOAT 1.0, or INTs past 2^53.
+        // `=` compares INT and FLOAT by value, so one probe key can equal
+        // several build keys: INT 1 and FLOAT 1.0.
         let mut found = self
             .index
             .chain(hash)
@@ -1044,13 +1044,24 @@ fn probe_bounds(op: BinOp, lit: &Value, ty: DataType) -> Probe {
         };
     }
     match (lit, ty) {
-        // Int literal against a Float column: SQL compares both sides as
-        // `i as f64`, so the widened literal is the exact bound.
-        (Value::Int(i), DataType::Float) => probe_bounds(op, &Value::Float(*i as f64), ty),
+        // Int literal against a Float column: the widened literal is the
+        // bound. Past 2^53 it may round; no FLOAT then equals `i`, and
+        // no FLOAT lies between `i` and its rounding, so strict bounds
+        // become inclusive.
+        (Value::Int(i), DataType::Float) => {
+            let f = *i as f64;
+            let op = match op {
+                _ if f as i128 == *i as i128 => op,
+                BinOp::Eq => return Probe::Empty,
+                BinOp::Gt => BinOp::Ge,
+                BinOp::Lt => BinOp::Le,
+                op => op,
+            };
+            probe_bounds(op, &Value::Float(f), ty)
+        }
         (Value::Float(f), DataType::Int) => {
-            // Past 2^53 neighbouring INTs widen to the same f64 that SQL
-            // compares against, so no single INT bound is exact.
-            if !f.is_finite() || f.abs() >= 2f64.powi(53) {
+            // Outside i64's range no INT bound exists.
+            if !f.is_finite() || f.abs() >= 2f64.powi(63) {
                 return Probe::Skip;
             }
             let whole = f.fract() == 0.0;

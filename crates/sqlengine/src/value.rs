@@ -160,22 +160,24 @@ impl Value {
     }
 
     /// SQL comparison: NULL compares as unknown (`None`); numerics compare
-    /// across int/float; other cross-type comparisons are `None`.
+    /// across INT and FLOAT by exact value, `-0.0` equals `0.0`, and NaN
+    /// equals NaN and sorts above every other number; other cross-type
+    /// comparisons are `None`.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
+            (Value::Float(a), Value::Float(b)) => Some(float_cmp(*a, *b)),
+            (Value::Int(a), Value::Float(b)) => Some(int_float_cmp(*a, *b)),
+            (Value::Float(a), Value::Int(b)) => Some(int_float_cmp(*b, *a).reverse()),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            _ => {
-                let (a, b) = (self.as_f64()?, other.as_f64()?);
-                a.partial_cmp(&b)
-            }
+            _ => None,
         }
     }
 
-    /// Total ordering for ORDER BY / grouping: NULLs first, then by type,
-    /// then by value. Unlike [`Value::sql_cmp`] this never returns unknown.
+    /// Total ordering for ORDER BY / grouping: NULLs first, then by type
+    /// (BOOL < numeric < TEXT), then as [`Value::sql_cmp`] orders them.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -185,25 +187,9 @@ impl Value {
                 Value::Text(_) => 3,
             }
         }
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            _ => match rank(self).cmp(&rank(other)) {
-                // Float pairs go through IEEE total order, not the SQL
-                // partial comparison: `sql_cmp` returns `None` for NaN and
-                // an `unwrap_or(Equal)` fallback would make NaN compare
-                // Equal to *every* numeric — a non-transitive comparator
-                // that can panic std sorts and destabilise
-                // ORDER BY/DISTINCT. Under `f64::total_cmp`, NaN sorts
-                // after +inf (and -NaN before -inf), deterministically.
-                Ordering::Equal => match (self, other) {
-                    (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-                    (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-                    (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
-                    _ => self.sql_cmp(other).unwrap_or(Ordering::Equal),
-                },
-                o => o,
-            },
-        }
+        rank(self)
+            .cmp(&rank(other))
+            .then_with(|| self.sql_cmp(other).unwrap_or(Ordering::Equal))
     }
 
     /// Equality for grouping/DISTINCT: NULL equals NULL here (SQL GROUP BY
@@ -217,7 +203,8 @@ impl Value {
     }
 
     /// A hashable group key. Floats are keyed by their bit pattern, with
-    /// `-0.0` read as `0.0`, as `=` and index probes see them.
+    /// `-0.0` read as `0.0` and every NaN as one, as `=` and index probes
+    /// see them.
     pub fn group_key(&self) -> GroupKey {
         match self {
             Value::Null => GroupKey::Null,
@@ -241,8 +228,8 @@ impl Value {
         }
     }
 
-    /// Whether SQL `=` holds: neither side NULL or NaN, numerics compared
-    /// across INT and FLOAT.
+    /// Whether SQL `=` holds: neither side NULL, numerics compared across
+    /// INT and FLOAT as [`Value::sql_cmp`] compares them.
     pub(crate) fn sql_eq(&self, other: &Value) -> bool {
         self.sql_cmp(other) == Some(Ordering::Equal)
     }
@@ -275,12 +262,40 @@ impl Value {
     }
 }
 
-/// A float's key bits: its bit pattern, with `-0.0` read as `0.0`.
-fn float_key(f: f64) -> u64 {
+/// A float's key bits: its bit pattern, with `-0.0` read as `0.0` and
+/// every NaN as one NaN, so floats [`Value::sql_cmp`] calls equal share
+/// their bits.
+pub(crate) fn float_key(f: f64) -> u64 {
     if f == 0.0 {
         0
+    } else if f.is_nan() {
+        f64::NAN.to_bits()
     } else {
         f.to_bits()
+    }
+}
+
+/// Floats in numeric order, with every NaN equal to NaN and above every
+/// other float (`-0.0` equals `0.0`).
+fn float_cmp(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// `i` against `f` by exact value, NaN above every INT. Widening `i` to
+/// `f64` would round past 2^53 and make INT 2^53 + 1 equal FLOAT 2^53.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    // 2^63: the least float above every i64.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_63 {
+        Ordering::Less
+    } else if f < -TWO_63 {
+        Ordering::Greater
+    } else {
+        // In range, the whole part converts exactly.
+        let whole = f.trunc();
+        i.cmp(&(whole as i64))
+            .then_with(|| 0.0.partial_cmp(&(f - whole)).expect("finite"))
     }
 }
 
@@ -296,7 +311,7 @@ pub enum GroupKey {
     Null,
     /// Integer key.
     Int(i64),
-    /// Float key by bit pattern (`-0.0` as `0.0`).
+    /// Float key by bit pattern (`-0.0` as `0.0`, one NaN).
     Float(u64),
     /// Text key.
     Text(String),
@@ -451,6 +466,22 @@ mod tests {
     }
 
     #[test]
+    fn int_and_float_compare_exactly() {
+        let big = 1i64 << 53;
+        let (int, float) = (Value::Int, Value::Float);
+        assert_eq!(int(big + 1).sql_cmp(&float(big as f64)), Some(Ordering::Greater));
+        assert_eq!(float(big as f64).sql_cmp(&int(big)), Some(Ordering::Equal));
+        assert_eq!(int(-big - 1).sql_cmp(&float(-big as f64)), Some(Ordering::Less));
+        assert_eq!(int(2).sql_cmp(&float(2.5)), Some(Ordering::Less));
+        assert_eq!(int(-2).sql_cmp(&float(-2.5)), Some(Ordering::Greater));
+        assert_eq!(int(0).sql_cmp(&float(-0.0)), Some(Ordering::Equal));
+        assert_eq!(int(i64::MAX).sql_cmp(&float(i64::MAX as f64)), Some(Ordering::Less));
+        assert_eq!(int(i64::MIN).sql_cmp(&float(i64::MIN as f64)), Some(Ordering::Equal));
+        assert_eq!(int(i64::MIN).sql_cmp(&float(f64::NEG_INFINITY)), Some(Ordering::Greater));
+        assert_eq!(int(i64::MAX).sql_cmp(&float(f64::NAN)), Some(Ordering::Less));
+    }
+
+    #[test]
     fn total_cmp_sorts_nulls_first() {
         let mut vals = [Value::Int(2), Value::Null, Value::Int(1)];
         vals.sort_by(|a, b| a.total_cmp(b));
@@ -506,9 +537,10 @@ mod tests {
         );
         assert!(Value::Float(-0.0).same_group(&Value::Float(0.0)));
         assert!(!Value::Int(0).same_group(&Value::Float(0.0)));
-        let nan = Value::Float(f64::NAN);
-        assert!(nan.same_group(&nan));
-        assert!(!nan.sql_eq(&nan));
+        let (nan, neg_nan) = (Value::Float(f64::NAN), Value::Float(-f64::NAN));
+        assert!(nan.same_group(&neg_nan));
+        assert!(nan.sql_eq(&neg_nan));
+        assert_eq!(nan.group_key(), neg_nan.group_key());
     }
 
     #[test]
@@ -518,8 +550,8 @@ mod tests {
             (Value::Int(1), Value::Float(1.0)),
             (Value::Int(0), Value::Float(-0.0)),
             (Value::Float(0.0), Value::Float(-0.0)),
-            (Value::Int(big + 1), Value::Float(big as f64)),
-            (Value::Int(big + 1), Value::Int(big)),
+            (Value::Int(big), Value::Float(big as f64)),
+            (Value::Float(f64::NAN), Value::Float(-f64::NAN)),
             (Value::Text("books".into()), Value::Text("books".into())),
         ];
         for (a, b) in pairs {

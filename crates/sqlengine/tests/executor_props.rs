@@ -209,10 +209,9 @@ fn failing_join_filters_report_the_left_scans_error() {
 /// A hash join matches exactly the pairs `=` accepts. Over INT and FLOAT
 /// key columns holding NULL, `0.0` and `-0.0`, NaN and INTs around 2^53
 /// (where neighbouring INTs widen to one FLOAT), each equi-join returns
-/// the pairs, in the order, of a direct pairing under `Value::sql_cmp`;
-/// NaN equals nothing. Evaluating `=` on NaN is an error, so the
-/// nested-loop join that spells `=` as `>= AND <=` is compared over NaN-free
-/// copies of the tables, for inner, LEFT and aggregated shapes.
+/// the pairs, in the order, of a direct pairing under `Value::sql_cmp`,
+/// and the same rows as the nested-loop join that spells `=` as
+/// `>= AND <=`, for inner, LEFT and aggregated shapes; NaN meets NaN.
 #[test]
 fn hash_join_matches_sql_equality() {
     let big = 1i64 << 53;
@@ -227,7 +226,6 @@ fn hash_join_matches_sql_equality() {
         (big + 2) as f64,
         f64::NAN,
     ];
-    let nan = |row: &[Value]| matches!(row[2], Value::Float(f) if f.is_nan());
     for seed in [3, 17, 99] {
         let mut rng = Rng::new(seed);
         let mut e = Engine::new();
@@ -245,14 +243,11 @@ fn hash_join_matches_sql_equality() {
                 };
                 stored.push(vec![Value::Int(id), i, f]);
             }
-            // `{table}n` holds the rows without NaN.
-            for (name, keep_nan) in [(table.to_string(), true), (format!("{table}n"), false)] {
-                e.execute(&format!("CREATE TABLE {name} (id INT, i INT, f FLOAT)"))
-                    .unwrap();
-                let t = e.database_mut().table_mut(&name).unwrap();
-                for row in stored.iter().filter(|r| keep_nan || !nan(r)) {
-                    t.insert_row(row.clone()).unwrap();
-                }
+            e.execute(&format!("CREATE TABLE {table} (id INT, i INT, f FLOAT)"))
+                .unwrap();
+            let t = e.database_mut().table_mut(table).unwrap();
+            for row in &stored {
+                t.insert_row(row.clone()).unwrap();
             }
             rows.push(stored);
         }
@@ -272,11 +267,11 @@ fn hash_join_matches_sql_equality() {
                 let got = e.execute(&sql).unwrap();
                 assert_eq!(render(&got), direct.join("; "), "{}", ctx(&sql));
                 for shape in [
-                    "SELECT a.id, b.id FROM an a JOIN bn b ON {}",
-                    "SELECT a.id, b.id FROM an a LEFT JOIN bn b ON {}",
-                    "SELECT COUNT(*), SUM(b.id), MIN(a.id) FROM an a JOIN bn b ON {}",
-                    "SELECT a.id, COUNT(*), SUM(b.id) FROM an a JOIN bn b ON {} GROUP BY a.id",
-                    "SELECT b.f, COUNT(*) FROM an a JOIN bn b ON {} GROUP BY b.f",
+                    "SELECT a.id, b.id FROM a JOIN b ON {}",
+                    "SELECT a.id, b.id FROM a LEFT JOIN b ON {}",
+                    "SELECT COUNT(*), SUM(b.id), MIN(a.id) FROM a JOIN b ON {}",
+                    "SELECT a.id, COUNT(*), SUM(b.id) FROM a JOIN b ON {} GROUP BY a.id",
+                    "SELECT b.f, COUNT(*) FROM a JOIN b ON {} GROUP BY b.f",
                 ] {
                     let hashed = shape.replace("{}", &format!("a.{x} = b.{y}"));
                     let nested = shape.replace("{}", &format!("a.{x} >= b.{y} AND a.{x} <= b.{y}"));
@@ -285,10 +280,122 @@ fn hash_join_matches_sql_equality() {
                 }
             }
         }
-        let two = "SELECT a.id, b.id FROM an a JOIN bn b ON a.i = b.f AND a.f = b.i";
-        let nested = "SELECT a.id, b.id FROM an a JOIN bn b \
+        let two = "SELECT a.id, b.id FROM a JOIN b ON a.i = b.f AND a.f = b.i";
+        let nested = "SELECT a.id, b.id FROM a JOIN b \
                       ON a.i >= b.f AND a.i <= b.f AND a.f >= b.i AND a.f <= b.i";
         let (got, want) = (e.execute(two).unwrap(), e.execute(nested).unwrap());
         assert_eq!(render(&got), render(&want), "{}", ctx(two));
+    }
+}
+
+/// NaN is one value, above every other number, wherever values are
+/// compared: `=` and `<` in filters, hash and nested-loop joins, GROUP BY,
+/// ORDER BY and MIN/MAX. `-0.0 = 0.0` still holds.
+#[test]
+fn nan_equals_nan_and_sorts_above_every_number() {
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE n (id INT, f FLOAT)").unwrap();
+    e.execute("INSERT INTO n VALUES (1, 1.0), (2, -0.0), (3, NULL), (4, 1000.5)")
+        .unwrap();
+    // NaN has no SQL literal: insert it, with either sign, through the
+    // catalog.
+    let t = e.database_mut().table_mut("n").unwrap();
+    for (id, f) in [(5, f64::NAN), (6, -f64::NAN)] {
+        t.insert_row(vec![Value::Int(id), Value::Float(f)]).unwrap();
+    }
+    let cases = [
+        ("SELECT id FROM n WHERE f <= 1.0", "1; 2"),
+        ("SELECT id FROM n WHERE f > 1000.5", "5; 6"),
+        ("SELECT id FROM n WHERE f = f", "1; 2; 4; 5; 6"),
+        ("SELECT id FROM n WHERE f <> 1.0", "2; 4; 5; 6"),
+        ("SELECT id FROM n WHERE f = 0.0", "2"),
+        ("SELECT id FROM n WHERE f BETWEEN 0.0 AND 1000.5", "1; 2; 4"),
+        (
+            "SELECT a.id, b.id FROM n a JOIN n b ON a.f = b.f",
+            "1, 1; 2, 2; 4, 4; 5, 5; 5, 6; 6, 5; 6, 6",
+        ),
+        (
+            "SELECT a.id, b.id FROM n a JOIN n b ON a.f >= b.f AND a.f <= b.f",
+            "1, 1; 2, 2; 4, 4; 5, 5; 5, 6; 6, 5; 6, 6",
+        ),
+        (
+            "SELECT f, COUNT(*) FROM n GROUP BY f",
+            "1.0, 1; -0.0, 1; NULL, 1; 1000.5, 1; NaN, 2",
+        ),
+        ("SELECT id FROM n ORDER BY f DESC, id", "5; 6; 4; 1; 2; 3"),
+        ("SELECT MAX(f), MIN(f) FROM n", "NaN, -0.0"),
+    ];
+    for (sql, want) in cases {
+        let got = e.execute(sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
+        assert_eq!(render(&got), want, "{sql}");
+    }
+}
+
+/// `ORDER BY` over a key that mixes INT and FLOAT compares the two
+/// exactly, also past 2^53, where INT 2^53 + 1 widens to FLOAT 2^53.
+#[test]
+fn order_by_mixed_int_float_keys_is_exact_past_2_pow_53() {
+    let big = 1i64 << 53;
+    let mut e = Engine::new();
+    e.execute("CREATE TABLE m (id INT, k INT, f FLOAT)").unwrap();
+    let t = e.database_mut().table_mut("m").unwrap();
+    for row in [
+        [Value::Int(1), Value::Int(big + 1), Value::Null],
+        [Value::Int(2), Value::Null, Value::Float(big as f64)],
+        [Value::Int(3), Value::Int(big), Value::Null],
+    ] {
+        t.insert_row(row.to_vec()).unwrap();
+    }
+    // INT 2^53 and FLOAT 2^53 tie, and keep their arrival order.
+    let cases = [
+        ("SELECT id FROM m ORDER BY COALESCE(k, f)", "2; 3; 1"),
+        ("SELECT id FROM m ORDER BY COALESCE(k, f) DESC", "1; 2; 3"),
+        ("SELECT id FROM m ORDER BY COALESCE(k, f) LIMIT 2", "2; 3"),
+        ("SELECT id FROM m ORDER BY COALESCE(k, f) DESC LIMIT 1", "1"),
+    ];
+    for (sql, want) in cases {
+        let got = e.execute(sql).unwrap_or_else(|err| panic!("{sql}: {err}"));
+        assert_eq!(render(&got), want, "{sql}");
+    }
+}
+
+/// `Value::total_cmp` is a total order over INT and FLOAT values near
+/// ±2^53 (where INT → FLOAT widening rounds), signed zeros, infinities
+/// and NaN of either sign: antisymmetric and transitive on seeded
+/// triples, and equal to `Value::sql_cmp` wherever neither side is NULL.
+#[test]
+fn total_cmp_is_a_total_order_across_int_and_float() {
+    use std::cmp::Ordering::{self, Equal, Greater, Less};
+    let big = 1i64 << 53;
+    let value = |rng: &mut Rng| {
+        let sign = if rng.pct(50) { 1 } else { -1 };
+        let near = sign * (big + rng.below(9) as i64 - 4);
+        match rng.below(12) {
+            0..=4 => Value::Int(near),
+            5..=8 => Value::Float(near as f64 + [0.0, 0.5, -0.5][rng.below(3) as usize]),
+            9 => Value::Float([0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY][rng.below(4) as usize]),
+            10 => Value::Float(if rng.pct(50) { f64::NAN } else { -f64::NAN }),
+            _ => Value::Int([0, i64::MAX, i64::MIN][rng.below(3) as usize]),
+        }
+    };
+    let le = |o: Ordering| o != Greater;
+    for seed in [5, 31, 2024] {
+        let mut rng = Rng::new(seed);
+        for _ in 0..20_000 {
+            let (a, b, c) = (value(&mut rng), value(&mut rng), value(&mut rng));
+            let (ab, bc, ac) = (a.total_cmp(&b), b.total_cmp(&c), a.total_cmp(&c));
+            let ctx = format!("seed {seed}: {a:?}, {b:?}, {c:?}");
+            assert_eq!(ab, b.total_cmp(&a).reverse(), "antisymmetry {ctx}");
+            assert_eq!(a.sql_cmp(&b), Some(ab), "sql_cmp {ctx}");
+            if le(ab) && le(bc) {
+                assert!(le(ac), "transitivity {ctx}");
+                if ab == Less || bc == Less {
+                    assert_eq!(ac, Less, "strict transitivity {ctx}");
+                }
+            }
+            if ab == Equal && bc == Equal {
+                assert_eq!(ac, Equal, "equality {ctx}");
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //!   indexes must not keep answering from the old rows afterwards.
 //! - A probe must find every row the filter accepts: literals of the other
 //!   numeric type, signed zeros, inverted and fractional ranges, and INT
-//!   values past 2^53.
+//!   values past 2^53, where widening to FLOAT rounds.
 //!
 //! Every check runs the same statements on an engine with indexes and on
 //! one without, and compares the results per cell.
@@ -83,7 +83,8 @@ fn probes_find_cross_type_and_signed_zero_rows() {
     let setup = [
         "CREATE TABLE p (id INT, f FLOAT)",
         "INSERT INTO p VALUES (5, 2.0), (3, -0.0), (4, 0.0), (6, 0.5), (2, -0.5), \
-         (9007199254740993, 1.0), (9007199254740992, 2.0), (NULL, NULL), (5, -0.0)",
+         (9007199254740993, 1.0), (9007199254740992, 2.0), (NULL, NULL), (5, -0.0), \
+         (7, 9007199254740994.0), (8, 9007199254740996.0)",
     ];
     let indexes = ["CREATE INDEX p_id ON p (id)", "CREATE INDEX p_f ON p (f)"];
     let queries = [
@@ -115,6 +116,14 @@ fn probes_find_cross_type_and_signed_zero_rows() {
         "SELECT id, f FROM p WHERE id = 9007199254740992.0",
         "SELECT id, f FROM p WHERE id >= 9007199254740992.0",
         "SELECT id, f FROM p WHERE id < 9007199254740992.0",
+        // FLOAT column, INT literal that rounds up (…995 → …996) or down
+        // (…993 → …992) when widened: SQL compares exactly.
+        "SELECT id, f FROM p WHERE f > 9007199254740995",
+        "SELECT id, f FROM p WHERE f >= 9007199254740995",
+        "SELECT id, f FROM p WHERE f < 9007199254740995",
+        "SELECT id, f FROM p WHERE f = 9007199254740995",
+        "SELECT id, f FROM p WHERE f <= 9007199254740993",
+        "SELECT id, f FROM p WHERE 9007199254740993 < f",
     ];
     let (mut indexed, mut plain) = pair(&setup, &indexes);
     for sql in queries {
